@@ -1,27 +1,22 @@
 """Hot pointwise kernels: compiled extension when available, numpy otherwise.
 
-The backend is picked once at import.  Set ``ACSPLIT_PURE_PYTHON=1`` to force
-the numpy fallback; ``BACKEND`` reports which one is active.  Both backends
-implement the same contract, documented in :mod:`acsplit._kernels._ref`.
+The backend is picked once at import: the compiled ``_core`` extension if it
+imports, the numpy reference otherwise.  ``BACKEND`` reports which one is
+active.  Both backends implement the same contract, documented in
+:mod:`acsplit._kernels._ref`.
 """
-
-import os
 
 from . import _ref
 
 RADICAND_FLOOR = _ref.RADICAND_FLOOR
 
-if os.environ.get("ACSPLIT_PURE_PYTHON", "0") not in ("", "0"):
+try:
+    from . import _core as _impl  # type: ignore[attr-defined]
+
+    BACKEND = "compiled"
+except ImportError:
     _impl = _ref
     BACKEND = "numpy"
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _ref
-        BACKEND = "numpy"
 
 free_energy_apply = _impl.free_energy_apply
 heat_multiplier_apply = _impl.heat_multiplier_apply

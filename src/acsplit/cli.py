@@ -115,6 +115,16 @@ def _wave_setup(args):
     return TravelingWaveSpec(epsilon, length), cells
 
 
+def _spinodal_setup(args, default_cells: int) -> SpinodalSpec:
+    return SpinodalSpec(
+        epsilon=float(_merge(args, "epsilon", 0.015)),
+        amplitude=float(_merge(args, "amplitude", 0.005)),
+        seed=int(_merge(args, "seed", 0)),
+        cells=int(_merge(args, "cells", default_cells)),
+        length=float(_merge(args, "length", 1.0)),
+    )
+
+
 def cmd_run(args) -> int:
     problem = _require(args, "problem")
     scheme = harness.scheme_from_string(_require(args, "scheme"))
@@ -132,13 +142,7 @@ def cmd_run(args) -> int:
         t_final = float(_merge(args, "t_final", spec.t_final))
         meta = {"problem": "wave", "epsilon": repr(spec.epsilon), "cells": cells}
     elif problem == "spinodal":
-        spec = SpinodalSpec(
-            epsilon=float(_merge(args, "epsilon", 0.015)),
-            amplitude=float(_merge(args, "amplitude", 0.005)),
-            seed=int(_merge(args, "seed", 0)),
-            cells=int(_merge(args, "cells", 64)),
-            length=float(_merge(args, "length", 1.0)),
-        )
+        spec = _spinodal_setup(args, default_cells=64)
         f0 = spinodal_initial(spec)
         model = ModelParams(spec.epsilon)
         t_final = float(_require(args, "t_final"))
@@ -170,7 +174,7 @@ def cmd_run(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "diagnostics.csv").write_text(result.diagnostics_csv)
-        for t_req, snap in result.snapshots.items():
+        for t_req, snap in result.trajectory.snapshots.items():
             save_field(out_dir / f"snapshot_t{t_req:g}.acf", snap)
     except OSError as err:
         raise CliError(f"cannot write outputs: {err}", EXIT_IO)
@@ -213,13 +217,7 @@ def cmd_converge(args) -> int:
             k_tol=k_tol,
         )
     elif problem == "spinodal":
-        spec = SpinodalSpec(
-            epsilon=float(_merge(args, "epsilon", 0.015)),
-            amplitude=float(_merge(args, "amplitude", 0.005)),
-            seed=int(_merge(args, "seed", 0)),
-            cells=int(_merge(args, "cells", 32)),
-            length=float(_merge(args, "length", 1.0)),
-        )
+        spec = _spinodal_setup(args, default_cells=32)
         ref_dt = _merge(args, "ref_dt")
         report = harness.spinodal_convergence(
             schemes,
@@ -234,8 +232,6 @@ def cmd_converge(args) -> int:
 
     _write(f"{out}.errors.csv", report.to_csv())
     _write(f"{out}.slopes.csv", report.slopes_to_csv())
-    if _merge(args, "plot_script", False):
-        _write(f"{out}.plot.py", harness.PLOT_SCRIPT.format(csv_path=f"{out}.errors.csv"))
     return EXIT_OK
 
 
@@ -313,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-tol", type=float)
     p.add_argument("--ref-dt", type=float, help="spinodal reference step (default min(dt)/4)")
     p.add_argument("--out", help="output prefix")
-    p.add_argument("--plot-script", action="store_true", help="emit a convenience plot script")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("sweep-omega", parents=[common], help="error vs omega for a third-order branch")

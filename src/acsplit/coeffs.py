@@ -84,7 +84,7 @@ class SplitCoefficients:
         # family parameters give large, exactly-cancelling terms
         scale = max(1.0, max(abs(v) for v in self.a + self.b) ** 2)
         checks = {1: r[:2], 2: r[:4], 3: r[:6], 4: r[:6]}[self.claimed_order]
-        if any(abs(v) > CONSTRUCTION_TOL * scale for v in checks):
+        if any(not abs(v) <= CONSTRUCTION_TOL * scale for v in checks):  # NaN fails too
             raise ValueError(
                 f"{self.label}: order-{self.claimed_order} residuals not satisfied: {r}"
             )

@@ -3,10 +3,10 @@ convergence studies, omega sweeps, and single runs with snapshots."""
 
 from __future__ import annotations
 
-import csv
-import io
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from ._kernels import BACKEND
 from .coeffs import (
     InvalidOmega,
     SplitCoefficients,
-    discriminant,
+    fourth_order_v,
     named_scheme,
     third_order_family,
 )
@@ -27,7 +27,7 @@ from .problems import (
     spinodal_initial,
     traveling_wave_field,
 )
-from .report import ErrorReport, RunRow
+from .report import ErrorReport, RunRow, csv_number, render_csv
 from .solver import RunConfig, Trajectory, relative_l2_error, run
 
 __all__ = [
@@ -65,8 +65,32 @@ def _base_metadata(**extra) -> dict[str, str]:
     return meta
 
 
-def _sorted_rows(rows: list[RunRow]) -> list[RunRow]:
-    return sorted(rows, key=lambda r: (r.scheme, -r.dt))
+def _scored_run(f0: Field, cfg: RunConfig, reference: Field) -> tuple[Trajectory, float]:
+    """Run from a copy of ``f0``; the error is the relative L2 distance of the
+    final state from ``reference``, or NaN unless the run completed."""
+    traj = run(f0.copy(), cfg)
+    err = relative_l2_error(traj.final, reference) if traj.completed else float("nan")
+    return traj, err
+
+
+def _convergence_report(
+    schemes: list[SplitCoefficients],
+    dt_list: list[float],
+    run_config: Callable[[SplitCoefficients, float], RunConfig],
+    f0: Field,
+    reference: Field,
+    metadata: dict[str, str],
+) -> ErrorReport:
+    """Score ``run_config(scheme, dt)`` for every pair; rows sorted by scheme
+    and descending dt, with slopes fitted."""
+    rows = []
+    for scheme in schemes:
+        for dt in dt_list:
+            traj, err = _scored_run(f0, run_config(scheme, dt), reference)
+            rows.append(RunRow(scheme.label, dt, len(traj.times) - 1, err, traj.status))
+    report = ErrorReport(sorted(rows, key=lambda r: (r.scheme, -r.dt)), metadata)
+    report.fit_slopes()
+    return report
 
 
 def wave_convergence(
@@ -81,19 +105,19 @@ def wave_convergence(
     """Error at t_final = 1/s against the exact traveling front, per (scheme, dt)."""
     spec = TravelingWaveSpec(epsilon, length)
     grid = spec.grid(cells)
-    model = ModelParams(epsilon)
-    cutoff = CutoffPolicy(k_tol)
-    f0 = traveling_wave_field(grid, 0.0, spec)
-    reference = traveling_wave_field(grid, spec.t_final, spec)
-    rows = []
-    for scheme in schemes:
-        for dt in dt_list:
-            cfg = RunConfig(scheme, dt, spec.t_final, model, cutoff, record_energy=record_energy)
-            traj = run(f0.copy(), cfg)
-            err = relative_l2_error(traj.final, reference) if traj.completed else float("nan")
-            rows.append(RunRow(scheme.label, dt, len(traj.times) - 1, err, traj.status))
-    report = ErrorReport(
-        _sorted_rows(rows),
+    run_config = partial(
+        RunConfig,
+        t_final=spec.t_final,
+        model=ModelParams(epsilon),
+        cutoff=CutoffPolicy(k_tol),
+        record_energy=record_energy,
+    )
+    return _convergence_report(
+        schemes,
+        dt_list,
+        run_config,
+        traveling_wave_field(grid, 0.0, spec),
+        traveling_wave_field(grid, spec.t_final, spec),
         _base_metadata(
             problem="traveling-wave",
             epsilon=repr(float(epsilon)),
@@ -103,8 +127,6 @@ def wave_convergence(
             t_final=repr(float(spec.t_final)),
         ),
     )
-    report.fit_slopes()
-    return report
 
 
 def spinodal_convergence(
@@ -117,28 +139,27 @@ def spinodal_convergence(
 ) -> ErrorReport:
     """Self-convergence against a reference computed with the six-stage
     fourth-order scheme at ``ref_dt`` (default: a quarter of the finest dt)."""
-    from .coeffs import fourth_order_v
-
     if ref_dt is None:
         ref_dt = min(dt_list) / 4.0
     if ref_dt > min(dt_list) / 2.0:
         raise ValueError("reference dt must be at least 2x finer than the finest run")
-    model = ModelParams(spec.epsilon)
-    cutoff = CutoffPolicy(k_tol)
+    run_config = partial(
+        RunConfig,
+        t_final=t_final,
+        model=ModelParams(spec.epsilon),
+        cutoff=CutoffPolicy(k_tol),
+        record_energy=False,
+    )
     f0 = spinodal_initial(spec)
-    ref_cfg = RunConfig(fourth_order_v(), ref_dt, t_final, model, cutoff, record_energy=False)
-    ref = run(f0.copy(), ref_cfg)
+    ref = run(f0.copy(), run_config(fourth_order_v(), ref_dt))
     if not ref.completed:
         raise RuntimeError("reference run diverged; refusing to compare against it")
-    rows = []
-    for scheme in schemes:
-        for dt in dt_list:
-            cfg = RunConfig(scheme, dt, t_final, model, cutoff, record_energy=False)
-            traj = run(f0.copy(), cfg)
-            err = relative_l2_error(traj.final, ref.final) if traj.completed else float("nan")
-            rows.append(RunRow(scheme.label, dt, len(traj.times) - 1, err, traj.status))
-    report = ErrorReport(
-        _sorted_rows(rows),
+    return _convergence_report(
+        schemes,
+        dt_list,
+        run_config,
+        f0,
+        ref.final,
         _base_metadata(
             problem="spinodal",
             epsilon=repr(float(spec.epsilon)),
@@ -153,8 +174,6 @@ def spinodal_convergence(
             ref_scheme="S4V",
         ),
     )
-    report.fit_slopes()
-    return report
 
 
 def omega_sweep(
@@ -191,11 +210,9 @@ def omega_sweep(
                 sol.coefficients, dt, spec.t_final, model, CutoffPolicy(k_tol),
                 record_energy=False,
             )
-            traj = run(f0.copy(), cfg)
+            traj, err = _scored_run(f0, cfg, reference)
             key = f"ktol_{k_tol:g}"
-            rec[f"err_{key}"] = (
-                relative_l2_error(traj.final, reference) if traj.completed else float("nan")
-            )
+            rec[f"err_{key}"] = err
             rec[f"status_{key}"] = traj.status
         records.append(rec)
     meta = _base_metadata(
@@ -212,17 +229,8 @@ def omega_sweep(
 
 
 def omega_sweep_csv(records: list[dict], meta: dict[str, str], k_tols=(1e4, 1e9)) -> str:
-    buf = io.StringIO()
-    buf.write("# acsplit-omega-sweep v1\n")
-    for key, value in sorted(meta.items()):
-        buf.write(f"# {key}={value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
     keys = [f"ktol_{k:g}" for k in k_tols]
-    writer.writerow(
-        ["omega", "max_coeff"]
-        + [col for key in keys for col in (f"err_{key}", f"status_{key}")]
-        + ["marker"]
-    )
+    rows = []
     for rec in records:
         row = [repr(rec["omega"])]
         if "marker" in rec:
@@ -230,12 +238,11 @@ def omega_sweep_csv(records: list[dict], meta: dict[str, str], k_tols=(1e4, 1e9)
         else:
             row.append(repr(rec["max_coeff"]))
             for key in keys:
-                err = rec[f"err_{key}"]
-                row.append("" if np.isnan(err) else repr(err))
-                row.append(rec[f"status_{key}"])
+                row += [csv_number(rec[f"err_{key}"]), rec[f"status_{key}"]]
             row.append("")
-        writer.writerow(row)
-    return buf.getvalue()
+        rows.append(row)
+    columns = ["omega", "max_coeff"] + [c for key in keys for c in (f"err_{key}", f"status_{key}")]
+    return render_csv("omega-sweep", meta, columns + ["marker"], rows)
 
 
 def coeffs_table(
@@ -249,92 +256,52 @@ def coeffs_table(
     ('S3+' / 'S3-') over the given omegas with discriminant and coefficient
     bounds per row.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["omega", "a1", "b1", "a2", "b2", "a3", "b3", "D", "min", "max", "bounded", "marker"]
-    buf.write("# acsplit-coeffs v1\n")
     if scheme is not None:
-        coeffs = scheme_from_string(scheme)
-        writer.writerow(["label", "order"] + [f"a{j+1}" for j in range(coeffs.p)] + [f"b{j+1}" for j in range(coeffs.p)])
-        writer.writerow(
-            [coeffs.label, coeffs.claimed_order]
-            + [repr(v) for v in coeffs.a]
-            + [repr(v) for v in coeffs.b]
-        )
-        return buf.getvalue()
+        c = scheme_from_string(scheme)
+        columns = ["label", "order"] + [f"{x}{j + 1}" for x in "ab" for j in range(c.p)]
+        row = [c.label, c.claimed_order] + [repr(v) for v in c.a + c.b]
+        return render_csv("coeffs", {}, columns, [row])
     if family not in ("S3+", "S3-") or omegas is None:
         raise ValueError("sweeps support family='S3+' or 'S3-' with an omega grid")
-    branch = family[-1]
-    writer.writerow(header)
+    rows = []
     for omega in omegas:
         try:
-            sol = third_order_family(omega, branch)
+            sol = third_order_family(omega, family[-1])
         except InvalidOmega as err:
-            writer.writerow([repr(float(omega))] + [""] * 9 + ["", str(err)])
+            rows.append([repr(float(omega))] + [""] * 10 + [str(err)])
             continue
         c = sol.coefficients
         flat = [c.a[0], c.b[0], c.a[1], c.b[1], c.a[2], c.b[2]]
         lo, hi = min(c.a + c.b), max(c.a + c.b)
-        writer.writerow(
+        rows.append(
             [repr(float(omega))]
             + [repr(v) for v in flat]
             + [repr(sol.discriminant), repr(lo), repr(hi), str(bool(max(abs(lo), abs(hi)) <= 1.0)), ""]
         )
-    return buf.getvalue()
+    header = ["omega", "a1", "b1", "a2", "b2", "a3", "b3", "D", "min", "max", "bounded", "marker"]
+    return render_csv("coeffs", {}, header, rows)
 
 
 @dataclass
 class SingleRunResult:
     trajectory: Trajectory
     diagnostics_csv: str
-    snapshots: dict[float, Field]
 
 
 def single_run(f0: Field, cfg: RunConfig, meta: dict[str, str]) -> SingleRunResult:
     """Run once and render the per-step diagnostics CSV."""
     traj = run(f0, cfg)
-    buf = io.StringIO()
-    buf.write("# acsplit-diagnostics v1\n")
-    for key, value in sorted({**_base_metadata(), **meta}.items()):
-        buf.write(f"# {key}={value}\n")
-    buf.write(f"# status={traj.status}\n")
+    outcome = [("status", traj.status)]
     if traj.status == "diverged":
-        buf.write(f"# diverged_step={traj.diverged_step}\n")
-        buf.write(f"# diverged_cell={','.join(str(c) for c in traj.diverged_cell)}\n")
+        outcome.append(("diverged_step", traj.diverged_step))
+        outcome.append(("diverged_cell", ",".join(str(c) for c in traj.diverged_cell)))
     if traj.shortened_final_step:
-        buf.write("# shortened_final_step=true\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "phi_min", "phi_max", "energy"])
-    for t, lo, hi, en in zip(traj.times, traj.phi_min, traj.phi_max, traj.energies):
-        writer.writerow(
-            [repr(float(t)), repr(float(lo)), repr(float(hi)),
-             "" if np.isnan(en) else repr(float(en))]
-        )
-    return SingleRunResult(traj, buf.getvalue(), traj.snapshots)
-
-
-PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-# Convenience plot for an acsplit error report; the CSV is the canonical output.
-import csv
-import sys
-from collections import defaultdict
-
-import matplotlib.pyplot as plt
-
-path = sys.argv[1] if len(sys.argv) > 1 else {csv_path!r}
-series = defaultdict(list)
-with open(path) as fh:
-    rows = csv.DictReader(line for line in fh if not line.startswith("#"))
-    for row in rows:
-        if row["status"] == "completed" and row["rel_l2_error"]:
-            series[row["scheme"]].append((float(row["dt"]), float(row["rel_l2_error"])))
-for label, pts in series.items():
-    pts.sort()
-    plt.loglog(*zip(*pts), marker="o", label=label)
-plt.xlabel("dt")
-plt.ylabel("relative l2 error")
-plt.legend()
-plt.grid(True, which="both", alpha=0.3)
-plt.savefig(path.rsplit(".", 1)[0] + ".png", dpi=150)
-"""
+        outcome.append(("shortened_final_step", "true"))
+    rows = (
+        [repr(float(t)), repr(float(lo)), repr(float(hi)), csv_number(en)]
+        for t, lo, hi, en in zip(traj.times, traj.phi_min, traj.phi_max, traj.energies)
+    )
+    columns = ["t", "phi_min", "phi_max", "energy"]
+    return SingleRunResult(
+        traj, render_csv("diagnostics", {**_base_metadata(), **meta}, columns, rows, outcome)
+    )

@@ -1,9 +1,10 @@
-"""Error tables, log-log slope fits, and their CSV serialisation."""
+"""Error tables, log-log slope fits, and the CSV format of every acsplit output."""
 
 from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,8 +13,10 @@ __all__ = [
     "ErrorReport",
     "RunRow",
     "SlopeFit",
+    "csv_number",
     "default_fit_window",
     "fit_loglog",
+    "render_csv",
 ]
 
 MIN_FIT_POINTS = 3
@@ -83,6 +86,31 @@ def fit_loglog(dts: np.ndarray, errors: np.ndarray) -> tuple[float, float, float
     return float(slope), float(intercept), resid
 
 
+def csv_number(x: float) -> str:
+    """A float as a CSV cell: its exact repr, or empty for NaN."""
+    return "" if np.isnan(x) else repr(float(x))
+
+
+def render_csv(
+    kind: str,
+    metadata: Mapping[str, object],
+    columns: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    trailer: Sequence[tuple[str, object]] = (),
+) -> str:
+    """Every acsplit CSV: a ``# acsplit-<kind> v1`` line, one ``# key=value``
+    line per metadata entry in key order, then the ``trailer`` entries in the
+    order given, then the column row and the data rows."""
+    buf = io.StringIO()
+    buf.write(f"# acsplit-{kind} v1\n")
+    for key, value in [*sorted(metadata.items()), *trailer]:
+        buf.write(f"# {key}={value}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass
 class ErrorReport:
     """Rows of (scheme, dt, error, status) plus per-scheme slope fits and metadata."""
@@ -123,30 +151,20 @@ class ErrorReport:
                 float(dts[window].max()),
             )
 
-    def _metadata_lines(self) -> list[str]:
-        return [f"# {key}={value}" for key, value in sorted(self.metadata.items())]
-
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("# acsplit-errors v1\n")
-        for line in self._metadata_lines():
-            buf.write(line + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["scheme", "dt", "steps", "rel_l2_error", "status"])
-        for r in self.rows:
-            err = "" if np.isnan(r.error) else repr(r.error)
-            writer.writerow([r.scheme, repr(r.dt), r.steps, err, r.status])
-        return buf.getvalue()
+        return render_csv(
+            "errors",
+            self.metadata,
+            ["scheme", "dt", "steps", "rel_l2_error", "status"],
+            ([r.scheme, repr(r.dt), r.steps, csv_number(r.error), r.status] for r in self.rows),
+        )
 
     def slopes_to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("# acsplit-slopes v1\n")
-        for line in self._metadata_lines():
-            buf.write(line + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["scheme", "slope", "residual", "n_points", "dt_min", "dt_max"])
-        for fit in self.slopes.values():
-            writer.writerow(
+        return render_csv(
+            "slopes",
+            self.metadata,
+            ["scheme", "slope", "residual", "n_points", "dt_min", "dt_max"],
+            (
                 [
                     fit.scheme,
                     f"{fit.slope:.6f}",
@@ -155,8 +173,9 @@ class ErrorReport:
                     repr(fit.dt_min),
                     repr(fit.dt_max),
                 ]
-            )
-        return buf.getvalue()
+                for fit in self.slopes.values()
+            ),
+        )
 
     @classmethod
     def from_csv(cls, text: str) -> "ErrorReport":

@@ -42,10 +42,14 @@ class RunConfig:
     record_energy: bool = True
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_final >= self.dt:
-            raise ValueError("t_final must be at least one step")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.dt <= self.t_final < np.inf:
+            raise ValueError(f"t_final must be finite and at least one step, got {self.t_final}")
+        slack = 1e-12 * self.t_final  # the tolerance run() allows on the horizon
+        for t in self.snapshot_times:
+            if not -slack <= t <= self.t_final + slack:
+                raise ValueError(f"snapshot time {t} lies outside [0, t_final={self.t_final}]")
         if not self.phi_max > 1:
             raise ValueError("phi_max must exceed 1")
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from acsplit import TravelingWaveSpec, traveling_wave_field
+from acsplit import TravelingWaveSpec, __version__, kernel_backend, traveling_wave_field
 from acsplit.cli import main
 from acsplit.fieldio import load_field
 from acsplit.harness import scheme_from_string
@@ -134,7 +134,6 @@ def test_converge_wave(tmp_path):
             "3:7",
             "--out",
             str(prefix),
-            "--plot-script",
         ]
     )
     assert code == 0
@@ -145,7 +144,6 @@ def test_converge_wave(tmp_path):
     by_scheme = {r["scheme"]: float(r["slope"]) for r in slopes}
     assert by_scheme["S1"] == pytest.approx(1.0, abs=0.35)
     assert by_scheme["S2(1)"] == pytest.approx(2.0, abs=0.35)
-    assert (tmp_path / "wave.plot.py").exists()
 
 
 def test_converge_is_reproducible(tmp_path):
@@ -162,6 +160,108 @@ def test_converge_is_reproducible(tmp_path):
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a.errors.csv").read_bytes() == (tmp_path / "b.errors.csv").read_bytes()
     assert (tmp_path / "a.slopes.csv").read_bytes() == (tmp_path / "b.slopes.csv").read_bytes()
+
+
+def csv_header(text):
+    """The comment block and the column row of a CSV output."""
+    lines = text.splitlines()
+    n = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return lines[: n + 1]
+
+
+def test_csv_headers_are_pinned(tmp_path, capsys):
+    base = [f"# backend={kernel_backend}"]
+    version = [f"# version={__version__}"]
+    wave = [
+        "# cells=128",
+        "# epsilon=0.042426406871192854",
+        "# k_tol=1000000000.0",
+        "# length=4.0",
+        "# problem=traveling-wave",
+        "# t_final=0.020000000000000004",
+    ]
+    prefix = tmp_path / "wave"
+    assert main(["converge", "--problem", "wave", "--schemes", "S1", "--dt-pow2", "3:5",
+                 "--out", str(prefix)]) == 0
+    assert csv_header((tmp_path / "wave.errors.csv").read_text()) == (
+        ["# acsplit-errors v1"] + base + wave + version
+        + ["scheme,dt,steps,rel_l2_error,status"]
+    )
+    assert csv_header((tmp_path / "wave.slopes.csv").read_text()) == (
+        ["# acsplit-slopes v1"] + base + wave + version
+        + ["scheme,slope,residual,n_points,dt_min,dt_max"]
+    )
+
+    assert main(["sweep-omega", "--branch", "-", "--omegas", "0.25",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert csv_header((tmp_path / "sweep.csv").read_text()) == (
+        ["# acsplit-omega-sweep v1"] + base
+        + [
+            "# branch=-",
+            "# cells=128",
+            "# dt=0.0012500000000000002",
+            "# epsilon=0.042426406871192854",
+            "# k_tols=10000,1e+09",
+            "# length=4.0",
+            "# problem=omega-sweep",
+            "# t_final=0.020000000000000004",
+        ]
+        + version
+        + ["omega,max_coeff,err_ktol_10000,status_ktol_10000,"
+           "err_ktol_1e+09,status_ktol_1e+09,marker"]
+    )
+
+    diag_columns = ["t,phi_min,phi_max,energy"]
+    out = tmp_path / "completed"
+    assert main(["run", "--problem", "wave", "--scheme", "S2(1)", "--cells", "64", "--dt", "1e-3",
+                 "--t-final", "2.5e-3", "--out-dir", str(out)]) == 0
+    assert csv_header((out / "diagnostics.csv").read_text()) == (
+        ["# acsplit-diagnostics v1"] + base
+        + [
+            "# cells=64",
+            "# dt=0.001",
+            "# epsilon=0.042426406871192854",
+            "# k_tol=1000000000.0",
+            "# problem=wave",
+            "# scheme=S2(1)",
+            "# t_final=0.0025",
+        ]
+        + version
+        + ["# status=completed", "# shortened_final_step=true"]
+        + diag_columns
+    )
+    out = tmp_path / "diverged"
+    assert main(["run", "--problem", "wave", "--scheme", "S3Y", "--cells", "1024",
+                 "--dt", "0.005", "--t-final", "0.0123", "--k-tol", "inf",
+                 "--out-dir", str(out)]) == 3
+    assert csv_header((out / "diagnostics.csv").read_text()) == (
+        ["# acsplit-diagnostics v1"] + base
+        + [
+            "# cells=1024",
+            "# dt=0.005",
+            "# epsilon=0.042426406871192854",
+            "# k_tol=inf",
+            "# problem=wave",
+            "# scheme=S3Y",
+            "# t_final=0.0123",
+        ]
+        + version
+        + ["# status=diverged", "# diverged_step=1", "# diverged_cell=0",
+           "# shortened_final_step=true"]
+        + diag_columns
+    )
+
+    capsys.readouterr()
+    assert main(["coeffs", "--scheme", "S3X"]) == 0
+    assert csv_header(capsys.readouterr().out) == [
+        "# acsplit-coeffs v1",
+        "label,order,a1,a2,a3,b1,b2,b3",
+    ]
+    assert main(["coeffs", "--family", "S3+", "--omegas", "0.5"]) == 0
+    assert csv_header(capsys.readouterr().out) == [
+        "# acsplit-coeffs v1",
+        "omega,a1,b1,a2,b2,a3,b3,D,min,max,bounded,marker",
+    ]
 
 
 def test_converge_spinodal_small(tmp_path):
@@ -241,3 +341,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", "--config", str(bad)]) == 2
+    # non-finite family parameters must not give NaN coefficients
+    assert main(["coeffs", "--scheme", "S3(inf,+)"]) == 2
+    assert main(["coeffs", "--scheme", "S2(nan)"]) == 2
+    wave = ["run", "--problem", "wave", "--out-dir", str(tmp_path / "never")]
+    assert main(wave + ["--scheme", "S2(nan)", "--dt", "1e-4"]) == 2
+    # impossible horizons and snapshot times outside [0, t_final]
+    assert main(wave + ["--scheme", "S2(1)", "--dt", "1e-4", "--t-final", "inf"]) == 2
+    assert main(wave + ["--scheme", "S2(1)", "--dt", "nan"]) == 2
+    for snapshots in ("-3,1.0", "0,1.1e-3", "nan"):
+        assert main(wave + ["--scheme", "S2(1)", "--dt", "1e-4", "--t-final", "1e-3",
+                            f"--snapshots={snapshots}"]) == 2
+    assert not (tmp_path / "never").exists()
