@@ -22,7 +22,8 @@ def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay: float) -> int:
     <= RADICAND_FLOOR is returned and ``out`` is unspecified.  Returns -1 when
     the map was applied everywhere.  Forward steps cannot blow up: the
     radicand underflows to zero only when both decay and phi^2 do, where the
-    flow saturates at the fixed point sign(phi) (0 stays 0).
+    flow saturates at the fixed point sign(phi) (0 stays 0).  ``out`` may
+    alias ``phi``.
     """
     if decay > _F64_MAX:  # exp overflow upstream; any huge value acts the same
         decay = _F64_MAX
@@ -32,12 +33,23 @@ def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay: float) -> int:
         # instead would lose mantissa bits once phi^2 is subnormal.
         np.sign(phi, out=out)
         return -1
-    phi2 = phi * phi
+    # rad <- phi^2 + (1 - phi^2) * decay in the reference expression order;
+    # out doubles as the scratch array unless it aliases phi, which the
+    # division at the end still reads
+    rad = phi * phi
+    tmp = np.empty_like(rad) if np.may_share_memory(phi, out) else out
+    np.subtract(1.0, rad, out=tmp)
     with np.errstate(over="ignore"):  # |phi| >> 1 against a huge decay is a blow-up
-        rad = phi2 + (1.0 - phi2) * decay
-    if decay > 1.0 and np.min(rad) <= RADICAND_FLOOR:
+        tmp *= decay
+        rad += tmp
+    lowest = rad.min()
+    if decay > 1.0 and lowest <= RADICAND_FLOOR:
         return int(np.argmax(rad <= RADICAND_FLOOR))
     np.sqrt(rad, out=rad)
+    if lowest > 0.0:
+        np.divide(phi, rad, out=out)
+        return -1
+    # a zero radicand (or NaN input): those cells take their fixed point sign(phi)
     nonzero = rad > 0.0
     np.divide(phi, rad, out=out, where=nonzero)
     out[~nonzero] = np.sign(phi[~nonzero])
@@ -64,4 +76,4 @@ def heat_multiplier_apply(
 
 def guard_scan(values: np.ndarray) -> float:
     """Max of ``|values|``; NaN poisons the result, inf propagates as inf."""
-    return float(np.max(np.abs(values)))
+    return float(max(values.max(), -values.min()))

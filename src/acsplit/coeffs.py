@@ -14,6 +14,7 @@ and two fourth-order symmetric compositions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -130,6 +131,11 @@ def first_order() -> SplitCoefficients:
     return SplitCoefficients((1.0,), (1.0,), 1, "S1")
 
 
+def _require_finite(omega: float, label: str) -> None:
+    if not math.isfinite(omega):
+        raise InvalidOmega(f"{label}: omega must be finite")
+
+
 def second_order_family(omega: float) -> SplitCoefficients:
     """One-parameter second-order family.
 
@@ -137,6 +143,7 @@ def second_order_family(omega: float) -> SplitCoefficients:
     exactly when ``1/2 <= w <= 1``; ``w = 1`` is the classic three-evaluation
     palindrome.
     """
+    _require_finite(omega, f"S2({omega:g})")
     if omega == 0.0:
         raise InvalidOmega("second-order family is singular at omega = 0")
     half = 1.0 / (2.0 * omega)
@@ -198,6 +205,7 @@ def third_order_family(omega: float, branch) -> BranchSolution:
     """
     branch = _normalize_branch(branch)
     label = f"S3({omega:g},{'+' if branch == 'positive' else '-'})"
+    _require_finite(omega, label)
     dval = discriminant(omega)
 
     if abs(omega - 0.25) <= QUARTER_RADIUS:

@@ -10,6 +10,7 @@ backward (tau < 0) substeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -102,6 +103,22 @@ def free_energy_evolve(f: Field, tau: float, model: ModelParams) -> Field:
     return Field(f.grid, out)
 
 
+@lru_cache(maxsize=4)
+def _clamped_multiplier(grid: GridSpec, tau: float, k_tol: float) -> np.ndarray:
+    """Cached, read-only ``min(exp(A_k * tau), k_tol)`` for ``grid``.
+
+    Built by the active kernel applied to ones, so each backend keeps its own
+    bits.  No scheme has more than three distinct ``a_j``, so a run reuses a
+    handful of entries.
+    """
+    mult = np.ones(grid.shape)
+    _kernels.heat_multiplier_apply(
+        mult.ravel(), eigenvalue_table(grid).ravel(), tau, k_tol, mult.ravel()
+    )
+    mult.setflags(write=False)
+    return mult
+
+
 def heat_evolve(f: Field, tau: float, policy: CutoffPolicy = CutoffPolicy()) -> Field:
     """Diffusion flow over signed time ``tau`` with the spectral clamp.
 
@@ -111,13 +128,10 @@ def heat_evolve(f: Field, tau: float, policy: CutoffPolicy = CutoffPolicy()) -> 
     clamp is finite.
     """
     coeffs = dctn(f.values, type=2, norm="ortho")
-    _kernels.heat_multiplier_apply(
-        coeffs.ravel(),
-        eigenvalue_table(f.grid).ravel(),
-        tau,
-        policy.k_tol,
-        coeffs.ravel(),
-    )
+    # an unbounded clamp may overflow the product to inf; the solver guard
+    # is responsible for catching that
+    with np.errstate(over="ignore"):
+        np.multiply(coeffs, _clamped_multiplier(f.grid, tau, policy.k_tol), out=coeffs)
     return Field(f.grid, idctn(coeffs, type=2, norm="ortho"))
 
 

@@ -116,8 +116,10 @@ def run(f0: Field, cfg: RunConfig) -> Trajectory:
     The horizon is split into ``round(t_final/dt)`` full steps when that is
     exact to relative 1e-12, otherwise ``floor`` full steps plus one
     shortened final step (flagged on the trajectory).  Snapshots are taken at
-    the completed step nearest each requested time.
+    the completed step nearest each requested time.  A non-finite initial
+    field raises ``ValueError``.
     """
+    f0.check_finite()
     ratio = cfg.t_final / cfg.dt
     n_full = int(round(ratio))
     shortened = not abs(n_full * cfg.dt - cfg.t_final) <= 1e-12 * cfg.t_final

@@ -3,13 +3,17 @@
 Everything here deliberately avoids the code paths it is used to check:
 the cosine transform is summed directly, the reaction flow is integrated
 with an adaptive ODE solver, and diffusion is advanced by an explicit
-finite-difference march.
+finite-difference march.  The two kernel oracles at the end are the plain,
+temporary-per-operation numpy formulas that the numpy kernels must match
+bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from acsplit._kernels import RADICAND_FLOOR
 
 # ---------------------------------------------------------------------------
 # Derived reference values, frozen from the oracles below (not from the
@@ -96,3 +100,35 @@ def fd_energy(values: np.ndarray, spacing: tuple[float, ...], epsilon: float) ->
         lower = np.take(padded, range(0, values.shape[axis]), axis=axis)
         grad += float(np.sum(((upper - lower) / (2.0 * h)) ** 2))
     return cell_volume * (bulk + 0.5 * grad)
+
+
+# ---------------------------------------------------------------------------
+# Plain numpy formulas of the pointwise kernels: one temporary per operation,
+# masks always built.  The numpy backend must reproduce them bit for bit.
+
+_F64_MAX = np.finfo(np.float64).max
+
+
+def free_energy_plain(phi: np.ndarray, out: np.ndarray, decay: float) -> int:
+    """``phi / sqrt(phi^2 + (1 - phi^2) * decay)``; the first cell whose
+    radicand is <= RADICAND_FLOOR on a backward step, else -1."""
+    if decay > _F64_MAX:
+        decay = _F64_MAX
+    if decay == 0.0:
+        np.sign(phi, out=out)
+        return -1
+    phi2 = phi * phi
+    with np.errstate(over="ignore"):
+        rad = phi2 + (1.0 - phi2) * decay
+    if decay > 1.0 and np.min(rad) <= RADICAND_FLOOR:
+        return int(np.argmax(rad <= RADICAND_FLOOR))
+    np.sqrt(rad, out=rad)
+    nonzero = rad > 0.0
+    np.divide(phi, rad, out=out, where=nonzero)
+    out[~nonzero] = np.sign(phi[~nonzero])
+    return -1
+
+
+def guard_scan_plain(values: np.ndarray) -> float:
+    """Max of ``|values|`` through an explicit ``abs`` array."""
+    return float(np.max(np.abs(values)))

@@ -7,7 +7,7 @@ import pytest
 from acsplit import TravelingWaveSpec, __version__, kernel_backend, traveling_wave_field
 from acsplit.cli import main
 from acsplit.fieldio import load_field
-from acsplit.harness import scheme_from_string
+from acsplit.harness import omega_sweep, scheme_from_string
 from acsplit.report import ErrorReport
 
 EPS = 0.03 * np.sqrt(2.0)
@@ -317,6 +317,23 @@ def test_sweep_omega_shape(tmp_path):
     assert near_one["marker"] == ""  # valid family point, it just blows up
     assert near_one["status_ktol_1e+09"] == "diverged" or float(near_one["err_ktol_1e+09"]) > 0.5
     assert rows[2]["marker"] != ""  # inside the 1/3 exclusion
+
+
+def test_non_finite_omegas_get_markers_in_both_sweeps(tmp_path):
+    out = tmp_path / "family.csv"
+    assert main(["coeffs", "--family", "S3+", "--omegas", "nan,inf,0.5", "--out", str(out)]) == 0
+    rows = read_csv_rows(out)
+    assert [r["omega"] for r in rows] == ["nan", "inf", "0.5"]
+    assert all("finite" in r["marker"] and r["a1"] == "" for r in rows[:2])
+    assert rows[2]["marker"] == "" and rows[2]["a1"] != ""
+
+    records, _ = omega_sweep("+", [float("nan"), 0.5], 2.0**-4 / SPEED, cells=32)
+    assert "finite" in records[0]["marker"]
+    assert "marker" not in records[1]
+    assert records[1]["status_ktol_10000"] == "completed"
+
+    # a single scheme id has no row to mark: still a usage error
+    assert main(["coeffs", "--scheme", "S3(inf,+)"]) == 2
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from acsplit.coeffs import (
     OMEGA_U,
@@ -103,6 +106,17 @@ def test_invalid_omegas(branch):
         third_order_family(0.25 - 1e-9, branch)  # D < 0 just below 1/4
     with pytest.raises(InvalidOmega):
         third_order_family(-1.0, branch)  # between omega* and 1/4
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+def test_non_finite_omega_is_invalid_without_warnings(omega):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for branch in ("+", "-"):
+            with pytest.raises(InvalidOmega, match="finite"):
+                third_order_family(omega, branch)
+        with pytest.raises(InvalidOmega, match="finite"):
+            second_order_family(omega)
 
 
 def test_positive_branch_rejects_omega_one():
@@ -304,3 +318,48 @@ def test_named_scheme_dispatch():
         named_scheme("S2")
     with pytest.raises(ValueError):
         named_scheme("S9")
+
+
+# ---------------------------------------------------------------------------
+# order from matrix exponentials
+
+# two fixed non-commuting 3x3 generators: a damped rotation and a shear
+GEN_A = np.array([[-1.0, 2.0, 0.0], [-2.0, -0.5, 1.0], [0.0, -1.0, -0.3]])
+GEN_B = np.array([[0.4, 0.0, 1.0], [1.5, -1.0, 0.0], [0.0, 0.7, 0.2]])
+ORDER_STEPS = [2.0**-k for k in (3, 4, 5, 6)]
+
+
+def composed_step(c: SplitCoefficients, h: float) -> np.ndarray:
+    """The solver's order: A over a_1 h first, then B over b_1 h, ..., B over b_p h last."""
+    m = np.eye(3)
+    for a_j, b_j in c.substeps():
+        m = expm(h * b_j * GEN_B) @ expm(h * a_j * GEN_A) @ m
+    return m
+
+
+def test_order_generators_do_not_commute():
+    assert np.linalg.norm(GEN_A @ GEN_B - GEN_B @ GEN_A) > 1.0
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        first_order(),
+        second_order_family(1.0),
+        second_order_family(0.6),
+        *(named_scheme(key) for key in ("S3X", "S3Y", "S3Z", "S4U", "S4V")),
+        *(
+            third_order_family(omega, branch).coefficients
+            for omega in (0.5, 2.0)
+            for branch in ("+", "-")
+        ),
+    ],
+    ids=lambda c: c.label,
+)
+def test_local_error_falls_with_the_claimed_order(scheme):
+    errors = [
+        np.linalg.norm(composed_step(scheme, h) - expm(h * (GEN_A + GEN_B)), 2)
+        for h in ORDER_STEPS
+    ]
+    slope = np.polyfit(np.log(ORDER_STEPS), np.log(errors), 1)[0]
+    assert slope >= scheme.claimed_order + 1 - 0.3, (scheme.label, slope, errors)

@@ -5,6 +5,8 @@ import pytest
 
 from acsplit._kernels import BACKEND, RADICAND_FLOOR, _ref
 
+from oracles import free_energy_plain, guard_scan_plain
+
 try:
     from acsplit._kernels import _core
 except ImportError:
@@ -114,3 +116,72 @@ def test_unit_phi_with_overflowed_decay_stays_unit():
         out = np.empty(2)
         assert impl.free_energy_apply(phi, out, np.inf) == -1
         np.testing.assert_array_equal(out, phi)
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernels against their plain formulas, bit for bit
+
+_rng = np.random.default_rng(2024)
+REACTION_INPUTS = {
+    "random": _rng.uniform(-1.0, 1.0, 301),
+    "wide": _rng.uniform(-1.7, 1.7, 301),
+    "exact": np.array([0.0, 1.0, -1.0, -0.0, 1.0, 0.0]),
+    "subnormal": np.array([5e-324, -5e-324, 1e-310, -1e-310, 1e-160, -1e-200, 0.5]),
+    "blowup": np.concatenate([_rng.uniform(-1.0, 1.0, 40), [1.2, -3.0, 5.0]]),
+    "nan": np.array([0.3, np.nan, -0.7, 0.0]),
+}
+DECAYS = [0.0, 1e-300, 0.3, 1.0, 1.7, 1e300, np.inf]
+
+
+@pytest.mark.parametrize("decay", DECAYS)
+@pytest.mark.parametrize("name", sorted(REACTION_INPUTS))
+@pytest.mark.parametrize("aliased", [False, True], ids=["out", "in-place"])
+def test_free_energy_matches_plain_formula(name, decay, aliased):
+    phi = REACTION_INPUTS[name]
+    expected = np.full_like(phi, -7.0)
+    want = free_energy_plain(phi.copy(), expected, decay)
+    work = phi.copy()
+    out = work if aliased else np.full_like(phi, -7.0)
+    got = _ref.free_energy_apply(work, out, decay)
+    assert got == want  # same blow-up index, or -1 for both
+    if want == -1:
+        np.testing.assert_array_equal(out, expected)
+    if not aliased:
+        np.testing.assert_array_equal(work, phi)  # the input is left alone
+
+
+def test_free_energy_blowup_cases_are_exercised():
+    # the table above must reach the blow-up branch, or the index check is idle
+    hits = {
+        (name, decay)
+        for name, phi in REACTION_INPUTS.items()
+        for decay in DECAYS
+        if free_energy_plain(phi, np.empty_like(phi), decay) >= 0
+    }
+    assert ("blowup", 1.7) in hits and ("wide", 1e300) in hits
+
+
+GUARD_INPUTS = {
+    "random": _rng.standard_normal(513),
+    "negative-dominant": np.array([0.5, -2.0, 1.0]),
+    "zeros": np.array([0.0, -0.0, 0.0]),
+    "inf": np.array([0.0, np.inf, -1.0]),
+    "minus-inf": np.array([3.0, -np.inf]),
+    "nan-first": np.array([np.nan, 1.0, -4.0]),
+    "nan-middle": np.array([1.0, np.nan, 3.0]),
+    "nan-last": np.array([-1.0, 2.0, np.nan]),
+    "nan-and-inf": np.array([np.inf, np.nan]),
+    "single": np.array([-1e-310]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_INPUTS))
+def test_guard_scan_matches_plain_formula(name):
+    values = GUARD_INPUTS[name]
+    want = guard_scan_plain(values)
+    got = _ref.guard_scan(values)
+    assert isinstance(got, float)
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert got == want

@@ -142,6 +142,34 @@ def test_heat_clamp_semantics_exact():
     )
 
 
+def test_clamped_multiplier_cache_is_read_only_and_keyed_by_clamp():
+    from acsplit.operators import _clamped_multiplier
+
+    grid = GridSpec.line(1.0, 64)  # A_max ~ -3.9e4, so exp(-A * 1e-3) ~ 1e17
+    tau = -1e-3
+    tables = {k_tol: _clamped_multiplier(grid, tau, k_tol) for k_tol in (1e4, 1e9, np.inf)}
+    for table in tables.values():
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 2.0
+    assert len({id(t) for t in tables.values()}) == 3
+    assert tables[1e4].max() == 1e4
+    assert tables[1e9].max() == 1e9
+    assert tables[np.inf].max() > 1e16
+    assert _clamped_multiplier(grid, tau, 1e9) is tables[1e9]
+
+
+def test_heat_never_writes_its_input():
+    rng = np.random.default_rng(14)
+    f = Field(GridSpec.box(1.0, 8, 2), rng.standard_normal((8, 8)))
+    before = f.values.copy()
+    f.values.setflags(write=False)
+    for tau in (0.01, -0.002, 0.01):  # the last call reuses a cached multiplier
+        out = heat_evolve(f, tau, CutoffPolicy(1e4))
+        assert not np.shares_memory(out.values, f.values)
+    np.testing.assert_array_equal(f.values, before)
+
+
 def test_heat_semigroup():
     rng = np.random.default_rng(12)
     grid = GridSpec.line(2.0, 48)

@@ -173,12 +173,25 @@ def test_local_order_via_step_halving(scheme, order):
 
 
 def test_determinism():
+    # the second run reuses the cached heat multipliers of the first, and
+    # must leave the first run's results alone
     f = rough_field(m=48, seed=9)
     cfg = RunConfig(named_scheme("S3Z"), EPS**2, 10 * EPS**2, MODEL)
     a = run(f.copy(), cfg)
+    kept = a.final.values.copy()
     b = run(f.copy(), cfg)
-    np.testing.assert_array_equal(a.final.values, b.final.values)
+    np.testing.assert_array_equal(b.final.values, kept)
+    np.testing.assert_array_equal(a.final.values, kept)
     np.testing.assert_array_equal(a.energies, b.energies)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_initial_field_is_rejected(bad):
+    values = np.linspace(-0.5, 0.5, 8)
+    values[3] = bad
+    cfg = RunConfig(first_order(), 0.1 * EPS**2, EPS**2, MODEL)
+    with pytest.raises(ValueError, match="non-finite"):
+        run(Field(GridSpec.line(1.0, 8), values), cfg)
 
 
 def test_relative_l2_error_examples():
