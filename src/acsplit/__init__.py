@@ -42,5 +42,5 @@ from .problems import (  # noqa: F401
     traveling_wave,
     traveling_wave_field,
 )
-from .solver import RunConfig, Trajectory, relative_l2_error, run, step  # noqa: F401
+from .solver import RunConfig, Trajectory, relative_l2_error, run, run_ensemble, step  # noqa: F401
 from .spectral import dct_forward, dct_inverse, laplacian_eigenvalues  # noqa: F401

@@ -1,8 +1,10 @@
-"""Numpy reference implementations of the hot pointwise kernels.
+"""Numpy implementations of the hot pointwise kernels.
 
-The compiled extension in ``_core.pyx`` implements the same three functions
-with fused single-pass loops; this module is the fallback and the semantic
-reference.  All kernels operate on flat float64 arrays.
+Every kernel takes one field as a flat float64 array, or a stack of fields
+as a C-contiguous ``(R, M)`` array with one field per row.  A flat call is
+the one-row case of the stacked one and gets a scalar back where a stack
+gets one value per row.  Per-run parameters are scalars, or ``(R, 1)``
+columns for a stack.
 """
 
 from __future__ import annotations
@@ -13,67 +15,82 @@ RADICAND_FLOOR = 1e-14
 _F64_MAX = np.finfo(np.float64).max
 
 
-def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay: float) -> int:
+def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay) -> int | np.ndarray:
     """Apply ``phi -> phi / sqrt(phi^2 + (1 - phi^2) * decay)`` elementwise.
 
-    ``decay`` is ``exp(-2*tau/eps^2)`` for a substep of signed length ``tau``.
-    For ``decay > 1`` (backward step) the radicand can cross zero, which is
-    the pointwise blow-up; the flat index of the first cell whose radicand is
-    <= RADICAND_FLOOR is returned and ``out`` is unspecified.  Returns -1 when
-    the map was applied everywhere.  Forward steps cannot blow up: the
+    ``decay`` is ``exp(-2*tau/eps^2)`` for a substep of signed length ``tau``:
+    a scalar, or an ``(R, 1)`` column for a stack.  For ``decay > 1``
+    (backward step) the radicand can cross zero, which is the pointwise
+    blow-up: that row gets the index of its first cell whose radicand is
+    <= RADICAND_FLOOR, and its row of ``out`` is unspecified.  A row that
+    took the map everywhere gets -1.  A flat call returns an int, a stack an
+    int array with one entry per row.  Forward steps cannot blow up: the
     radicand underflows to zero only when both decay and phi^2 do, where the
     flow saturates at the fixed point sign(phi) (0 stays 0).  ``out`` may
     alias ``phi``.
     """
-    if decay > _F64_MAX:  # exp overflow upstream; any huge value acts the same
-        decay = _F64_MAX
-    if decay == 0.0:
-        # decay underflow means an effectively infinite forward step: every
-        # cell saturates at its fixed point.  Evaluating phi/sqrt(phi^2)
-        # instead would lose mantissa bits once phi^2 is subnormal.
-        np.sign(phi, out=out)
-        return -1
+    if phi.ndim == 1:
+        return int(free_energy_apply(phi[np.newaxis], out[np.newaxis], decay)[0])
+    decay = np.minimum(decay, _F64_MAX)  # exp overflow upstream; any huge value acts the same
     # rad <- phi^2 + (1 - phi^2) * decay in the reference expression order;
     # out doubles as the scratch array unless it aliases phi, which the
     # division at the end still reads
     rad = phi * phi
     tmp = np.empty_like(rad) if np.may_share_memory(phi, out) else out
     np.subtract(1.0, rad, out=tmp)
-    with np.errstate(over="ignore"):  # |phi| >> 1 against a huge decay is a blow-up
+    # |phi| >> 1 against a huge decay is a blow-up; phi^2 = inf against a
+    # decay of 0 makes a NaN radicand, which the rare path below resolves
+    with np.errstate(over="ignore", invalid="ignore"):
         tmp *= decay
         rad += tmp
-    lowest = rad.min()
-    if decay > 1.0 and lowest <= RADICAND_FLOOR:
-        return int(np.argmax(rad <= RADICAND_FLOOR))
-    np.sqrt(rad, out=rad)
-    if lowest > 0.0:
+    least = rad.min()
+    bad = np.full(len(phi), -1)
+    if least > RADICAND_FLOOR:
+        # every radicand is a normal number, so a row with decay 0 gets
+        # phi / sqrt(phi^2) = sign(phi) exactly
+        np.sqrt(rad, out=rad)
         np.divide(phi, rad, out=out)
-        return -1
+        return bad
+    # the rare path: a blow-up, a zero radicand, decay 0 or NaN in some row
+    blown = np.flatnonzero((decay > 1.0) & (rad.min(axis=1, keepdims=True) <= RADICAND_FLOOR))
+    if blown.size:
+        bad[blown] = np.argmax(rad[blown] <= RADICAND_FLOOR, axis=1)
+        # no square root of a negative radicand: these rows of out are unspecified
+        rad[blown] = 1.0
+    np.sqrt(rad, out=rad)
     # a zero radicand (or NaN input): those cells take their fixed point sign(phi)
     nonzero = rad > 0.0
     np.divide(phi, rad, out=out, where=nonzero)
     out[~nonzero] = np.sign(phi[~nonzero])
-    return -1
+    # decay underflow means an effectively infinite forward step: those rows
+    # saturate at their fixed point, which out already has the sign of.
+    # phi / sqrt(phi^2) would lose mantissa bits once phi^2 is subnormal.
+    frozen = np.flatnonzero(np.broadcast_to(decay == 0.0, (len(phi), 1)))
+    out[frozen] = np.sign(out[frozen])
+    return bad
 
 
 def heat_multiplier_apply(
-    coeffs: np.ndarray, eig: np.ndarray, tau: float, k_tol: float, out: np.ndarray
+    coeffs: np.ndarray, eig: np.ndarray, tau, k_tol, out: np.ndarray
 ) -> None:
     """``out <- coeffs * min(exp(eig * tau), k_tol)`` elementwise.
 
-    ``out`` may alias ``coeffs``.  The multiplier is capped at the largest
-    finite double even for ``k_tol = inf`` so that zero coefficients stay
-    exactly zero instead of turning into inf * 0.
+    ``eig`` is one row of eigenvalues; for a stack, ``tau`` and ``k_tol``
+    may be ``(R, 1)`` columns.  ``out`` may alias ``coeffs``.  The multiplier
+    is capped at the largest finite double even for ``k_tol = inf`` so that
+    zero coefficients stay exactly zero instead of turning into inf * 0.
     """
-    cap = min(k_tol, _F64_MAX)
+    cap = np.minimum(k_tol, _F64_MAX)
     with np.errstate(over="ignore"):
-        mult = np.exp(eig * tau)
+        mult = eig * tau
+        np.exp(mult, out=mult)
         np.minimum(mult, cap, out=mult)
         # an unbounded clamp may overflow the product to inf; the solver guard
         # is responsible for catching that
         np.multiply(coeffs, mult, out=out)
 
 
-def guard_scan(values: np.ndarray) -> float:
-    """Max of ``|values|``; NaN poisons the result, inf propagates as inf."""
-    return float(max(values.max(), -values.min()))
+def guard_scan(values: np.ndarray) -> float | np.ndarray:
+    """Max of ``|values|`` per row; NaN poisons the result, inf propagates as inf."""
+    peak = np.maximum(values.max(axis=-1), -values.min(axis=-1))
+    return float(peak) if values.ndim == 1 else peak

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["GridSpec", "Field", "SpectralField"]
+__all__ = ["GridSpec", "Field", "FieldStack", "SpectralField"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,10 @@ class GridSpec:
             v *= h
         return v
 
+    def cell(self, flat_index: int) -> tuple[int, ...]:
+        """Multi-index of the cell at ``flat_index`` in C order."""
+        return tuple(int(i) for i in np.unravel_index(flat_index, self.shape))
+
     def axis_centers(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
         return (np.arange(self.cells[axis]) + 0.5) * h
@@ -104,6 +108,21 @@ class Field:
     def check_finite(self) -> None:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
+
+
+@dataclass
+class FieldStack:
+    """Fields on one grid stacked along a leading axis: ``values[r]`` is the
+    field of row ``r``, shaped ``(R, *grid.shape)``."""
+
+    grid: GridSpec
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.values.shape[1:] != self.grid.shape:
+            raise ValueError(
+                f"a stack on grid {self.grid.shape} has rows of shape {self.values.shape[1:]}"
+            )
 
 
 @dataclass

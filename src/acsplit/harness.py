@@ -28,7 +28,7 @@ from .problems import (
     traveling_wave_field,
 )
 from .report import ErrorReport, RunRow, csv_number, render_csv
-from .solver import RunConfig, Trajectory, relative_l2_error, run
+from .solver import RunConfig, Trajectory, relative_l2_error, run, run_ensemble
 
 __all__ = [
     "coeffs_table",
@@ -65,12 +65,16 @@ def _base_metadata(**extra) -> dict[str, str]:
     return meta
 
 
+def _error(traj: Trajectory, reference: Field) -> float:
+    """Relative L2 distance of the final state from ``reference``, or NaN
+    unless the run completed."""
+    return relative_l2_error(traj.final, reference) if traj.completed else float("nan")
+
+
 def _scored_run(f0: Field, cfg: RunConfig, reference: Field) -> tuple[Trajectory, float]:
-    """Run from a copy of ``f0``; the error is the relative L2 distance of the
-    final state from ``reference``, or NaN unless the run completed."""
+    """Run from a copy of ``f0`` and score it with :func:`_error`."""
     traj = run(f0.copy(), cfg)
-    err = relative_l2_error(traj.final, reference) if traj.completed else float("nan")
-    return traj, err
+    return traj, _error(traj, reference)
 
 
 def _convergence_report(
@@ -188,33 +192,33 @@ def omega_sweep(
     """Traveling-wave error as a function of the third-order free parameter.
 
     Returns one record per omega with the error under each clamp value;
-    singular omegas carry an error marker instead of numbers.
+    singular omegas carry an error marker instead of numbers.  All runs
+    advance together as one ensemble (:func:`acsplit.solver.run_ensemble`).
     """
     spec = TravelingWaveSpec(epsilon, length)
     grid = spec.grid(cells)
     model = ModelParams(epsilon)
     f0 = traveling_wave_field(grid, 0.0, spec)
     reference = traveling_wave_field(grid, spec.t_final, spec)
-    records = []
+    records, scored, configs = [], [], []
     for omega in omegas:
         rec: dict = {"omega": float(omega)}
+        records.append(rec)
         try:
             sol = third_order_family(omega, branch)
         except InvalidOmega as err:
             rec["marker"] = str(err)
-            records.append(rec)
             continue
         rec["max_coeff"] = sol.coefficients.max_magnitude()
         for k_tol in k_tols:
-            cfg = RunConfig(
+            scored.append((rec, f"ktol_{k_tol:g}"))
+            configs.append(RunConfig(
                 sol.coefficients, dt, spec.t_final, model, CutoffPolicy(k_tol),
                 record_energy=False,
-            )
-            traj, err = _scored_run(f0, cfg, reference)
-            key = f"ktol_{k_tol:g}"
-            rec[f"err_{key}"] = err
-            rec[f"status_{key}"] = traj.status
-        records.append(rec)
+            ))
+    for (rec, key), traj in zip(scored, run_ensemble(f0, configs)):
+        rec[f"err_{key}"] = _error(traj, reference)
+        rec[f"status_{key}"] = traj.status
     meta = _base_metadata(
         problem="omega-sweep",
         branch=branch,

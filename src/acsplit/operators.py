@@ -16,13 +16,15 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from . import _kernels
-from .grid import Field, GridSpec
+from .grid import Field, FieldStack, GridSpec
 from .spectral import eigenvalue_table
 
 __all__ = [
     "CutoffPolicy",
     "DivergenceError",
     "ModelParams",
+    "clamped_multipliers",
+    "decay_factor",
     "energy",
     "free_energy_evolve",
     "heat_evolve",
@@ -70,14 +72,15 @@ class DivergenceError(ArithmeticError):
 
     def __init__(self, message: str, flat_index: int, grid: GridSpec):
         self.flat_index = flat_index
-        self.cell = tuple(int(i) for i in np.unravel_index(flat_index, grid.shape))
+        self.cell = grid.cell(flat_index)
         super().__init__(f"{message} at cell {self.cell}")
 
 
-def _decay_factor(tau: float, model: ModelParams) -> float:
-    # exp(-2*tau/eps^2); overflow for strongly backward steps is capped in the kernel
+def decay_factor(tau, model: ModelParams):
+    """``exp(-2*tau/eps^2)`` for a substep length ``tau``, or per entry of a
+    column of them; overflow for strongly backward steps is capped in the kernel."""
     with np.errstate(over="ignore"):
-        return float(np.exp(np.float64(-2.0 * tau / model.epsilon2)))
+        return np.exp(-2.0 * np.asarray(tau, dtype=np.float64) / model.epsilon2)
 
 
 def free_energy_evolve(f: Field, tau: float, model: ModelParams) -> Field:
@@ -91,7 +94,7 @@ def free_energy_evolve(f: Field, tau: float, model: ModelParams) -> Field:
     """
     out = np.empty_like(f.values)
     bad = _kernels.free_energy_apply(
-        f.values.ravel(), out.ravel(), _decay_factor(tau, model)
+        f.values.ravel(), out.ravel(), decay_factor(tau, model)
     )
     if bad >= 0:
         raise DivergenceError(
@@ -103,36 +106,57 @@ def free_energy_evolve(f: Field, tau: float, model: ModelParams) -> Field:
     return Field(f.grid, out)
 
 
+def clamped_multipliers(grid: GridSpec, taus: np.ndarray, k_tol: float) -> np.ndarray:
+    """``min(exp(A_k * tau_r), k_tol)`` on ``grid``, one row per entry of
+    the ``(R, 1)`` column ``taus``, shaped ``(R, *grid.shape)``.
+
+    Built by one kernel call on ones, so every row has the bits of the
+    multiplier a single run builds for its ``tau``.
+    """
+    mult = np.ones((len(taus), *grid.shape))
+    flat = mult.reshape(len(taus), -1)
+    _kernels.heat_multiplier_apply(flat, eigenvalue_table(grid).ravel(), taus, k_tol, flat)
+    return mult
+
+
 @lru_cache(maxsize=4)
 def _clamped_multiplier(grid: GridSpec, tau: float, k_tol: float) -> np.ndarray:
     """Cached, read-only ``min(exp(A_k * tau), k_tol)`` for ``grid``.
 
-    Built by the active kernel applied to ones, so each backend keeps its own
-    bits.  No scheme has more than three distinct ``a_j``, so a run reuses a
+    No scheme has more than three distinct ``a_j``, so a run reuses a
     handful of entries.
     """
-    mult = np.ones(grid.shape)
-    _kernels.heat_multiplier_apply(
-        mult.ravel(), eigenvalue_table(grid).ravel(), tau, k_tol, mult.ravel()
-    )
+    mult = clamped_multipliers(grid, np.array([[tau]]), k_tol)[0]
     mult.setflags(write=False)
     return mult
 
 
-def heat_evolve(f: Field, tau: float, policy: CutoffPolicy = CutoffPolicy()) -> Field:
+def heat_evolve(
+    f: Field | FieldStack, tau, policy: CutoffPolicy = CutoffPolicy()
+) -> Field | FieldStack:
     """Diffusion flow over signed time ``tau`` with the spectral clamp.
 
     Equivalent to ``dct_inverse(min(exp(A_k * tau), k_tol) * dct_forward(f))``.
     The mean (k = 0) is always preserved because ``A_0 = 0`` and
     ``k_tol >= 1``.  Finite input cannot produce non-finite output while the
     clamp is finite.
+
+    A :class:`FieldStack` takes an ``(R, 1)`` column ``tau``, one entry per
+    row, and is advanced by one transform pair over the grid axes; its
+    multipliers are built for the call, with the bits of the cached ones.
     """
-    coeffs = dctn(f.values, type=2, norm="ortho")
+    if isinstance(f, FieldStack):
+        mult = clamped_multipliers(f.grid, tau, policy.k_tol)
+        axes = tuple(range(1, f.grid.dims + 1))
+    else:
+        mult = _clamped_multiplier(f.grid, tau, policy.k_tol)
+        axes = None  # every axis; faster than naming them
+    coeffs = dctn(f.values, type=2, norm="ortho", axes=axes)
     # an unbounded clamp may overflow the product to inf; the solver guard
     # is responsible for catching that
     with np.errstate(over="ignore"):
-        np.multiply(coeffs, _clamped_multiplier(f.grid, tau, policy.k_tol), out=coeffs)
-    return Field(f.grid, idctn(coeffs, type=2, norm="ortho"))
+        np.multiply(coeffs, mult, out=coeffs)
+    return type(f)(f.grid, idctn(coeffs, type=2, norm="ortho", axes=axes))
 
 
 def energy(f: Field, model: ModelParams) -> float:

@@ -3,9 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 the cosine transform is summed directly, the reaction flow is integrated
 with an adaptive ODE solver, and diffusion is advanced by an explicit
-finite-difference march.  The two kernel oracles at the end are the plain,
+finite-difference march.  The kernel oracles at the end are the plain,
 temporary-per-operation numpy formulas that the numpy kernels must match
-bit for bit.
+bit for bit, flat and row by row for a stack.
 """
 
 from __future__ import annotations
@@ -132,3 +132,32 @@ def free_energy_plain(phi: np.ndarray, out: np.ndarray, decay: float) -> int:
 def guard_scan_plain(values: np.ndarray) -> float:
     """Max of ``|values|`` through an explicit ``abs`` array."""
     return float(np.max(np.abs(values)))
+
+
+def heat_multiplier_plain(coeffs: np.ndarray, eig: np.ndarray, tau: float, k_tol: float) -> np.ndarray:
+    """``coeffs * min(exp(eig * tau), k_tol)`` with the cap at the largest finite double."""
+    with np.errstate(over="ignore"):
+        return coeffs * np.minimum(np.exp(eig * tau), min(k_tol, _F64_MAX))
+
+
+# Per-row oracles for the stacked kernels: the flat formulas above, one row
+# at a time with that row's scalar parameters.
+
+
+def free_energy_rows_plain(phi: np.ndarray, out: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """:func:`free_energy_plain` on each row of ``phi`` with its entry of the ``(R, 1)`` column ``decay``."""
+    return np.array([free_energy_plain(row, out[r], float(decay[r, 0])) for r, row in enumerate(phi)])
+
+
+def heat_multiplier_rows_plain(
+    coeffs: np.ndarray, eig: np.ndarray, tau: np.ndarray, k_tol: np.ndarray
+) -> np.ndarray:
+    """:func:`heat_multiplier_plain` on each row with its own ``tau`` and ``k_tol``."""
+    return np.array(
+        [heat_multiplier_plain(row, eig, float(tau[r, 0]), float(k_tol[r, 0])) for r, row in enumerate(coeffs)]
+    )
+
+
+def guard_scan_rows_plain(values: np.ndarray) -> np.ndarray:
+    """:func:`guard_scan_plain` of each row."""
+    return np.array([guard_scan_plain(row) for row in values])

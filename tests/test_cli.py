@@ -369,4 +369,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     for snapshots in ("-3,1.0", "0,1.1e-3", "nan"):
         assert main(wave + ["--scheme", "S2(1)", "--dt", "1e-4", "--t-final", "1e-3",
                             f"--snapshots={snapshots}"]) == 2
+    # a step count above the cap is refused before any step is planned
+    capsys.readouterr()
+    assert main(wave + ["--scheme", "S1", "--dt", "1e-300"]) == 2
+    assert main(["sweep-omega", "--branch", "+", "--omegas", "0.5,0.6", "--dt", "1e-300",
+                 "--out", str(tmp_path / "never" / "sweep.csv")]) == 2
+    assert capsys.readouterr().err.count("MAX_STEPS = 10,000,000") == 2
     assert not (tmp_path / "never").exists()

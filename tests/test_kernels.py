@@ -1,50 +1,23 @@
-"""Both kernel backends implement one contract; check them against each other."""
+"""The numpy kernels against their contract and their plain formulas."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from acsplit._kernels import BACKEND, RADICAND_FLOOR, _ref
 
-from oracles import free_energy_plain, guard_scan_plain
-
-try:
-    from acsplit._kernels import _core
-except ImportError:
-    _core = None
-
-needs_compiled = pytest.mark.skipif(_core is None, reason="compiled kernels not built")
+from oracles import (
+    free_energy_plain,
+    free_energy_rows_plain,
+    guard_scan_plain,
+    guard_scan_rows_plain,
+    heat_multiplier_rows_plain,
+)
 
 
 def test_backend_reported():
-    assert BACKEND in ("compiled", "numpy")
-
-
-@needs_compiled
-@pytest.mark.parametrize("decay", [0.0, 1e-300, 0.37, 1.0, 2.84, 1e80, np.inf])
-def test_free_energy_backends_agree(decay):
-    rng = np.random.default_rng(21)
-    phi = np.concatenate(
-        [rng.uniform(-1.2, 1.2, 257), [0.0, 1.0, -1.0, 1e-200, -1e-200, 5.0, -5.0]]
-    )
-    a = np.empty_like(phi)
-    b = np.empty_like(phi)
-    ra = _ref.free_energy_apply(phi, a, decay)
-    rb = _core.free_energy_apply(phi, b, decay)
-    assert ra == rb
-    if ra == -1:
-        # same expression order, correctly-rounded primitives: bit equality
-        np.testing.assert_array_equal(a, b)
-
-
-@needs_compiled
-def test_free_energy_divergence_index_agrees():
-    phi = np.array([0.3, -0.2, 1.4, 0.0, 1.6])
-    a = np.empty_like(phi)
-    b = np.empty_like(phi)
-    decay = 4.0  # strongly backward
-    ia = _ref.free_energy_apply(phi, a, decay)
-    ib = _core.free_energy_apply(phi, b, decay)
-    assert ia == ib == 2  # first cell whose radicand crosses the floor
+    assert BACKEND == "numpy"
 
 
 def test_free_energy_radicand_floor():
@@ -59,26 +32,9 @@ def test_free_energy_radicand_floor():
     assert np.isfinite(out[0])
 
 
-@needs_compiled
-@pytest.mark.parametrize("tau,k_tol", [(0.01, 1e9), (-0.01, 1e4), (-0.5, np.inf), (0.0, 1.0)])
-def test_heat_multiplier_backends_agree(tau, k_tol):
-    rng = np.random.default_rng(8)
-    eig = -np.sort(rng.uniform(0.0, 2000.0, 512))
-    eig[0] = 0.0
-    coeffs = rng.standard_normal(512)
-    coeffs[7] = 0.0
-    a = np.empty_like(coeffs)
-    b = np.empty_like(coeffs)
-    _ref.heat_multiplier_apply(coeffs, eig, tau, k_tol, a)
-    _core.heat_multiplier_apply(coeffs, eig, tau, k_tol, b)
-    # libm exp and numpy's vectorised exp may differ in the last ulp
-    np.testing.assert_allclose(a, b, rtol=5e-16, atol=0.0)
-
-
-@pytest.mark.parametrize("impl", [_ref, _core])
+# the kernel module is a parameter so that these test ids name it
+@pytest.mark.parametrize("impl", [_ref])
 def test_heat_multiplier_allows_aliased_output(impl):
-    if impl is None:
-        pytest.skip("compiled kernels not built")
     rng = np.random.default_rng(5)
     eig = -rng.uniform(0.0, 100.0, 64)
     coeffs = rng.standard_normal(64)
@@ -89,10 +45,8 @@ def test_heat_multiplier_allows_aliased_output(impl):
     np.testing.assert_array_equal(aliased, expected)
 
 
-@pytest.mark.parametrize("impl", [_ref, _core])
+@pytest.mark.parametrize("impl", [_ref])
 def test_zero_coefficients_stay_zero_with_unbounded_clamp(impl):
-    if impl is None:
-        pytest.skip("compiled kernels not built")
     eig = np.array([-0.0, -1e6])
     coeffs = np.array([0.0, 0.0])
     out = np.empty(2)
@@ -100,22 +54,11 @@ def test_zero_coefficients_stay_zero_with_unbounded_clamp(impl):
     assert np.all(out == 0.0)
 
 
-@pytest.mark.parametrize("impl", [_ref, _core])
+@pytest.mark.parametrize("impl", [_ref])
 def test_guard_scan(impl):
-    if impl is None:
-        pytest.skip("compiled kernels not built")
     assert impl.guard_scan(np.array([0.5, -2.0, 1.0])) == 2.0
     assert impl.guard_scan(np.array([0.0, np.inf])) == np.inf
     assert np.isnan(impl.guard_scan(np.array([1.0, np.nan, 3.0])))
-
-
-@needs_compiled
-def test_unit_phi_with_overflowed_decay_stays_unit():
-    phi = np.array([1.0, -1.0])
-    for impl in (_ref, _core):
-        out = np.empty(2)
-        assert impl.free_energy_apply(phi, out, np.inf) == -1
-        np.testing.assert_array_equal(out, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -185,3 +128,92 @@ def test_guard_scan_matches_plain_formula(name):
         assert np.isnan(got)
     else:
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# stacks: one field per row, per-row parameters as (R, 1) columns, each row
+# bit for bit what the flat formula gives for it
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# (why the row is there, its 8 values, its decay); rows 1 and 2 blow up at
+# cells 5 and 2 (|phi| >= 1.558 at decay 1.7, >= 1.242 at decay 2.84)
+STACK_ROWS = [
+    ("completes", [0.3, -0.9, 1.2, 0.0, -1.2, 0.05, 1.0, -1.0], 0.3),
+    ("blows-up-at-5", [0.3, -0.2, 1.4, 0.0, -1.5, 1.6, 0.1, 3.0], 1.7),
+    ("blows-up-at-2", [0.1, 0.2, -1.3, 0.0, 0.4, 0.5, -2.0, 0.7], 2.84),
+    ("zero-radicand", [0.0, -0.0, 5e-324, -1e-170, 1e-160, 0.2, -0.6, 1.3], 0.0),
+    ("decay-0", [0.3, -0.7, 1.5, -1.1, 0.9, 1e-3, -2.5, 0.6], 0.0),
+    ("decay-inf", [1.0, -1.0, 0.5, -0.25, 0.0, 0.75, -0.9, 1e-8], np.inf),
+    ("nan", [0.3, np.nan, -0.7, 0.0, 0.5, 1.1, -0.2, 0.9], 0.3),
+    ("backward-completes", [0.3, -0.9, 1.2, 0.0, -1.5, 0.05, 1.0, -1.0], 1.7),
+]
+
+
+@pytest.mark.parametrize("aliased", [False, True], ids=["out", "in-place"])
+def test_stacked_free_energy_matches_rows(aliased):
+    phi = np.array([values for _, values, _ in STACK_ROWS])
+    decay = np.array([[d] for *_, d in STACK_ROWS])
+    expected = np.full_like(phi, -7.0)
+    want = free_energy_rows_plain(phi.copy(), expected, decay)
+    np.testing.assert_array_equal(want[1:3], [5, 2])  # the stack reaches both blow-ups
+    work = phi.copy()
+    out = work if aliased else np.full_like(phi, -7.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a blown-up row must not leak an invalid sqrt
+        got = _ref.free_energy_apply(work, out, decay)
+    np.testing.assert_array_equal(got, want)
+    done = want == -1
+    np.testing.assert_array_equal(_bits(out[done]), _bits(expected[done]))
+    if not aliased:
+        np.testing.assert_array_equal(_bits(work), _bits(phi))  # the input is left alone
+
+
+def test_flat_free_energy_is_the_one_row_stack():
+    for _, values, decay in STACK_ROWS:
+        phi = np.array(values)
+        flat = np.empty_like(phi)
+        stacked = np.empty((1, phi.size))
+        got = _ref.free_energy_apply(phi, flat, decay)
+        assert isinstance(got, int)
+        assert [got] == _ref.free_energy_apply(phi[np.newaxis], stacked, np.array([[decay]])).tolist()
+        if got == -1:
+            np.testing.assert_array_equal(_bits(flat), _bits(stacked[0]))
+
+
+def test_stacked_heat_multiplier_matches_rows():
+    rng = np.random.default_rng(8)
+    eig = -np.sort(rng.uniform(0.0, 2000.0, 96))
+    eig[0] = 0.0
+    tau = np.array([[0.01], [-0.01], [-0.5], [0.0], [-0.01]])
+    k_tol = np.array([[1e9], [1e4], [np.inf], [1.0], [1e9]])
+    coeffs = rng.standard_normal((len(tau), eig.size))
+    coeffs[2, 7] = 0.0  # stays 0 under an overflowing, unbounded multiplier
+    out = np.empty_like(coeffs)
+    _ref.heat_multiplier_apply(coeffs, eig, tau, k_tol, out)
+    np.testing.assert_array_equal(_bits(out), _bits(heat_multiplier_rows_plain(coeffs, eig, tau, k_tol)))
+    assert out[2, 7] == 0.0
+    for r in range(len(tau)):  # the flat call is the one-row case
+        flat = np.empty(eig.size)
+        _ref.heat_multiplier_apply(coeffs[r], eig, float(tau[r, 0]), float(k_tol[r, 0]), flat)
+        np.testing.assert_array_equal(_bits(flat), _bits(out[r]))
+
+
+def test_stacked_guard_scan_matches_rows():
+    values = np.array([
+        [0.5, -2.0, 1.0],
+        [0.0, -0.0, 0.0],
+        [0.0, np.inf, -1.0],
+        [3.0, -np.inf, 0.0],
+        [np.nan, 1.0, -4.0],
+        [1.0, np.nan, 3.0],
+        [-1.0, 2.0, np.nan],
+        [np.inf, np.nan, 0.0],
+        [-1e-310, 0.0, 1e-320],
+    ])
+    got = _ref.guard_scan(values)
+    assert got.shape == (len(values),)
+    np.testing.assert_array_equal(got, guard_scan_rows_plain(values))

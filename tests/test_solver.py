@@ -17,7 +17,8 @@ from acsplit import (
     second_order_family,
     traveling_wave_field,
 )
-from acsplit.solver import RunConfig, ZeroReferenceError, run, step
+from acsplit.operators import DivergenceError
+from acsplit.solver import MAX_STEPS, RunConfig, StepPlan, ZeroReferenceError, run, run_ensemble, step
 
 EPS = 0.03 * np.sqrt(2.0)
 MODEL = ModelParams(EPS)
@@ -215,3 +216,120 @@ def test_run_config_validation():
         RunConfig(first_order(), 1.0, 0.5, MODEL)
     with pytest.raises(ValueError):
         RunConfig(first_order(), 0.1, 1.0, MODEL, phi_max=0.5)
+
+
+def test_step_count_above_the_cap_is_refused():
+    with pytest.raises(ValueError, match="MAX_STEPS = 10,000,000"):
+        RunConfig(first_order(), 1e-300, 1.0, MODEL)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        RunConfig(first_order(), 5e-324, 1e300, MODEL)  # t_final/dt overflows
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        StepPlan.of(1.0, MAX_STEPS + 0.5)  # one shortened step too many
+    assert StepPlan.of(1.0, float(MAX_STEPS)).n_steps == MAX_STEPS
+
+
+@pytest.mark.parametrize("dt,t_final", [(0.1, 1.0), (0.4, 1.0), (0.3, 1.0), (1e-3, 0.0125), (0.07, 0.7)])
+def test_step_plan_matches_an_array_of_step_times(dt, t_final):
+    # the plan must give the steps, times and nearest snapshot steps that an
+    # explicit array of every step time gives, ties going to the earlier step
+    plan = StepPlan.of(dt, t_final)
+    times = np.concatenate(
+        ([0.0], np.arange(1, plan.n_full + 1) * dt, [t_final] if plan.shortened else [])
+    )
+    assert len(times) == plan.n_steps + 1
+    assert [plan.time(i) for i in range(plan.n_steps + 1)] == [float(t) for t in times]
+    lengths = [plan.step_length(i) for i in range(1, plan.n_steps + 1)]
+    assert lengths[: plan.n_full] == [dt] * plan.n_full
+    if plan.shortened:
+        assert lengths[-1] == t_final - plan.n_full * dt
+    midpoints = (times[:-1] + times[1:]) / 2
+    probes = np.concatenate((times, midpoints, np.nextafter(midpoints, 0), np.nextafter(midpoints, 2),
+                             np.linspace(-1e-12 * t_final, t_final * (1 + 1e-12), 101)))
+    for t in probes:
+        assert plan.nearest_step(float(t)) == int(np.argmin(np.abs(times - t))), t
+
+
+def _failure_kind(f0, cfg):
+    """Replay ``cfg`` step by step: "guard", "blowup" or None."""
+    f, plan = f0, cfg.plan
+    for i in range(1, plan.n_steps + 1):
+        try:
+            f = step(f, cfg.scheme, plan.step_length(i), cfg.model, cfg.cutoff, cfg.phi_max)
+        except DivergenceError as err:
+            return "guard" if "guard" in str(err) else "blowup"
+    return None
+
+
+def test_ensemble_matches_serial_runs():
+    grid = WAVE.grid(256)
+    f0 = traveling_wave_field(grid, 0.0, WAVE)
+    schemes = [
+        named_scheme("S3X"),
+        named_scheme("S3Y"),
+        named_scheme("S3Z"),
+        named_scheme("S3", omega=0.5, branch="+"),
+        named_scheme("S3", omega=0.6, branch="-"),
+        second_order_family(1.0),  # b_2 = 0
+        second_order_family(0.5),  # a_1 = 0: as many substeps, other ones skipped
+        fourth_order_v(),  # b_6 = 0
+    ]
+    dt = 0.22 / WAVE.speed  # 4 full steps and a shortened fifth
+    configs = [
+        RunConfig(s, dt, WAVE.t_final, MODEL, CutoffPolicy(k), record_energy=False)
+        for s in schemes
+        for k in (1e4, 1e9, np.inf)
+    ]
+    assert configs[0].plan.shortened
+    skips = {tuple(v != 0.0 for v in c.scheme.a + c.scheme.b) for c in configs}
+    assert len(skips) == 4
+    kinds = [_failure_kind(f0, cfg) for cfg in configs]
+    assert {"guard", "blowup", None} <= set(kinds)
+
+    steps = _assert_ensemble_matches_serial_runs(f0, configs)
+    assert {1, 5} <= set(steps)  # a failure in the first and in the shortened last step
+
+
+def test_ensemble_keeps_each_failed_run_at_its_own_step_start():
+    # a tight guard on a rough field: two runs fail in the same later step,
+    # at different substeps, so the stack shrinks between the two failures
+    f0 = rough_field(m=64, seed=2)
+    schemes = [named_scheme("S3", omega=w, branch=b) for w in (0.3, 0.5, 0.7, 0.9, 1.1) for b in "+-"]
+    dt = 2 * EPS**2
+    configs = [
+        RunConfig(s, dt, 12.3 * dt, MODEL, CutoffPolicy(k), phi_max=1.02, record_energy=False)
+        for s in schemes
+        for k in (1e4, np.inf)
+    ]
+    steps = _assert_ensemble_matches_serial_runs(f0, configs)
+    assert any(steps.count(i) >= 2 for i in set(steps) - {None, 1})
+
+
+def _assert_ensemble_matches_serial_runs(f0, configs):
+    """Each run of one ensemble call against run(); returns the diverged steps."""
+    steps = []
+    for cfg, got in zip(configs, run_ensemble(f0, configs)):
+        want = run(f0.copy(), cfg)
+        label = (cfg.scheme.label, cfg.cutoff.k_tol)
+        assert got.status == want.status, label
+        assert got.diverged_step == want.diverged_step, label
+        assert got.diverged_cell == want.diverged_cell, label
+        assert got.shortened_final_step == want.shortened_final_step, label
+        assert got.snapshots == want.snapshots == {}, label
+        for name in ("times", "phi_min", "phi_max", "energies"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (label, name)
+        assert got.final.values.tobytes() == want.final.values.tobytes(), label
+        steps.append(want.diverged_step)
+    return steps
+
+
+def test_ensemble_rejects_configs_it_cannot_share():
+    f0 = rough_field()
+    base = RunConfig(first_order(), 0.1 * EPS**2, EPS**2, MODEL, record_energy=False)
+    for other in (
+        RunConfig(first_order(), 0.2 * EPS**2, EPS**2, MODEL, record_energy=False),
+        RunConfig(first_order(), 0.1 * EPS**2, EPS**2, MODEL),  # records energy
+        RunConfig(first_order(), 0.1 * EPS**2, EPS**2, MODEL, phi_max=5.0, record_energy=False),
+    ):
+        with pytest.raises(ValueError, match="share"):
+            run_ensemble(f0, [base, other])
+    assert run_ensemble(f0, []) == []
