@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harness
+from .coeffs import split_scheme_ids
 from .operators import CutoffPolicy, ModelParams
 from .problems import SpinodalSpec, TravelingWaveSpec, spinodal_initial, traveling_wave_field
 from .solver import RunConfig
@@ -127,7 +128,7 @@ def _spinodal_setup(args, default_cells: int) -> SpinodalSpec:
 
 def cmd_run(args) -> int:
     problem = _require(args, "problem")
-    scheme = harness.scheme_from_string(_require(args, "scheme"))
+    scheme = harness.scheme_from_string(str(_require(args, "scheme")))
     k_tol = float(_merge(args, "k_tol", 1e9))
     out_dir = Path(_merge(args, "out_dir", "."))
     snapshots = _merge(args, "snapshots", [])
@@ -202,7 +203,9 @@ def _dt_list(args, speed: float | None) -> list[float]:
 
 def cmd_converge(args) -> int:
     problem = _require(args, "problem")
-    schemes = [harness.scheme_from_string(s) for s in str(_require(args, "schemes")).split(",")]
+    ids = _require(args, "schemes")
+    ids = ids if isinstance(ids, list) else split_scheme_ids(str(ids))
+    schemes = [harness.scheme_from_string(str(s)) for s in ids]
     k_tol = float(_merge(args, "k_tol", 1e9))
     out = _merge(args, "out", "converge")
 
@@ -297,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", parents=[common], help="convergence study, write error/slope CSVs")
     p.add_argument("--problem", choices=["wave", "spinodal"])
-    p.add_argument("--schemes", help="comma-separated scheme ids")
+    p.add_argument("--schemes", help="comma-separated scheme ids, e.g. S1,S3(0.62,-)")
     p.add_argument("--dt-list", help="comma-separated step sizes")
     p.add_argument("--dt-pow2", help="K1:K2 meaning dt = 2^-k / s for k = K1..K2 (wave only)")
     p.add_argument("--epsilon", type=float)

@@ -9,12 +9,14 @@ applied right to left, i.e. the ``A`` substep of fraction ``a_1`` runs first
 the algebraic order conditions through third order, the closed-form one-
 parameter second- and third-order families, the three distinguished
 third-order points located by minimising the largest coefficient magnitude,
-and two fourth-order symmetric compositions.
+two fourth-order symmetric compositions, and the scheme-id grammar:
+:func:`named_scheme` reads back every label the constructors print.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -36,6 +38,7 @@ __all__ = [
     "order_residuals",
     "second_order_family",
     "special_omegas",
+    "split_scheme_ids",
     "third_order_family",
 ]
 
@@ -131,6 +134,12 @@ def first_order() -> SplitCoefficients:
     return SplitCoefficients((1.0,), (1.0,), 1, "S1")
 
 
+def _omega_text(omega: float) -> str:
+    """``omega`` in a label: ``:g`` if that reads back to the same float, else ``repr``."""
+    short = f"{omega:g}"
+    return short if float(short) == omega else repr(float(omega))
+
+
 def _require_finite(omega: float, label: str) -> None:
     if not math.isfinite(omega):
         raise InvalidOmega(f"{label}: omega must be finite")
@@ -143,13 +152,12 @@ def second_order_family(omega: float) -> SplitCoefficients:
     exactly when ``1/2 <= w <= 1``; ``w = 1`` is the classic three-evaluation
     palindrome.
     """
-    _require_finite(omega, f"S2({omega:g})")
+    label = f"S2({_omega_text(omega)})"
+    _require_finite(omega, label)
     if omega == 0.0:
         raise InvalidOmega("second-order family is singular at omega = 0")
     half = 1.0 / (2.0 * omega)
-    return SplitCoefficients(
-        (1.0 - half, half), (omega, 1.0 - omega), 2, f"S2({omega:g})"
-    )
+    return SplitCoefficients((1.0 - half, half), (omega, 1.0 - omega), 2, label)
 
 
 def discriminant(omega: float) -> float:
@@ -182,9 +190,9 @@ _NEGATIVE_AT_ONE = (
 
 def _normalize_branch(branch) -> Branch:
     key = str(branch).lower()
-    if key in ("+", "pos", "positive", "1"):
+    if key in ("+", "positive"):
         return "positive"
-    if key in ("-", "neg", "negative", "-1"):
+    if key in ("-", "negative"):
         return "negative"
     raise ValueError(f"branch must be positive/negative (+/-), got {branch!r}")
 
@@ -204,7 +212,7 @@ def third_order_family(omega: float, branch) -> BranchSolution:
     valid solution has exactly one negative a_j and one negative b_j.
     """
     branch = _normalize_branch(branch)
-    label = f"S3({omega:g},{'+' if branch == 'positive' else '-'})"
+    label = f"S3({_omega_text(omega)},{'+' if branch == 'positive' else '-'})"
     _require_finite(omega, label)
     dval = discriminant(omega)
 
@@ -313,18 +321,6 @@ def special_omegas() -> tuple[BranchSolution, BranchSolution, BranchSolution]:
     )
 
 
-def _triple_jump(omega: float, label: str) -> SplitCoefficients:
-    """Flatten T^{w} T^{1-2w} T^{w} with T^{c} = A^{c/2} B^{c} A^{c/2}."""
-    return _flatten_palindromes((omega, 1.0 - 2.0 * omega, omega), label, 4)
-
-
-def _five_jump(omega: float, label: str) -> SplitCoefficients:
-    """Flatten T^{w} T^{w} T^{1-4w} T^{w} T^{w}."""
-    return _flatten_palindromes(
-        (omega, omega, 1.0 - 4.0 * omega, omega, omega), label, 4
-    )
-
-
 def _flatten_palindromes(
     weights: tuple[float, ...], label: str, claimed_order: int
 ) -> SplitCoefficients:
@@ -347,36 +343,52 @@ def fourth_order_u() -> SplitCoefficients:
     a = (w/2, (1-w)/2, (1-w)/2, w/2), b = (w, 1-2w, w, 0); equals the
     flattening of T^{w} T^{1-2w} T^{w}.
     """
-    return _triple_jump(OMEGA_U, "S4U")
+    return _flatten_palindromes((OMEGA_U, 1.0 - 2.0 * OMEGA_U, OMEGA_U), "S4U", 4)
 
 
 def fourth_order_v() -> SplitCoefficients:
     """Eleven-evaluation fourth-order palindrome, w = 1/(4 - 4^(1/3)) ~ 0.4145.
 
-    a = (w/2, w, (1-3w)/2, (1-3w)/2, w, w/2), b = (w, w, 1-4w, w, w, 0).
-    Less work-efficient than the seven-evaluation composition but with
-    smaller backward fractions, hence a better stability margin.
+    a = (w/2, w, (1-3w)/2, (1-3w)/2, w, w/2), b = (w, w, 1-4w, w, w, 0), the
+    flattening of T^{w} T^{w} T^{1-4w} T^{w} T^{w}.  Less work-efficient than
+    the seven-evaluation composition but with smaller backward fractions.
     """
-    return _five_jump(OMEGA_V, "S4V")
+    w = OMEGA_V
+    return _flatten_palindromes((w, w, 1.0 - 4.0 * w, w, w), "S4V", 4)
 
 
-def named_scheme(scheme_id: str, omega: float | None = None, branch=None) -> SplitCoefficients:
-    """Dispatch on a scheme id: S1, S2(w), S3X, S3Y, S3Z, S3(w, +/-), S4U, S4V."""
-    key = scheme_id.upper()
-    if key == "S1":
-        return first_order()
-    if key == "S2":
-        if omega is None:
-            raise ValueError("S2 needs the free parameter omega")
-        return second_order_family(omega)
-    if key in ("S3X", "S3Y", "S3Z"):
-        return special_omegas()["XYZ".index(key[-1])].coefficients
-    if key == "S3":
-        if omega is None or branch is None:
-            raise ValueError("S3 needs omega and branch")
-        return third_order_family(omega, branch).coefficients
-    if key == "S4U":
-        return fourth_order_u()
-    if key == "S4V":
-        return fourth_order_v()
-    raise ValueError(f"unknown scheme id {scheme_id!r}")
+# The scheme-id grammar, matched case-insensitively after stripping outer
+# whitespace.  Inside the parentheses, float() reads omega (so "S2( 0.5 )"
+# is accepted); the branch sign must follow the comma directly.
+_SCHEME_ID = re.compile(
+    r"(?P<name>S1|S4U|S4V|S3X|S3Y|S3Z)"
+    r"|S2\((?P<w2>[^)]+)\)"
+    r"|S3\((?P<w3>[^,)]+),(?P<branch>[+-])\)",
+    re.IGNORECASE,
+)
+# A comma splits a list of ids unless a ")" closes it before any "(" opens.
+_ID_SEPARATOR = re.compile(r",(?![^(]*\))")
+
+
+def named_scheme(scheme_id: str) -> SplitCoefficients:
+    """Parse a scheme id: S1, S2(w), S3X, S3Y, S3Z, S3(w,+|-), S4U, S4V.
+
+    Malformed ids raise ``ValueError``; a well-formed id whose omega has no
+    (stable) solution raises :class:`InvalidOmega`.
+    """
+    m = _SCHEME_ID.fullmatch(scheme_id.strip())
+    if m is None:
+        raise ValueError(f"cannot parse scheme {scheme_id!r}")
+    if m["w2"] is not None:
+        return second_order_family(float(m["w2"]))
+    if m["w3"] is not None:
+        return third_order_family(float(m["w3"]), m["branch"]).coefficients
+    name = m["name"].upper()
+    if name.startswith("S3"):
+        return special_omegas()["XYZ".index(name[-1])].coefficients
+    return {"S1": first_order, "S4U": fourth_order_u, "S4V": fourth_order_v}[name]()
+
+
+def split_scheme_ids(text: str) -> list[str]:
+    """Split a comma-separated list of ids; the comma of S3(w,+|-) stays in its id."""
+    return _ID_SEPARATOR.split(text)

@@ -146,6 +146,34 @@ def test_converge_wave(tmp_path):
     assert by_scheme["S2(1)"] == pytest.approx(2.0, abs=0.35)
 
 
+def wave_study(tmp_path, *extra):
+    """Run a small wave convergence study; return its errors and slopes CSV rows."""
+    prefix = tmp_path / "study"
+    assert main(["converge", "--problem", "wave", "--dt-pow2", "3:5", "--out", str(prefix),
+                 *extra]) == 0
+    return read_csv_rows(f"{prefix}.errors.csv"), read_csv_rows(f"{prefix}.slopes.csv")
+
+
+def test_converge_splits_schemes_by_the_grammar(tmp_path):
+    # the comma inside S3(w,+-) belongs to the id
+    rows, _ = wave_study(tmp_path, "--schemes", "S3(0.62,-),S1")
+    assert sorted({r["scheme"] for r in rows}) == ["S1", "S3(0.62,-)"]
+
+
+def test_converge_takes_a_json_list_of_schemes(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schemes": ["S3(0.62,-)", "S1"]}))
+    rows, _ = wave_study(tmp_path, "--config", str(path))
+    assert sorted({r["scheme"] for r in rows}) == ["S1", "S3(0.62,-)"]
+
+
+def test_converge_keeps_schemes_that_differ_past_six_digits(tmp_path):
+    rows, slopes = wave_study(tmp_path, "--schemes", "S2(0.7000001),S2(0.7000002)")
+    assert sorted({r["scheme"] for r in rows}) == ["S2(0.7000001)", "S2(0.7000002)"]
+    assert sorted(r["scheme"] for r in slopes) == ["S2(0.7000001)", "S2(0.7000002)"]
+    assert all(int(r["n_points"]) == 3 for r in slopes)
+
+
 def test_converge_is_reproducible(tmp_path):
     args = [
         "converge",
@@ -358,6 +386,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", "--config", str(bad)]) == 2
+    # config values that are not scheme ids
+    never = str(tmp_path / "never")
+    for cfg, command in (({"scheme": 1}, ["run", "--out-dir", never]),
+                         ({"schemes": 5}, ["converge", "--out", never]),
+                         ({"schemes": ["S1", 1]}, ["converge", "--out", never])):
+        bad.write_text(json.dumps({"problem": "wave", "dt": 1e-3, "dt_list": [1e-3], **cfg}))
+        assert main(command + ["--config", str(bad)]) == 2
     # non-finite family parameters must not give NaN coefficients
     assert main(["coeffs", "--scheme", "S3(inf,+)"]) == 2
     assert main(["coeffs", "--scheme", "S2(nan)"]) == 2

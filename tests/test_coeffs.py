@@ -17,6 +17,7 @@ from acsplit.coeffs import (
     order_residuals,
     second_order_family,
     special_omegas,
+    split_scheme_ids,
     third_order_family,
 )
 
@@ -306,11 +307,11 @@ def test_palindromic_symmetry():
 
 def test_named_scheme_dispatch():
     assert named_scheme("S1").a == (1.0,)
-    assert named_scheme("S2", omega=1.0).b == (1.0, 0.0)
+    assert named_scheme("S2(1)").b == (1.0, 0.0)
     np.testing.assert_allclose(
         flat(named_scheme("S3Y")), TABLE_ROWS["S3Y"], atol=1e-5
     )
-    s3 = named_scheme("S3", omega=0.62, branch="-")
+    s3 = named_scheme("S3(0.62,-)")
     assert s3.claimed_order == 3
     assert named_scheme("S4U").p == 4
     assert named_scheme("S4V").p == 6
@@ -318,6 +319,64 @@ def test_named_scheme_dispatch():
         named_scheme("S2")
     with pytest.raises(ValueError):
         named_scheme("S9")
+
+
+ACCEPTED_IDS = [
+    "S1", "s4u", " S3X ", "S2(0.7)", "S2( 0.5 )", "S2(1e-1)", "S2(-0.5)",
+    "S3(0.62,-)", "s3(0.62,+)", "S3( 0.62,+)", "S3(1,-)",
+]
+MALFORMED_IDS = [
+    "S3(0.62, +)", "S3(0.62,+ )", "S3(0.62)", "S2()", "S2", "S9", "S3X(1)", "", "nope",
+    "S2(0.5)x",
+]
+SINGULAR_IDS = ["S2(nan)", "S3(inf,+)", "S2(0)", "S3(1,+)"]
+
+
+@pytest.mark.parametrize("text", ACCEPTED_IDS)
+def test_scheme_id_language_accepts(text):
+    assert isinstance(named_scheme(text), SplitCoefficients)
+
+
+@pytest.mark.parametrize("text", MALFORMED_IDS)
+def test_scheme_id_language_rejects_malformed(text):
+    with pytest.raises(ValueError) as err:
+        named_scheme(text)
+    assert not isinstance(err.value, InvalidOmega)
+
+
+@pytest.mark.parametrize("text", SINGULAR_IDS)
+def test_scheme_id_language_rejects_singular_omega(text):
+    with pytest.raises(InvalidOmega):
+        named_scheme(text)
+
+
+def test_split_scheme_ids_keeps_the_branch_comma():
+    assert split_scheme_ids("S3(0.62,-),S1, S2(1),S3(0.5, +)") == [
+        "S3(0.62,-)", "S1", " S2(1)", "S3(0.5, +)"
+    ]
+    assert [named_scheme(t).label for t in split_scheme_ids("s3x, S3(1,-)")] == ["S3X", "S3(1,-)"]
+
+
+LABEL_OMEGAS = [0.5, 1.0, 0.62, 0.7000001, 0.2525 + 0.0025 * 7]
+
+
+def labelled_schemes():
+    yield first_order()
+    yield from (sol.coefficients for sol in special_omegas())
+    yield fourth_order_u()
+    yield fourth_order_v()
+    for omega in LABEL_OMEGAS:
+        yield second_order_family(omega)
+        for branch in "+-":
+            try:
+                yield third_order_family(omega, branch).coefficients
+            except InvalidOmega:  # S3(1,+)
+                pass
+
+
+@pytest.mark.parametrize("scheme", list(labelled_schemes()), ids=lambda c: c.label)
+def test_every_label_reads_back(scheme):
+    assert named_scheme(scheme.label) == scheme
 
 
 # ---------------------------------------------------------------------------

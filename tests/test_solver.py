@@ -267,8 +267,8 @@ def test_ensemble_matches_serial_runs():
         named_scheme("S3X"),
         named_scheme("S3Y"),
         named_scheme("S3Z"),
-        named_scheme("S3", omega=0.5, branch="+"),
-        named_scheme("S3", omega=0.6, branch="-"),
+        named_scheme("S3(0.5,+)"),
+        named_scheme("S3(0.6,-)"),
         second_order_family(1.0),  # b_2 = 0
         second_order_family(0.5),  # a_1 = 0: as many substeps, other ones skipped
         fourth_order_v(),  # b_6 = 0
@@ -293,7 +293,7 @@ def test_ensemble_keeps_each_failed_run_at_its_own_step_start():
     # a tight guard on a rough field: two runs fail in the same later step,
     # at different substeps, so the stack shrinks between the two failures
     f0 = rough_field(m=64, seed=2)
-    schemes = [named_scheme("S3", omega=w, branch=b) for w in (0.3, 0.5, 0.7, 0.9, 1.1) for b in "+-"]
+    schemes = [named_scheme(f"S3({w},{b})") for w in (0.3, 0.5, 0.7, 0.9, 1.1) for b in "+-"]
     dt = 2 * EPS**2
     configs = [
         RunConfig(s, dt, 12.3 * dt, MODEL, CutoffPolicy(k), phi_max=1.02, record_energy=False)
