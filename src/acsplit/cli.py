@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ EXIT_DIVERGED = 3
 EXIT_IO = 4
 
 DEFAULT_WAVE_EPSILON = 0.03 * np.sqrt(2.0)
+MAX_OMEGAS = 1_000_000  # a range/step grid longer than this is refused before it is built
 
 
 class CliError(Exception):
@@ -81,8 +83,16 @@ def _omega_grid(args) -> list[float]:
     step = _merge(args, "omega_step")
     if lo is None or hi is None or step is None:
         raise CliError("need --omegas or --omega-min/--omega-max/--omega-step")
-    n = int(round((float(hi) - float(lo)) / float(step)))
-    return [float(lo) + i * float(step) for i in range(n + 1)]
+    lo, hi, step = float(lo), float(hi), float(step)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise CliError(f"--omega-min/--omega-max must be finite with min <= max, got {lo!r}, {hi!r}")
+    if not (math.isfinite(step) and step > 0):
+        raise CliError(f"--omega-step must be finite and positive, got {step!r}")
+    span = (hi - lo) / step  # inf when hi - lo overflows
+    if not span < MAX_OMEGAS:
+        raise CliError(f"--omega-min/--omega-max/--omega-step give more than {MAX_OMEGAS:,} omegas")
+    n = round(span)
+    return [lo + i * step for i in range(n + 1)]
 
 
 def _write(path: str | None, text: str) -> None:

@@ -358,13 +358,15 @@ def fourth_order_v() -> SplitCoefficients:
 
 
 # The scheme-id grammar, matched case-insensitively after stripping outer
-# whitespace.  Inside the parentheses, float() reads omega (so "S2( 0.5 )"
-# is accepted); the branch sign must follow the comma directly.
+# whitespace.  Omega is a decimal literal, nan or inf, with optional
+# whitespace around it (so "S2( 0.5 )" is accepted); the branch sign must
+# follow the comma directly.
+_OMEGA = r"\s*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|nan|inf(?:inity)?)\s*"
 _SCHEME_ID = re.compile(
     r"(?P<name>S1|S4U|S4V|S3X|S3Y|S3Z)"
-    r"|S2\((?P<w2>[^)]+)\)"
-    r"|S3\((?P<w3>[^,)]+),(?P<branch>[+-])\)",
-    re.IGNORECASE,
+    rf"|S2\((?P<w2>{_OMEGA})\)"
+    rf"|S3\((?P<w3>{_OMEGA}),(?P<branch>[+-])\)",
+    re.IGNORECASE | re.ASCII,
 )
 # A comma splits a list of ids unless a ")" closes it before any "(" opens.
 _ID_SEPARATOR = re.compile(r",(?![^(]*\))")

@@ -35,13 +35,18 @@ def dct_inverse(s: SpectralField) -> Field:
     return Field(s.grid, idctn(s.coefficients, type=2, norm="ortho"))
 
 
+def axis_eigenvalues(length: float, cells: int) -> np.ndarray:
+    """``-(pi k / length)^2`` for ``k = 0 .. cells - 1``: the eigenvalues along one axis."""
+    k = np.arange(cells, dtype=np.float64)
+    return -((np.pi * k / length) ** 2)
+
+
 @lru_cache(maxsize=32)
 def eigenvalue_table(grid: GridSpec) -> np.ndarray:
     """Cached, read-only array of Laplacian eigenvalues for ``grid``."""
     table = np.zeros(grid.shape)
     for axis in range(grid.dims):
-        k = np.arange(grid.cells[axis], dtype=np.float64)
-        along = -((np.pi * k / grid.lengths[axis]) ** 2)
+        along = axis_eigenvalues(grid.lengths[axis], grid.cells[axis])
         shape = [1] * grid.dims
         shape[axis] = grid.cells[axis]
         table += along.reshape(shape)

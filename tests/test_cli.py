@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acsplit
 from acsplit import TravelingWaveSpec, __version__, kernel_backend, traveling_wave_field
 from acsplit.cli import main
 from acsplit.fieldio import load_field
@@ -195,6 +200,24 @@ def csv_header(text):
     lines = text.splitlines()
     n = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     return lines[: n + 1]
+
+
+def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the 3D heat substeps are BLAS matrix products; a second BLAS thread
+    # must not change a bit of the diagnostics
+    src = str(Path(acsplit.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run(
+            [sys.executable, "-m", "acsplit.cli", "run", "--problem", "spinodal", "--cells", "48",
+             "--scheme", "S4V", "--dt", "1e-4", "--t-final", "1e-3", "--out-dir", str(out_dir)],
+            env=env, check=True,
+        )
+        outputs.append((out_dir / "diagnostics.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_csv_headers_are_pinned(tmp_path, capsys):
@@ -396,6 +419,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # non-finite family parameters must not give NaN coefficients
     assert main(["coeffs", "--scheme", "S3(inf,+)"]) == 2
     assert main(["coeffs", "--scheme", "S2(nan)"]) == 2
+    # a malformed omega is a grammar error that names the id
+    capsys.readouterr()
+    assert main(["coeffs", "--scheme", "S2(abc)"]) == 2
+    assert "cannot parse scheme 'S2(abc)'" in capsys.readouterr().err
+    # omega ranges: a finite positive step over finite bounds with min <= max
+    for command in (["coeffs", "--family", "S3+"], ["sweep-omega", "--branch", "+"]):
+        for lo, hi, step in (("0.3", "0.4", "0"), ("0.3", "0.4", "nan"), ("0.3", "0.4", "-0.1"),
+                             ("0.4", "0.3", "0.01"), ("nan", "0.4", "0.01"), ("0.3", "inf", "0.01"),
+                             ("0.3", "0.4", "1e-300")):
+            assert main(command + [f"--omega-min={lo}", f"--omega-max={hi}", f"--omega-step={step}",
+                                   "--out", str(tmp_path / "never" / "grid.csv")]) == 2
+            assert "--omega-" in capsys.readouterr().err
     wave = ["run", "--problem", "wave", "--out-dir", str(tmp_path / "never")]
     assert main(wave + ["--scheme", "S2(nan)", "--dt", "1e-4"]) == 2
     # impossible horizons and snapshot times outside [0, t_final]

@@ -327,7 +327,7 @@ ACCEPTED_IDS = [
 ]
 MALFORMED_IDS = [
     "S3(0.62, +)", "S3(0.62,+ )", "S3(0.62)", "S2()", "S2", "S9", "S3X(1)", "", "nope",
-    "S2(0.5)x",
+    "S2(0.5)x", "S2(abc)", "S3(x,+)", "S2(1_0)",
 ]
 SINGULAR_IDS = ["S2(nan)", "S3(inf,+)", "S2(0)", "S3(1,+)"]
 

@@ -188,6 +188,87 @@ def test_heat_on_a_stack_matches_each_row(k_tol):
         FieldStack(grid, np.zeros((2, 6, 8)))
 
 
+def explicit_heat(f, tau, k_tol):
+    """dctn -> min(exp(A tau), k_tol) -> idctn, the multiplier capped at the
+    largest double as the kernel caps it."""
+    from scipy.fft import dctn, idctn
+
+    from acsplit.spectral import eigenvalue_table
+
+    with np.errstate(over="ignore"):
+        mult = np.minimum(np.exp(eigenvalue_table(f.grid) * tau), min(k_tol, np.finfo(float).max))
+        coeffs = dctn(f.values, type=2, norm="ortho") * mult
+    return idctn(coeffs, type=2, norm="ortho")
+
+
+FACTOR_GRIDS = [GridSpec((1.0, 1.5), (8, 6)), GridSpec((1.0, 0.8, 1.3), (6, 5, 4))]
+
+
+@pytest.mark.parametrize("k_tol", [1e4, np.inf])
+@pytest.mark.parametrize("tau", [0.003, 1e-6, -1e-3, -0.01])  # largest backward multiplier < 400
+@pytest.mark.parametrize("grid", FACTOR_GRIDS, ids=["2d", "3d"])
+def test_heat_factor_path_matches_the_transform_formula(grid, tau, k_tol):
+    from acsplit.operators import _uses_factors
+
+    assert _uses_factors(grid, tau, k_tol)
+    rng = np.random.default_rng(21)
+    f = Field(grid, rng.standard_normal(grid.shape))
+    want = explicit_heat(f, tau, k_tol)
+    got = heat_evolve(f, tau, CutoffPolicy(k_tol)).values
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    "grid, tau, k_tol",
+    [
+        (GridSpec.box(1.0, 64, 2), -1e-3, 1e4),  # the clamp binds
+        (GridSpec.line(1.0, 64), 0.003, 1e9),  # 1D
+        (GridSpec.line(1.0, 64), -1e-3, np.inf),
+        (GridSpec((1.0, 1.0), (130, 4)), 0.003, 1e9),  # an axis past FACTOR_MAX_CELLS
+        (GridSpec((1.0, 1.5), (8, 6)), -5.0, np.inf),  # exp(min(A) tau) overflows
+    ],
+    ids=["binding", "1d", "1d-unclamped", "long-axis", "overflow"],
+)
+def test_heat_transform_path_keeps_the_formula_bytes(grid, tau, k_tol):
+    from acsplit.operators import _heat_factors, _uses_factors
+
+    assert not _uses_factors(grid, tau, k_tol)
+    rng = np.random.default_rng(22)
+    _heat_factors.cache_clear()
+    for values in (rng.standard_normal(grid.shape), np.zeros(grid.shape)):
+        f = Field(grid, values)
+        got = heat_evolve(f, tau, CutoffPolicy(k_tol)).values
+        assert got.tobytes() == explicit_heat(f, tau, k_tol).tobytes()
+    # zeros stay zeros, not inf * 0, and no factor was built on the way
+    np.testing.assert_array_equal(got, 0.0)
+    assert _heat_factors.cache_info().currsize == 0
+
+
+def test_heat_factor_path_overflow_is_left_to_the_guard():
+    # exp(min(A) tau) ~ 1e257 is finite, so the factors apply, but the
+    # products overflow; like the transform path, that must not warn
+    from acsplit.operators import _uses_factors
+
+    grid, tau = FACTOR_GRIDS[0], -1.0
+    assert _uses_factors(grid, tau, np.inf)
+    f = Field(grid, 1e60 * np.random.default_rng(23).standard_normal(grid.shape))
+    assert not np.all(np.isfinite(heat_evolve(f, tau, CutoffPolicy(np.inf)).values))
+
+
+def test_heat_factors_are_cached_read_only():
+    from acsplit.operators import _heat_factors
+
+    grid = FACTOR_GRIDS[1]
+    factors = _heat_factors(grid, -1e-3)
+    assert [m.shape for m in factors] == [(6, 6), (5, 5), (4, 4)]
+    for factor in factors:
+        assert np.all(np.isfinite(factor))
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0] = 2.0
+    assert _heat_factors(grid, -1e-3) is factors
+
+
 def test_heat_semigroup():
     rng = np.random.default_rng(12)
     grid = GridSpec.line(2.0, 48)
