@@ -4,15 +4,37 @@ Every kernel takes one field as a flat float64 array, or a stack of fields
 as a C-contiguous ``(R, M)`` array with one field per row.  A flat call is
 the one-row case of the stacked one and gets a scalar back where a stack
 gets one value per row.  Per-run parameters are scalars, or ``(R, 1)``
-columns for a stack.
+columns for a stack.  The radicand and the multipliers the kernels build,
+like the operators' intermediate products, use the per-thread scratch
+array of :func:`work`.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
 RADICAND_FLOOR = 1e-14
 _F64_MAX = np.finfo(np.float64).max
+_scratch = threading.local()
+
+
+def work(shape) -> np.ndarray:
+    """This thread's scratch float64 array, viewed as ``shape``.
+
+    One flat buffer per thread, viewed by element count: a ``(1, M)`` row,
+    an ``(n, n, n)`` grid of ``M`` cells and a stack of fewer rows all use
+    its first elements, and it is replaced only by a larger one.  Its
+    contents are undefined on every call, and a caller must be done with it
+    before calling anything else that uses it.
+    """
+    size = math.prod(shape)
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _scratch.buf = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay) -> int | np.ndarray:
@@ -33,9 +55,9 @@ def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay) -> int | np.ndarr
         return int(free_energy_apply(phi[np.newaxis], out[np.newaxis], decay)[0])
     decay = np.minimum(decay, _F64_MAX)  # exp overflow upstream; any huge value acts the same
     # rad <- phi^2 + (1 - phi^2) * decay in the reference expression order;
-    # out doubles as the scratch array unless it aliases phi, which the
-    # division at the end still reads
-    rad = phi * phi
+    # out doubles as the second scratch array unless it aliases phi, which
+    # the division at the end still reads
+    rad = np.multiply(phi, phi, out=work(phi.shape))
     tmp = np.empty_like(rad) if np.may_share_memory(phi, out) else out
     np.subtract(1.0, rad, out=tmp)
     # |phi| >> 1 against a huge decay is a blow-up; phi^2 = inf against a
@@ -82,7 +104,7 @@ def heat_multiplier_apply(
     """
     cap = np.minimum(k_tol, _F64_MAX)
     with np.errstate(over="ignore"):
-        mult = eig * tau
+        mult = np.multiply(eig, tau, out=work(out.shape))
         np.exp(mult, out=mult)
         np.minimum(mult, cap, out=mult)
         # an unbounded clamp may overflow the product to inf; the solver guard

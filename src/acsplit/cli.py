@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harness
-from .coeffs import split_scheme_ids
+from .coeffs import parse_decimal, split_scheme_ids
 from .operators import CutoffPolicy, ModelParams
 from .problems import SpinodalSpec, TravelingWaveSpec, spinodal_initial, traveling_wave_field
 from .solver import RunConfig
@@ -38,8 +38,16 @@ class CliError(Exception):
         self.code = code
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _float_list(text: str, flag: str) -> list[float]:
+    """The comma-separated decimal numbers of ``flag``; empty entries are skipped."""
+    values = []
+    for pos, tok in enumerate(text.split(","), start=1):
+        if tok.strip():
+            try:
+                values.append(parse_decimal(tok))
+            except ValueError:
+                raise CliError(f"{flag}: entry {pos}, {tok!r}, is not a decimal number") from None
+    return values
 
 
 def _merge(args: argparse.Namespace, key: str, default=None):
@@ -77,7 +85,7 @@ def _load_config(args: argparse.Namespace) -> None:
 def _omega_grid(args) -> list[float]:
     explicit = _merge(args, "omegas")
     if explicit is not None:
-        return list(explicit) if not isinstance(explicit, str) else _float_list(explicit)
+        return list(explicit) if not isinstance(explicit, str) else _float_list(explicit, "--omegas")
     lo = _merge(args, "omega_min")
     hi = _merge(args, "omega_max")
     step = _merge(args, "omega_step")
@@ -143,7 +151,7 @@ def cmd_run(args) -> int:
     out_dir = Path(_merge(args, "out_dir", "."))
     snapshots = _merge(args, "snapshots", [])
     if isinstance(snapshots, str):
-        snapshots = _float_list(snapshots)
+        snapshots = _float_list(snapshots, "--snapshots")
     phi_max = float(_merge(args, "phi_max", 10.0))
 
     if problem == "wave":
@@ -203,7 +211,7 @@ def cmd_run(args) -> int:
 def _dt_list(args, speed: float | None) -> list[float]:
     dts = _merge(args, "dt_list")
     if dts is not None:
-        return _float_list(dts) if isinstance(dts, str) else [float(v) for v in dts]
+        return _float_list(dts, "--dt-list") if isinstance(dts, str) else [float(v) for v in dts]
     pow2 = _merge(args, "dt_pow2")
     if pow2 is not None and speed is not None:
         lo, _, hi = str(pow2).partition(":")
@@ -257,7 +265,7 @@ def cmd_sweep_omega(args) -> int:
         dt = factor / spec.speed
     k_tols = _merge(args, "k_tols", (1e4, 1e9))
     if isinstance(k_tols, str):
-        k_tols = tuple(_float_list(k_tols))
+        k_tols = tuple(_float_list(k_tols, "--k-tols"))
     records, meta = harness.omega_sweep(
         branch,
         _omega_grid(args),

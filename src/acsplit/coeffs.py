@@ -36,6 +36,7 @@ __all__ = [
     "fourth_order_v",
     "named_scheme",
     "order_residuals",
+    "parse_decimal",
     "second_order_family",
     "special_omegas",
     "split_scheme_ids",
@@ -368,6 +369,7 @@ _SCHEME_ID = re.compile(
     rf"|S3\((?P<w3>{_OMEGA}),(?P<branch>[+-])\)",
     re.IGNORECASE | re.ASCII,
 )
+_DECIMAL = re.compile(_OMEGA, re.IGNORECASE | re.ASCII)
 # A comma splits a list of ids unless a ")" closes it before any "(" opens.
 _ID_SEPARATOR = re.compile(r",(?![^(]*\))")
 
@@ -389,6 +391,15 @@ def named_scheme(scheme_id: str) -> SplitCoefficients:
     if name.startswith("S3"):
         return special_omegas()["XYZ".index(name[-1])].coefficients
     return {"S1": first_order, "S4U": fourth_order_u, "S4V": fourth_order_v}[name]()
+
+
+def parse_decimal(text: str) -> float:
+    """Read ``text`` in the omega grammar of scheme ids (an ASCII decimal
+    literal, nan or inf, optionally padded with whitespace); anything else,
+    such as ``abc`` or ``1_0``, raises ``ValueError``."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not a decimal number")
+    return float(text)
 
 
 def split_scheme_ids(text: str) -> list[str]:

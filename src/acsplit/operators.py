@@ -26,7 +26,6 @@ __all__ = [
     "CutoffPolicy",
     "DivergenceError",
     "ModelParams",
-    "clamped_multipliers",
     "decay_factor",
     "energy",
     "free_energy_evolve",
@@ -109,30 +108,17 @@ def free_energy_evolve(f: Field, tau: float, model: ModelParams) -> Field:
     return Field(f.grid, out)
 
 
-def clamped_multipliers(grid: GridSpec, taus: np.ndarray, k_tol: float) -> np.ndarray:
-    """``min(exp(A_k * tau_r), k_tol)`` on ``grid``, one row per entry of
-    the ``(R, 1)`` column ``taus``, shaped ``(R, *grid.shape)``.
-
-    Built by one kernel call on ones, so every row has the bits of the
-    multiplier a single run builds for its ``tau``.  :func:`heat_evolve`
-    uses it on the transform path only: for a 1D stack, and through
-    ``_clamped_multiplier`` for a field whose substep does not take the
-    per-axis factors.
-    """
-    mult = np.ones((len(taus), *grid.shape))
-    flat = mult.reshape(len(taus), -1)
-    _kernels.heat_multiplier_apply(flat, eigenvalue_table(grid).ravel(), taus, k_tol, flat)
-    return mult
-
-
 @lru_cache(maxsize=4)
 def _clamped_multiplier(grid: GridSpec, tau: float, k_tol: float) -> np.ndarray:
     """Cached, read-only ``min(exp(A_k * tau), k_tol)`` for ``grid``.
 
-    No scheme has more than three distinct ``a_j``, so a run reuses a
-    handful of entries.
+    Built by one kernel call on ones, so it has the bits of the multiplier
+    the kernel applies to a stack row with the same ``tau``.  No scheme has
+    more than three distinct ``a_j``, so a run reuses a handful of entries.
     """
-    mult = clamped_multipliers(grid, np.array([[tau]]), k_tol)[0]
+    mult = np.ones(grid.shape)
+    flat = mult.ravel()
+    _kernels.heat_multiplier_apply(flat, eigenvalue_table(grid).ravel(), tau, k_tol, flat)
     mult.setflags(write=False)
     return mult
 
@@ -143,15 +129,20 @@ def _clamped_multiplier(grid: GridSpec, tau: float, k_tol: float) -> np.ndarray:
 FACTOR_MAX_CELLS = 128
 
 
+def _factor_grid(grid: GridSpec) -> bool:
+    """Whether ``grid`` is 2D/3D with at most ``FACTOR_MAX_CELLS`` cells per axis."""
+    return grid.dims >= 2 and max(grid.cells) <= FACTOR_MAX_CELLS
+
+
 def _uses_factors(grid: GridSpec, tau: float, k_tol: float) -> bool:
     """Whether a heat substep on ``grid`` is applied as per-axis factors.
 
-    True on 2D/3D grids of at most ``FACTOR_MAX_CELLS`` cells per axis when
-    the clamp binds on no mode, i.e. the largest multiplier
-    ``exp(min(A) * tau)`` is finite and at most ``k_tol``; that always holds
-    for ``tau >= 0``.  Everything else takes the transform pair.
+    True on a :func:`_factor_grid` when the clamp binds on no mode, i.e. the
+    largest multiplier ``exp(min(A) * tau)`` is finite and at most
+    ``k_tol``; that always holds for ``tau >= 0``.  Everything else takes
+    the transform pair.
     """
-    if grid.dims < 2 or max(grid.cells) > FACTOR_MAX_CELLS:
+    if not _factor_grid(grid):
         return False
     try:
         # the last entry of the table, the highest mode on every axis, is min(A)
@@ -159,6 +150,14 @@ def _uses_factors(grid: GridSpec, tau: float, k_tol: float) -> bool:
     except OverflowError:
         return False
     return peak <= k_tol
+
+
+@lru_cache(maxsize=8)
+def _dct_matrix(cells: int) -> np.ndarray:
+    """Cached, read-only orthonormal DCT-II matrix ``C`` of size ``cells``."""
+    c = dct(np.eye(cells), type=2, norm="ortho", axis=0)
+    c.setflags(write=False)
+    return c
 
 
 @lru_cache(maxsize=4)
@@ -169,7 +168,7 @@ def _heat_factors(grid: GridSpec, tau: float) -> tuple[np.ndarray, ...]:
     """
     factors = []
     for length, n in zip(grid.lengths, grid.cells):
-        c = dct(np.eye(n), type=2, norm="ortho", axis=0)
+        c = _dct_matrix(n)
         factor = (c.T * np.exp(axis_eigenvalues(length, n) * tau)) @ c
         factor.setflags(write=False)
         factors.append(factor)
@@ -177,12 +176,17 @@ def _heat_factors(grid: GridSpec, tau: float) -> tuple[np.ndarray, ...]:
 
 
 def _apply_factors(values: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Multiply ``values`` by one factor along each axis, as three matmuls at most."""
+    """Multiply ``values`` by one factor along each axis, as three matmuls at
+    most, into a fresh array by way of this thread's scratch array."""
     shape = values.shape
-    out = factors[0] @ values.reshape(shape[0], -1)
+    out = np.empty(shape)
+    # in 3D, out holds the first product until the scratch array takes the second
+    mid = out if len(factors) == 3 else _kernels.work(shape)
+    np.matmul(factors[0], values.reshape(shape[0], -1), out=mid.reshape(shape[0], -1))
     if len(factors) == 3:
-        out = np.matmul(factors[1], out.reshape(shape))
-    return (out.reshape(-1, shape[-1]) @ factors[-1].T).reshape(shape)
+        mid = np.matmul(factors[1], out, out=_kernels.work(shape))
+    np.matmul(mid.reshape(-1, shape[-1]), factors[-1].T, out=out.reshape(-1, shape[-1]))
+    return out
 
 
 def heat_evolve(
@@ -203,31 +207,61 @@ def heat_evolve(
 
     A :class:`FieldStack` takes an ``(R, 1)`` column ``tau``, one entry per
     row.  On a 1D grid it is advanced by one transform pair over the grid
-    axis, with multipliers built for the call with the bits of the cached
-    ones; on a 2D/3D grid each row is advanced as a :class:`Field`.  Either
-    way every row gets the bits that row gets alone.
+    axis, its coefficients scaled by one kernel call with the bits of the
+    cached multipliers; on a 2D/3D grid each row is advanced as a
+    :class:`Field`.  Either way every row gets the bits that row gets alone.
     """
     k_tol = policy.k_tol
-    if isinstance(f, FieldStack):
-        if f.grid.dims > 1:
-            rows = [heat_evolve(Field(f.grid, v), t, policy).values for v, t in zip(f.values, tau[:, 0])]
-            return FieldStack(f.grid, np.stack(rows))
-        mult = clamped_multipliers(f.grid, tau, k_tol)
-        axes = (1,)
-    elif _uses_factors(f.grid, tau, k_tol):
+    stacked = isinstance(f, FieldStack)
+    if stacked and f.grid.dims > 1:
+        rows = [heat_evolve(Field(f.grid, v), t, policy).values for v, t in zip(f.values, tau[:, 0])]
+        return FieldStack(f.grid, np.stack(rows))
+    if not stacked and _uses_factors(f.grid, tau, k_tol):
         # an unbounded clamp may overflow the products to inf or NaN; the
         # solver guard is responsible for catching that
         with np.errstate(over="ignore", invalid="ignore"):
             return Field(f.grid, _apply_factors(f.values, _heat_factors(f.grid, tau)))
-    else:
-        mult = _clamped_multiplier(f.grid, tau, k_tol)
-        axes = None  # every axis; faster than naming them
+    axes = (1,) if stacked else None  # every axis of a field; faster than naming them
     coeffs = dctn(f.values, type=2, norm="ortho", axes=axes)
-    # an unbounded clamp may overflow the product to inf; the solver guard
-    # is responsible for catching that
-    with np.errstate(over="ignore"):
-        np.multiply(coeffs, mult, out=coeffs)
+    if stacked:
+        _kernels.heat_multiplier_apply(coeffs, eigenvalue_table(f.grid), tau, k_tol, coeffs)
+    else:
+        # an unbounded clamp may overflow the product to inf; the solver
+        # guard is responsible for catching that
+        with np.errstate(over="ignore"):
+            np.multiply(coeffs, _clamped_multiplier(f.grid, tau, k_tol), out=coeffs)
     return type(f)(f.grid, idctn(coeffs, type=2, norm="ortho", axes=axes))
+
+
+@lru_cache(maxsize=4)
+def _gradient_factors(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Cached, read-only ``S_i = diag(sqrt(-lam_i)) C_i``, one per axis, so
+    that ``sum_i ||S_i x_i phi||^2 = -sum_k A_k c_k^2`` (Parseval on the
+    other axes)."""
+    factors = []
+    for length, n in zip(grid.lengths, grid.cells):
+        factor = np.sqrt(-axis_eigenvalues(length, n))[:, np.newaxis] * _dct_matrix(n)
+        factor.setflags(write=False)
+        factors.append(factor)
+    return tuple(factors)
+
+
+def _squared_sum(values: np.ndarray) -> float:
+    """``sum(values^2)``, squaring ``values`` in place; no BLAS dot, whose
+    threading could change the bits."""
+    np.multiply(values, values, out=values)
+    return float(np.sum(values))
+
+
+def _factor_gradient(values: np.ndarray, factors: tuple[np.ndarray, ...], w: np.ndarray) -> float:
+    """``sum_i ||S_i x_i values||^2`` for the :func:`_gradient_factors`
+    ``factors``, each product computed in the scratch array ``w``."""
+    shape = values.shape
+    total = _squared_sum(np.matmul(factors[0], values.reshape(shape[0], -1), out=w.reshape(shape[0], -1)))
+    if len(factors) == 3:
+        total += _squared_sum(np.matmul(factors[1], values, out=w))
+    rows = w.reshape(-1, shape[-1])
+    return total + _squared_sum(np.matmul(values.reshape(-1, shape[-1]), factors[-1].T, out=rows))
 
 
 def energy(f: Field, model: ModelParams) -> float:
@@ -236,10 +270,22 @@ def energy(f: Field, model: ModelParams) -> float:
     E = h^d * [ sum_cells F(phi)/eps^2 + 1/2 * sum_k (-A_k) * c_k^2 ]
 
     with ``F(phi) = (phi^2 - 1)^2 / 4`` and the gradient term evaluated
-    spectrally through the cosine coefficients ``c_k``.
+    spectrally through the cosine coefficients ``c_k``.  On a
+    :func:`_factor_grid` the gradient term is ``1/2 * sum_i ||S_i x_i phi||^2``
+    (see :func:`_gradient_factors`), which agrees to rounding and needs no
+    transform; elsewhere it takes one forward transform.  The bulk term and
+    the factor products are computed in this thread's scratch array.
     """
-    phi2 = f.values * f.values
-    bulk = float(np.sum(0.25 * (phi2 - 1.0) ** 2)) / model.epsilon2
-    coeffs = dctn(f.values, type=2, norm="ortho")
-    grad = -0.5 * float(np.sum(eigenvalue_table(f.grid) * coeffs * coeffs))
-    return f.grid.cell_volume * (bulk + grad)
+    values, grid = f.values, f.grid
+    w = _kernels.work(values.shape)
+    np.multiply(values, values, out=w)
+    np.subtract(w, 1.0, out=w)
+    np.square(w, out=w)
+    np.multiply(0.25, w, out=w)
+    bulk = float(np.sum(w)) / model.epsilon2
+    if _factor_grid(grid):
+        grad = 0.5 * _factor_gradient(values, _gradient_factors(grid), w)
+    else:
+        coeffs = dctn(values, type=2, norm="ortho")
+        grad = -0.5 * float(np.sum(eigenvalue_table(grid) * coeffs * coeffs))
+    return grid.cell_volume * (bulk + grad)

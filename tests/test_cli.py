@@ -423,6 +423,19 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["coeffs", "--scheme", "S2(abc)"]) == 2
     assert "cannot parse scheme 'S2(abc)'" in capsys.readouterr().err
+    # a list entry that is not a decimal number names its flag, place and text
+    for command, message in (
+        (["coeffs", "--family", "S3+", "--omegas", "0.3,abc"], "--omegas: entry 2, 'abc',"),
+        (["coeffs", "--family", "S3+", "--omegas", "1_0"], "--omegas: entry 1, '1_0',"),
+        (["sweep-omega", "--branch", "+", "--omegas", "0.5", "--k-tols", "1e4,,1e9x",
+          "--out", str(tmp_path / "never" / "sweep.csv")], "--k-tols: entry 3, '1e9x',"),
+        (["converge", "--problem", "wave", "--schemes", "S1", "--dt-list", "1e-3,0x10",
+          "--out", str(tmp_path / "never" / "c")], "--dt-list: entry 2, '0x10',"),
+        (["run", "--problem", "wave", "--scheme", "S1", "--dt", "1e-4", "--t-final", "1e-3",
+          "--snapshots", "0,1e-3,abc", "--out-dir", str(tmp_path / "never")], "--snapshots: entry 3, 'abc',"),
+    ):
+        assert main(command) == 2
+        assert message in capsys.readouterr().err
     # omega ranges: a finite positive step over finite bounds with min <= max
     for command in (["coeffs", "--family", "S3+"], ["sweep-omega", "--branch", "+"]):
         for lo, hi, step in (("0.3", "0.4", "0"), ("0.3", "0.4", "nan"), ("0.3", "0.4", "-0.1"),

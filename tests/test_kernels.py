@@ -1,5 +1,6 @@
 """The numpy kernels against their contract and their plain formulas."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -18,6 +19,28 @@ from oracles import (
 
 def test_backend_reported():
     assert BACKEND == "numpy"
+
+
+def test_work_is_one_buffer_viewed_by_element_count():
+    views = {}
+
+    def probe():  # a new thread starts without a scratch array
+        views["grid"] = _ref.work((4, 6))
+        views["row"] = _ref.work((1, 24))
+        views["fewer"] = _ref.work((5,))
+        views["more"] = _ref.work((4000,))
+        views["after"] = _ref.work((4, 6))
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(views) == 5
+    assert views["row"].shape == (1, 24) and views["row"].dtype == np.float64
+    assert np.shares_memory(views["grid"], views["row"])
+    assert np.shares_memory(views["grid"], views["fewer"])
+    # more elements than the buffer has: one larger buffer, used from then on
+    assert not np.shares_memory(views["grid"], views["more"])
+    assert np.shares_memory(views["more"], views["after"])
 
 
 def test_free_energy_radicand_floor():

@@ -345,3 +345,58 @@ def test_energy_matches_finite_difference_oracle(dims):
     ours = energy(f, MODEL)
     ref = fd_energy(f.values, grid.spacing, EPS)
     assert abs(ours - ref) / abs(ref) < 0.01
+
+
+def explicit_energy(f, model):
+    """The transform formula of :func:`energy`, in its expression order."""
+    from scipy.fft import dctn
+
+    from acsplit.spectral import eigenvalue_table
+
+    phi2 = f.values * f.values
+    bulk = float(np.sum(0.25 * (phi2 - 1.0) ** 2)) / model.epsilon2
+    coeffs = dctn(f.values, type=2, norm="ortho")
+    grad = -0.5 * float(np.sum(eigenvalue_table(f.grid) * coeffs * coeffs))
+    return f.grid.cell_volume * (bulk + grad)
+
+
+@pytest.mark.parametrize("grid", FACTOR_GRIDS, ids=["2d", "3d"])
+def test_energy_factor_path_matches_the_transform_formula(grid):
+    from acsplit.operators import _factor_grid
+
+    assert _factor_grid(grid)
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        f = Field(grid, rng.uniform(-1.0, 1.0, grid.shape))
+        assert energy(f, MODEL) == pytest.approx(explicit_energy(f, MODEL), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [GridSpec.line(1.0, 64), GridSpec((1.0, 1.0), (130, 4))],
+    ids=["1d", "long-axis"],
+)
+def test_energy_off_the_factor_path_keeps_the_formula_bytes(grid):
+    from acsplit.operators import _factor_grid, _gradient_factors
+
+    assert not _factor_grid(grid)
+    _gradient_factors.cache_clear()
+    rng = np.random.default_rng(25)
+    for _ in range(3):
+        f = Field(grid, rng.uniform(-1.0, 1.0, grid.shape))
+        assert energy(f, MODEL) == explicit_energy(f, MODEL)
+    assert _gradient_factors.cache_info().currsize == 0
+
+
+def test_gradient_factors_are_cached_read_only():
+    from acsplit.operators import _gradient_factors
+
+    grid = FACTOR_GRIDS[1]
+    factors = _gradient_factors(grid)
+    assert [m.shape for m in factors] == [(6, 6), (5, 5), (4, 4)]
+    for factor in factors:
+        np.testing.assert_array_equal(factor[0], 0.0)  # the constant mode has no gradient
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0] = 2.0
+    assert _gradient_factors(grid) is factors

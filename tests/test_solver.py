@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from acsplit import (
     fourth_order_v,
     free_energy_evolve,
     heat_evolve,
+    energy,
     named_scheme,
     relative_l2_error,
     second_order_family,
@@ -184,6 +189,70 @@ def test_determinism():
     np.testing.assert_array_equal(b.final.values, kept)
     np.testing.assert_array_equal(a.final.values, kept)
     np.testing.assert_array_equal(a.energies, b.energies)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees (numpy's data allocations included) during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (64, 64)], ids=["3d", "2d"])
+def test_step_and_energy_allocate_no_temporaries(shape):
+    # every substep allocates its result and nothing else of grid size, so
+    # a step peaks at the substep's input and its result; freed temporaries
+    # would be returned to the OS and faulted back in on the next substep
+    grid = GridSpec((1.0,) * len(shape), shape)
+    f = Field(grid, np.random.default_rng(5).uniform(-1.0, 1.0, shape))
+    scheme, model = named_scheme("S4V"), ModelParams(0.015)
+    for _ in range(2):  # builds the cached factors and this thread's scratch array
+        step(f, scheme, 1e-4, model, phi_max=10.0)
+        energy(f, model)
+    grid_array = f.values.nbytes
+    call_objects = 4096  # the Python objects and 0-d arrays of the calls
+    assert _traced_peak(lambda: step(f, scheme, 1e-4, model, phi_max=10.0)) <= 2 * grid_array + call_objects
+    assert _traced_peak(lambda: energy(f, model)) < 0.1 * grid_array
+
+
+def test_threads_get_their_own_scratch_array():
+    # more threads than cores, switched often: a scratch array shared
+    # between threads would mix their fields
+    grid = GridSpec.box(1.0, 12, 3)
+    scheme, model = named_scheme("S4V"), ModelParams(0.015)
+    fields = [np.random.default_rng(seed).uniform(-1.0, 1.0, grid.shape) for seed in (1, 2, 3)]
+    start = threading.Barrier(len(fields))
+
+    def march(values, barrier=None):
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        f, energies = Field(grid, values), []
+        for _ in range(10):
+            f = step(f, scheme, 1e-4, model, phi_max=10.0)
+            energies.append(energy(f, model))
+        return f.values.tobytes(), energies
+
+    serial = [march(values) for values in fields]
+    results = [None] * len(fields)
+
+    def worker(i):
+        results[i] = march(fields[i], start)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(fields))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
