@@ -57,7 +57,7 @@ def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay) -> int | np.ndarr
     # rad <- phi^2 + (1 - phi^2) * decay in the reference expression order;
     # out doubles as the second scratch array unless it aliases phi, which
     # the division at the end still reads
-    rad = np.multiply(phi, phi, out=work(phi.shape))
+    rad = np.square(phi, out=work(phi.shape))
     tmp = np.empty_like(rad) if np.may_share_memory(phi, out) else out
     np.subtract(1.0, rad, out=tmp)
     # |phi| >> 1 against a huge decay is a blow-up; phi^2 = inf against a

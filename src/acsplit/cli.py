@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ EXIT_IO = 4
 
 DEFAULT_WAVE_EPSILON = 0.03 * np.sqrt(2.0)
 MAX_OMEGAS = 1_000_000  # a range/step grid longer than this is refused before it is built
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 class CliError(Exception):
@@ -38,16 +40,46 @@ class CliError(Exception):
         self.code = code
 
 
-def _float_list(text: str, flag: str) -> list[float]:
-    """The comma-separated decimal numbers of ``flag``; empty entries are skipped."""
-    values = []
-    for pos, tok in enumerate(text.split(","), start=1):
-        if tok.strip():
-            try:
-                values.append(parse_decimal(tok))
-            except ValueError:
-                raise CliError(f"{flag}: entry {pos}, {tok!r}, is not a decimal number") from None
-    return values
+def _decimal(value, flag: str, pos: int | None = None) -> float:
+    """``value`` of ``flag`` (entry ``pos`` of its list) as a float: a JSON
+    number, or text in the decimal grammar of :func:`parse_decimal`."""
+    if isinstance(value, str):
+        try:
+            return parse_decimal(value)
+        except ValueError:
+            pass
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    if pos is None:
+        raise CliError(f"{flag}: {value!r} is not a decimal number")
+    raise CliError(f"{flag}: entry {pos}, {value!r}, is not a decimal number")
+
+
+def _integer(value, flag: str) -> int:
+    """``value`` of ``flag`` as an int: a JSON integer or decimal digits;
+    fractions and bools are refused."""
+    if isinstance(value, str) and _INTEGER.fullmatch(value):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise CliError(f"{flag}: {value!r} is not an integer")
+
+
+def _float_list(value, flag: str) -> list[float]:
+    """The decimal numbers of ``flag``: a comma-separated string, whose empty
+    entries are skipped, or a JSON list."""
+    if isinstance(value, str):
+        return [_decimal(tok, flag, pos) for pos, tok in enumerate(value.split(","), start=1) if tok.strip()]
+    if isinstance(value, list):
+        return [_decimal(v, flag, pos) for pos, v in enumerate(value, start=1)]
+    raise CliError(f"{flag}: {value!r} is not a list of decimal numbers")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _merge(args: argparse.Namespace, key: str, default=None):
@@ -64,8 +96,20 @@ def _merge(args: argparse.Namespace, key: str, default=None):
 def _require(args, key: str):
     value = _merge(args, key)
     if value is None:
-        raise CliError(f"missing required option --{key.replace('_', '-')} (or config key {key!r})")
+        raise CliError(f"missing required option {_flag(key)} (or config key {key!r})")
     return value
+
+
+def _number(args, key: str, default: float | None = None) -> float | None:
+    """The decimal number of ``key`` (flag, else config value), or ``default``."""
+    value = _merge(args, key)
+    return default if value is None else _decimal(value, _flag(key))
+
+
+def _whole_number(args, key: str, default: int) -> int:
+    """The integer of ``key`` (flag, else config value), or ``default``."""
+    value = _merge(args, key)
+    return default if value is None else _integer(value, _flag(key))
 
 
 def _load_config(args: argparse.Namespace) -> None:
@@ -85,13 +129,12 @@ def _load_config(args: argparse.Namespace) -> None:
 def _omega_grid(args) -> list[float]:
     explicit = _merge(args, "omegas")
     if explicit is not None:
-        return list(explicit) if not isinstance(explicit, str) else _float_list(explicit, "--omegas")
-    lo = _merge(args, "omega_min")
-    hi = _merge(args, "omega_max")
-    step = _merge(args, "omega_step")
+        return _float_list(explicit, "--omegas")
+    lo = _number(args, "omega_min")
+    hi = _number(args, "omega_max")
+    step = _number(args, "omega_step")
     if lo is None or hi is None or step is None:
         raise CliError("need --omegas or --omega-min/--omega-max/--omega-step")
-    lo, hi, step = float(lo), float(hi), float(step)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise CliError(f"--omega-min/--omega-max must be finite with min <= max, got {lo!r}, {hi!r}")
     if not (math.isfinite(step) and step > 0):
@@ -128,43 +171,41 @@ def cmd_coeffs(args) -> int:
 
 
 def _wave_setup(args):
-    epsilon = float(_merge(args, "epsilon", DEFAULT_WAVE_EPSILON))
-    cells = int(_merge(args, "cells", 128))
-    length = float(_merge(args, "length", 4.0))
+    epsilon = _number(args, "epsilon", float(DEFAULT_WAVE_EPSILON))
+    cells = _whole_number(args, "cells", 128)
+    length = _number(args, "length", 4.0)
     return TravelingWaveSpec(epsilon, length), cells
 
 
 def _spinodal_setup(args, default_cells: int) -> SpinodalSpec:
     return SpinodalSpec(
-        epsilon=float(_merge(args, "epsilon", 0.015)),
-        amplitude=float(_merge(args, "amplitude", 0.005)),
-        seed=int(_merge(args, "seed", 0)),
-        cells=int(_merge(args, "cells", default_cells)),
-        length=float(_merge(args, "length", 1.0)),
+        epsilon=_number(args, "epsilon", 0.015),
+        amplitude=_number(args, "amplitude", 0.005),
+        seed=_whole_number(args, "seed", 0),
+        cells=_whole_number(args, "cells", default_cells),
+        length=_number(args, "length", 1.0),
     )
 
 
 def cmd_run(args) -> int:
     problem = _require(args, "problem")
     scheme = harness.scheme_from_string(str(_require(args, "scheme")))
-    k_tol = float(_merge(args, "k_tol", 1e9))
+    k_tol = _number(args, "k_tol", 1e9)
     out_dir = Path(_merge(args, "out_dir", "."))
-    snapshots = _merge(args, "snapshots", [])
-    if isinstance(snapshots, str):
-        snapshots = _float_list(snapshots, "--snapshots")
-    phi_max = float(_merge(args, "phi_max", 10.0))
+    snapshots = _float_list(_merge(args, "snapshots", []), "--snapshots")
+    phi_max = _number(args, "phi_max", 10.0)
 
     if problem == "wave":
         spec, cells = _wave_setup(args)
         f0 = traveling_wave_field(spec.grid(cells), 0.0, spec)
         model = ModelParams(spec.epsilon)
-        t_final = float(_merge(args, "t_final", spec.t_final))
+        t_final = _number(args, "t_final", spec.t_final)
         meta = {"problem": "wave", "epsilon": repr(spec.epsilon), "cells": cells}
     elif problem == "spinodal":
         spec = _spinodal_setup(args, default_cells=64)
         f0 = spinodal_initial(spec)
         model = ModelParams(spec.epsilon)
-        t_final = float(_require(args, "t_final"))
+        t_final = _decimal(_require(args, "t_final"), "--t-final")
         meta = {
             "problem": "spinodal",
             "epsilon": repr(spec.epsilon),
@@ -175,7 +216,7 @@ def cmd_run(args) -> int:
     else:
         raise CliError(f"unknown problem {problem!r}")
 
-    dt = float(_require(args, "dt"))
+    dt = _decimal(_require(args, "dt"), "--dt")
     cfg = RunConfig(
         scheme,
         dt,
@@ -211,11 +252,13 @@ def cmd_run(args) -> int:
 def _dt_list(args, speed: float | None) -> list[float]:
     dts = _merge(args, "dt_list")
     if dts is not None:
-        return _float_list(dts, "--dt-list") if isinstance(dts, str) else [float(v) for v in dts]
+        return _float_list(dts, "--dt-list")
     pow2 = _merge(args, "dt_pow2")
     if pow2 is not None and speed is not None:
-        lo, _, hi = str(pow2).partition(":")
-        return [2.0 ** (-k) / speed for k in range(int(lo), int(hi) + 1)]
+        lo, colon, hi = str(pow2).partition(":")
+        if not colon:
+            raise CliError(f"--dt-pow2: {pow2!r} is not K1:K2")
+        return [2.0 ** (-k) / speed for k in range(_integer(lo, "--dt-pow2"), _integer(hi, "--dt-pow2") + 1)]
     raise CliError("need --dt-list (or --dt-pow2 for the wave problem)")
 
 
@@ -224,7 +267,7 @@ def cmd_converge(args) -> int:
     ids = _require(args, "schemes")
     ids = ids if isinstance(ids, list) else split_scheme_ids(str(ids))
     schemes = [harness.scheme_from_string(str(s)) for s in ids]
-    k_tol = float(_merge(args, "k_tol", 1e9))
+    k_tol = _number(args, "k_tol", 1e9)
     out = _merge(args, "out", "converge")
 
     if problem == "wave":
@@ -239,14 +282,13 @@ def cmd_converge(args) -> int:
         )
     elif problem == "spinodal":
         spec = _spinodal_setup(args, default_cells=32)
-        ref_dt = _merge(args, "ref_dt")
         report = harness.spinodal_convergence(
             schemes,
             _dt_list(args, None),
             spec,
-            t_final=float(_merge(args, "t_final", 0.01)),
+            t_final=_number(args, "t_final", 0.01),
             k_tol=k_tol,
-            ref_dt=float(ref_dt) if ref_dt is not None else None,
+            ref_dt=_number(args, "ref_dt"),
         )
     else:
         raise CliError(f"unknown problem {problem!r}")
@@ -259,17 +301,15 @@ def cmd_converge(args) -> int:
 def cmd_sweep_omega(args) -> int:
     branch = _require(args, "branch")
     spec, cells = _wave_setup(args)
-    dt = _merge(args, "dt")
+    dt = _number(args, "dt")
     if dt is None:
-        factor = float(_merge(args, "dt_factor", 2.0**-4))
-        dt = factor / spec.speed
-    k_tols = _merge(args, "k_tols", (1e4, 1e9))
-    if isinstance(k_tols, str):
-        k_tols = tuple(_float_list(k_tols, "--k-tols"))
+        dt = _number(args, "dt_factor", 2.0**-4) / spec.speed
+    k_tols = _merge(args, "k_tols")
+    k_tols = (1e4, 1e9) if k_tols is None else tuple(_float_list(k_tols, "--k-tols"))
     records, meta = harness.omega_sweep(
         branch,
         _omega_grid(args),
-        float(dt),
+        dt,
         cells=cells,
         epsilon=spec.epsilon,
         length=spec.length,
@@ -293,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", parents=[common], help="print splitting coefficients as CSV")
     p.add_argument("--scheme", help="named scheme, e.g. S3X or S2(1) or S3(0.62,-)")
     p.add_argument("--family", choices=["S3+", "S3-"], help="sweep a third-order branch")
-    p.add_argument("--omega-min", type=float)
-    p.add_argument("--omega-max", type=float)
-    p.add_argument("--omega-step", type=float)
+    p.add_argument("--omega-min")
+    p.add_argument("--omega-max")
+    p.add_argument("--omega-step")
     p.add_argument("--omegas", help="comma-separated omega list")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_coeffs)
@@ -303,15 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[common], help="run one experiment, write snapshots + diagnostics")
     p.add_argument("--problem", choices=["wave", "spinodal"])
     p.add_argument("--scheme")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--cells", type=int)
-    p.add_argument("--length", type=float)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k-tol", type=float)
-    p.add_argument("--phi-max", type=float)
+    p.add_argument("--dt")
+    p.add_argument("--t-final")
+    p.add_argument("--epsilon")
+    p.add_argument("--cells")
+    p.add_argument("--length")
+    p.add_argument("--amplitude")
+    p.add_argument("--seed")
+    p.add_argument("--k-tol")
+    p.add_argument("--phi-max")
     p.add_argument("--snapshots", help="comma-separated times")
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_run)
@@ -321,29 +361,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schemes", help="comma-separated scheme ids, e.g. S1,S3(0.62,-)")
     p.add_argument("--dt-list", help="comma-separated step sizes")
     p.add_argument("--dt-pow2", help="K1:K2 meaning dt = 2^-k / s for k = K1..K2 (wave only)")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--cells", type=int)
-    p.add_argument("--length", type=float)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--t-final", type=float)
-    p.add_argument("--k-tol", type=float)
-    p.add_argument("--ref-dt", type=float, help="spinodal reference step (default min(dt)/4)")
+    p.add_argument("--epsilon")
+    p.add_argument("--cells")
+    p.add_argument("--length")
+    p.add_argument("--amplitude")
+    p.add_argument("--seed")
+    p.add_argument("--t-final")
+    p.add_argument("--k-tol")
+    p.add_argument("--ref-dt", help="spinodal reference step (default min(dt)/4)")
     p.add_argument("--out", help="output prefix")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("sweep-omega", parents=[common], help="error vs omega for a third-order branch")
     p.add_argument("--branch", choices=["+", "-"])
-    p.add_argument("--omega-min", type=float)
-    p.add_argument("--omega-max", type=float)
-    p.add_argument("--omega-step", type=float)
+    p.add_argument("--omega-min")
+    p.add_argument("--omega-max")
+    p.add_argument("--omega-step")
     p.add_argument("--omegas", help="comma-separated omega list")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--dt-factor", type=float, help="dt = factor / s (default 2^-4)")
+    p.add_argument("--dt")
+    p.add_argument("--dt-factor", help="dt = factor / s (default 2^-4)")
     p.add_argument("--k-tols", help="comma-separated clamp values (default 1e4,1e9)")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--cells", type=int)
-    p.add_argument("--length", type=float)
+    p.add_argument("--epsilon")
+    p.add_argument("--cells")
+    p.add_argument("--length")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_sweep_omega)
 

@@ -249,7 +249,7 @@ def _gradient_factors(grid: GridSpec) -> tuple[np.ndarray, ...]:
 def _squared_sum(values: np.ndarray) -> float:
     """``sum(values^2)``, squaring ``values`` in place; no BLAS dot, whose
     threading could change the bits."""
-    np.multiply(values, values, out=values)
+    np.square(values, out=values)
     return float(np.sum(values))
 
 
@@ -278,7 +278,7 @@ def energy(f: Field, model: ModelParams) -> float:
     """
     values, grid = f.values, f.grid
     w = _kernels.work(values.shape)
-    np.multiply(values, values, out=w)
+    np.square(values, out=w)
     np.subtract(w, 1.0, out=w)
     np.square(w, out=w)
     np.multiply(0.25, w, out=w)

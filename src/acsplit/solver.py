@@ -24,6 +24,7 @@ __all__ = [
     "MAX_STEPS",
     "RunConfig",
     "StepPlan",
+    "StepRule",
     "Trajectory",
     "ZeroReferenceError",
     "applied_substeps",
@@ -130,7 +131,17 @@ class RunConfig:
 @dataclass
 class Trajectory:
     """Outcome of :func:`run` or :func:`run_ensemble`: final state, per-step
-    diagnostics, termination status."""
+    diagnostics, termination status.
+
+    ``times`` holds the end of each step taken, from t = 0; a diverged run
+    stops at the start of the step that diverged.  A run whose step
+    boundaries are merged (:class:`StepRule`) never forms the state at the
+    end of steps 1..n-1, so ``phi_min`` and ``phi_max`` are NaN there, as
+    ``energies`` is wherever energy is not recorded; a guard trip in a
+    merged substep is booked to the step that applies it; and a diverged
+    merged run's ``final`` is still the state at ``times[-1]``, formed by
+    applying the deferred forward substep to the state the run kept.
+    """
 
     final: Field
     times: np.ndarray
@@ -163,12 +174,16 @@ def _guarded(values: np.ndarray, phi_max: float, grid) -> None:
         )
 
 
-def applied_substeps(scheme: SplitCoefficients, h: float) -> list[tuple[str, float]]:
+def applied_substeps(
+    scheme: SplitCoefficients, h: float, carry: float = 0.0, defer_last: bool = False
+) -> list[tuple[str, float]]:
     """The substeps of one step of length ``h`` in the order they are applied:
     ``("heat", a_j*h)`` then ``("reaction", b_j*h)`` for j = 1..p.
 
     An exactly-zero ``a_j*h`` or ``b_j*h`` is left out, so padding substeps
-    are never evaluated.
+    are never evaluated.  ``carry`` is added to the tau of the first applied
+    substep and ``defer_last`` leaves out the last one; :class:`StepRule`
+    uses them to merge the two substeps that meet at a step boundary.
     """
     out = []
     for a_j, b_j in scheme.substeps():
@@ -176,7 +191,62 @@ def applied_substeps(scheme: SplitCoefficients, h: float) -> list[tuple[str, flo
             out.append((HEAT, a_j * h))
         if b_j * h != 0.0:
             out.append((REACTION, b_j * h))
+    if carry:
+        kind, tau = out[0]
+        out[0] = (kind, tau + carry)
+    if defer_last:
+        out.pop()
     return out
+
+
+@dataclass(frozen=True)
+class StepRule:
+    """The arguments of each :func:`step` that :func:`run` and
+    :func:`run_ensemble` apply along ``plan``.
+
+    A step's last applied substep and the next step's first meet at the
+    boundary between them.  When both are the same kind and forward (heat
+    in ``S2(1)``, ``S4U`` and ``S4V``, reaction in ``S2(0.5)``), their
+    flows compose exactly into one substep over the summed tau: a forward
+    heat multiplier is at most 1, so the clamp cannot bind, and a forward
+    reaction cannot blow up.  A merged run defers the last substep of
+    every step but the last and carries its tau into the next step's first
+    substep, so it changes only low bits of the final state.  ``deferred``
+    is that substep, ``(kind, tau)`` of a full step, or None when the
+    boundaries are not merged.
+    """
+
+    plan: StepPlan
+    deferred: tuple[str, float] | None = None
+
+    @classmethod
+    def of(cls, scheme: SplitCoefficients, plan: StepPlan, merge: bool) -> "StepRule":
+        """The rule for ``scheme`` on ``plan``, merging boundaries if ``merge`` and they can be."""
+        if not merge or plan.n_steps < 2:
+            return cls(plan)
+        # every step but the last is a full one; the last may be shortened
+        full = applied_substeps(scheme, plan.dt)
+        last = applied_substeps(scheme, plan.step_length(plan.n_steps)) if plan.shortened else full
+        ends = (full[-1], full[0], last[0])
+        if all(kind == full[-1][0] and tau > 0 for kind, tau in ends):
+            return cls(plan, full[-1])
+        return cls(plan)
+
+    def position(self, i: int) -> tuple[float, bool, bool]:
+        """Where step ``i`` (1-based) stands: its length, whether it takes a
+        carry, and whether it defers its last substep.  Steps 1, 2 and the
+        last one cover every position."""
+        merged = self.deferred is not None
+        return self.plan.step_length(i), merged and i > 1, merged and i < self.plan.n_steps
+
+    def step(self, i: int) -> tuple[float, float, bool]:
+        """``(h, carry, defer_last)`` of step ``i`` (1-based)."""
+        h, carries, defer_last = self.position(i)
+        return h, self.deferred[1] if carries else 0.0, defer_last
+
+
+def _substep(f, kind: str, tau, model: ModelParams, cutoff: CutoffPolicy):
+    return heat_evolve(f, tau, cutoff) if kind == HEAT else free_energy_evolve(f, tau, model)
 
 
 def step(
@@ -186,17 +256,18 @@ def step(
     model: ModelParams,
     cutoff: CutoffPolicy = CutoffPolicy(),
     phi_max: float | None = None,
+    carry: float = 0.0,
+    defer_last: bool = False,
 ) -> Field:
-    """One full step: the :func:`applied_substeps` of ``scheme`` over ``dt``.
+    """One full step: the :func:`applied_substeps` of ``scheme`` over ``dt``,
+    with ``carry`` added to the first and the last one left out if
+    ``defer_last`` (see :class:`StepRule`).
 
     Raises :class:`DivergenceError` from the reaction blow-up or when
     ``phi_max`` is given and ``max|phi|`` exceeds it after any substep.
     """
-    for kind, tau in applied_substeps(scheme, dt):
-        if kind == HEAT:
-            f = heat_evolve(f, tau, cutoff)
-        else:
-            f = free_energy_evolve(f, tau, model)
+    for kind, tau in applied_substeps(scheme, dt, carry, defer_last):
+        f = _substep(f, kind, tau, model, cutoff)
         if phi_max is not None:
             _guarded(f.values, phi_max, f.grid)
     return f
@@ -206,11 +277,17 @@ def run(f0: Field, cfg: RunConfig) -> Trajectory:
     """March from t = 0 to ``t_final`` along ``cfg.plan``; divergence is
     recorded, never raised.
 
-    Snapshots are taken at the completed step nearest each requested time.
-    A non-finite initial field raises ``ValueError``.
+    Every step is one :func:`step` call with the arguments of the run's
+    :class:`StepRule`.  A run that records no energy and no snapshots keeps
+    only its final state, so it merges the substeps that meet at each step
+    boundary where the rule allows; see :class:`Trajectory` for what it
+    records of the states it never forms.  Snapshots are taken at the
+    completed step nearest each requested time.  A non-finite initial field
+    raises ``ValueError``.
     """
     f0.check_finite()
     plan = cfg.plan
+    rule = StepRule.of(cfg.scheme, plan, merge=not (cfg.record_energy or cfg.snapshot_times))
     snap_steps = {plan.nearest_step(t_req): t_req for t_req in cfg.snapshot_times}
 
     times = [0.0]
@@ -226,16 +303,19 @@ def run(f0: Field, cfg: RunConfig) -> Trajectory:
     diverged_step = None
     diverged_cell = None
     for i in range(1, plan.n_steps + 1):
+        h, carry, defer_last = rule.step(i)
         try:
-            f = step(f, cfg.scheme, plan.step_length(i), cfg.model, cfg.cutoff, cfg.phi_max)
+            f = step(f, cfg.scheme, h, cfg.model, cfg.cutoff, cfg.phi_max, carry, defer_last)
         except DivergenceError as err:
             status = "diverged"
             diverged_step = i
             diverged_cell = err.cell
+            if carry:  # the kept state still lacks the previous step's last substep
+                f = _substep(f, *rule.deferred, cfg.model, cfg.cutoff)
             break
         times.append(plan.time(i))
-        lo.append(float(f.values.min()))
-        hi.append(float(f.values.max()))
+        lo.append(np.nan if defer_last else float(f.values.min()))
+        hi.append(np.nan if defer_last else float(f.values.max()))
         en.append(energy(f, cfg.model) if cfg.record_energy else np.nan)
         if i in snap_steps:
             snapshots[snap_steps[i]] = f.copy()
@@ -260,10 +340,11 @@ def run_ensemble(f0: Field, configs: Sequence[RunConfig]) -> list[Trajectory]:
 
     The configs may differ in scheme and clamp only: they share ``dt``,
     ``t_final``, the model and ``phi_max``, and record no energy and no
-    snapshots.  Runs under one clamp whose steps apply the same kinds of
-    substep (:func:`applied_substeps`) advance together as one stack: per
-    substep, one :func:`heat_evolve` or one reaction kernel call, then one
-    guard scan.  A run leaves its stack when it diverges.
+    snapshots, so every run merges its step boundaries where its
+    :class:`StepRule` allows.  Runs under one clamp whose steps apply the
+    same kinds of substep advance together as one stack: per substep, one
+    :func:`heat_evolve` or one reaction kernel call, then one guard scan.
+    A run leaves its stack when it diverges.
     """
     if not configs:
         return []
@@ -272,42 +353,56 @@ def run_ensemble(f0: Field, configs: Sequence[RunConfig]) -> list[Trajectory]:
     if len(shared) > 1 or any(cfg.record_energy or cfg.snapshot_times for cfg in configs):
         raise ValueError("ensemble runs share dt, t_final, model and phi_max, and record no energy or snapshots")
     plan = configs[0].plan
-    lengths = sorted({plan.step_length(1), plan.step_length(plan.n_steps)})
+    # per scheme: its rule, what a stack of its runs shares (the kind of the
+    # deferred substep and the kinds of substep at each step position), and
+    # its taus at each position
+    split: dict[SplitCoefficients, tuple[StepRule, tuple, dict]] = {}
     groups: dict[tuple, list[int]] = {}
-    taus = []  # per run and step length: the taus of its applied substeps
+    rules, taus = [], []  # per run: its scheme's rule and taus
     for r, cfg in enumerate(configs):
-        applied = [applied_substeps(cfg.scheme, h) for h in lengths]
-        taus.append([[tau for _, tau in substeps] for substeps in applied])
-        kinds = tuple(tuple(kind for kind, _ in substeps) for substeps in applied)
-        groups.setdefault((cfg.cutoff, kinds), []).append(r)
+        entry = split.get(cfg.scheme)
+        if entry is None:
+            rule = StepRule.of(cfg.scheme, plan, merge=True)
+            at = {rule.position(i): i for i in (1, min(2, plan.n_steps), plan.n_steps)}
+            steps = {pos: tuple(zip(*applied_substeps(cfg.scheme, *rule.step(i)))) for pos, i in at.items()}
+            stack_key = rule.deferred and rule.deferred[0], tuple((pos, k) for pos, (k, _) in steps.items())
+            entry = split[cfg.scheme] = rule, stack_key, {pos: t for pos, (_, t) in steps.items()}
+        rule, stack_key, scheme_taus = entry
+        rules.append(rule)
+        taus.append(scheme_taus)
+        groups.setdefault((cfg.cutoff, stack_key), []).append(r)
     trajectories: list[Trajectory] = [None] * len(configs)  # type: ignore[list-item]
-    for (_, kinds), rows in groups.items():
-        substeps = {}
-        for k, h in enumerate(lengths):
-            substeps[h] = kinds[k], np.array([taus[r][k] for r in rows]).reshape(len(rows), len(kinds[k]))
-        for r, traj in zip(rows, _run_stack(f0, configs[rows[0]], substeps)):
+    for (_, (_, kinds)), rows in groups.items():
+        substeps = {pos: (k, np.array([taus[r][pos] for r in rows]).reshape(len(rows), len(k))) for pos, k in kinds}
+        for r, traj in zip(rows, _run_stack(f0, configs[rows[0]], substeps, [rules[r] for r in rows])):
             trajectories[r] = traj
     return trajectories
 
 
 def _run_stack(
-    f0: Field, cfg: RunConfig, substeps: dict[float, tuple[tuple[str, ...], np.ndarray]]
+    f0: Field,
+    cfg: RunConfig,
+    substeps: dict[tuple, tuple[tuple[str, ...], np.ndarray]],
+    rules: list[StepRule],
 ) -> list[Trajectory]:
     """Advance runs under one clamp whose steps apply the same kinds of
     substep as rows of one stack.  ``cfg`` is one of the runs, and
-    ``substeps`` maps each step length to those kinds and an ``(R, kinds)``
-    array of the runs' taus."""
+    ``substeps`` maps each :meth:`StepRule.position` to those kinds and an
+    ``(R, kinds)`` array of the runs' taus.  ``rules`` are the runs' step
+    rules, which merge the step boundaries of all of them or of none."""
     grid, model, cutoff, phi_max, plan = f0.grid, cfg.model, cfg.cutoff, cfg.phi_max, cfg.plan
-    n = len(substeps[plan.dt][1])
-    # the per-step diagnostics run() records; energy is not recorded
-    lo, hi = np.empty((n, plan.n_steps + 1)), np.empty((n, plan.n_steps + 1))
+    merged = rules[0].deferred is not None
+    n = len(rules)
+    # the per-step diagnostics run() records; energy is not recorded, and a
+    # merged run forms no state at the end of steps 1..n-1
+    lo, hi = np.full((n, plan.n_steps + 1), np.nan), np.full((n, plan.n_steps + 1), np.nan)
     lo[:, 0], hi[:, 0] = f0.values.min(), f0.values.max()
     finals: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     failures: dict[int, tuple[int, tuple[int, ...]]] = {}  # row -> (step, cell)
     ids = np.arange(n)  # the row of each stack row
     stack = np.repeat(f0.values[np.newaxis], n, axis=0)
     for i in range(1, plan.n_steps + 1):
-        kinds, taus = substeps[plan.step_length(i)]
+        kinds, taus = substeps[rules[0].position(i)]
         taus = taus[ids]
         start, start_rows = stack, np.arange(len(ids))
         for j, kind in enumerate(kinds):
@@ -339,10 +434,14 @@ def _run_stack(
                 break
         if not len(ids):
             break
-        rows = _flat_rows(stack)
-        lo[ids, i], hi[ids, i] = rows.min(axis=1), rows.max(axis=1)
+        if not merged or i == plan.n_steps:
+            rows = _flat_rows(stack)
+            lo[ids, i], hi[ids, i] = rows.min(axis=1), rows.max(axis=1)
     for pos, r in enumerate(ids):
         finals[r] = stack[pos]
+    for r, (i, _) in failures.items():
+        if merged and i > 1:  # like run(), apply the substep the kept state lacks
+            finals[r] = _substep(Field(grid, finals[r]), *rules[r].deferred, model, cutoff).values
     times = np.array([plan.time(i) for i in range(plan.n_steps + 1)])
     out = []
     for r in range(n):

@@ -436,6 +436,42 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ):
         assert main(command) == 2
         assert message in capsys.readouterr().err
+    # every numeric flag and config key, list entries included, takes the same
+    # decimal grammar, or whole numbers only; bools are no numbers
+    for cfg, command, message in (
+        ({"family": "S3+", "omegas": [0.3, "abc"]}, ["coeffs"], "--omegas: entry 2, 'abc',"),
+        ({"family": "S3+", "omegas": [0.3, True]}, ["coeffs"], "--omegas: entry 2, True,"),
+        ({"family": "S3+", "omegas": 0.3}, ["coeffs"], "--omegas: 0.3 is not a list"),
+        ({"problem": "spinodal", "schemes": ["S1"], "dt_list": ["1_0e-3", 5e-4]},
+         ["converge", "--out", never], "--dt-list: entry 1, '1_0e-3',"),
+        ({"problem": "spinodal", "schemes": ["S1"], "dt_list": [1e-3], "cells": 32.7},
+         ["converge", "--out", never], "--cells: 32.7 is not an integer"),
+        ({"problem": "spinodal", "schemes": ["S1"], "dt_list": [1e-3], "seed": True},
+         ["converge", "--out", never], "--seed: True is not an integer"),
+        ({"problem": "wave", "schemes": ["S1"], "dt_pow2": "1_0:12"},
+         ["converge", "--out", never], "--dt-pow2: '1_0' is not an integer"),
+        ({"problem": "wave", "schemes": ["S1"], "dt_pow2": "10"},
+         ["converge", "--out", never], "--dt-pow2: '10' is not K1:K2"),
+        ({"problem": "wave", "scheme": "S1", "dt": "1e-3", "epsilon": False},
+         ["run", "--out-dir", never], "--epsilon: False is not a decimal number"),
+        ({"problem": "wave", "scheme": "S1", "dt": 1e-3, "snapshots": [0, None]},
+         ["run", "--out-dir", never], "--snapshots: entry 2, None,"),
+        ({"branch": "+", "omegas": [0.5], "k_tols": [1e4, "1e9x"]},
+         ["sweep-omega", "--out", str(tmp_path / "never" / "sweep.csv")], "--k-tols: entry 2, '1e9x',"),
+    ):
+        bad.write_text(json.dumps(cfg))
+        assert main(command + ["--config", str(bad)]) == 2, cfg
+        assert message in capsys.readouterr().err, cfg
+    for command, message in (
+        (["coeffs", "--family", "S3+", "--omega-min", "0_3", "--omega-max", "0.4", "--omega-step", "0.1"],
+         "--omega-min: '0_3' is not a decimal number"),
+        (["run", "--problem", "wave", "--scheme", "S1", "--dt", "1e-3", "--cells", "1_28",
+          "--out-dir", never], "--cells: '1_28' is not an integer"),
+        (["run", "--problem", "wave", "--scheme", "S1", "--dt", "0x1p-10", "--out-dir", never],
+         "--dt: '0x1p-10' is not a decimal number"),
+    ):
+        assert main(command) == 2, command
+        assert message in capsys.readouterr().err, command
     # omega ranges: a finite positive step over finite bounds with min <= max
     for command in (["coeffs", "--family", "S3+"], ["sweep-omega", "--branch", "+"]):
         for lo, hi, step in (("0.3", "0.4", "0"), ("0.3", "0.4", "nan"), ("0.3", "0.4", "-0.1"),

@@ -10,6 +10,8 @@ from acsplit import (
     Field,
     GridSpec,
     ModelParams,
+    SpinodalSpec,
+    SplitCoefficients,
     TravelingWaveSpec,
     first_order,
     fourth_order_u,
@@ -20,10 +22,22 @@ from acsplit import (
     named_scheme,
     relative_l2_error,
     second_order_family,
+    spinodal_initial,
     traveling_wave_field,
 )
+from acsplit import solver
 from acsplit.operators import DivergenceError
-from acsplit.solver import MAX_STEPS, RunConfig, StepPlan, ZeroReferenceError, run, run_ensemble, step
+from acsplit.solver import (
+    MAX_STEPS,
+    RunConfig,
+    StepPlan,
+    StepRule,
+    ZeroReferenceError,
+    applied_substeps,
+    run,
+    run_ensemble,
+    step,
+)
 
 EPS = 0.03 * np.sqrt(2.0)
 MODEL = ModelParams(EPS)
@@ -209,12 +223,17 @@ def test_step_and_energy_allocate_no_temporaries(shape):
     grid = GridSpec((1.0,) * len(shape), shape)
     f = Field(grid, np.random.default_rng(5).uniform(-1.0, 1.0, shape))
     scheme, model = named_scheme("S4V"), ModelParams(0.015)
+    # a middle step of a merged run: its first heat substep takes the
+    # previous step's last one, and its own last one is deferred
+    merged = dict(carry=scheme.a[-1] * 1e-4, defer_last=True)
     for _ in range(2):  # builds the cached factors and this thread's scratch array
         step(f, scheme, 1e-4, model, phi_max=10.0)
+        step(f, scheme, 1e-4, model, phi_max=10.0, **merged)
         energy(f, model)
     grid_array = f.values.nbytes
     call_objects = 4096  # the Python objects and 0-d arrays of the calls
     assert _traced_peak(lambda: step(f, scheme, 1e-4, model, phi_max=10.0)) <= 2 * grid_array + call_objects
+    assert _traced_peak(lambda: step(f, scheme, 1e-4, model, phi_max=10.0, **merged)) <= 2 * grid_array + call_objects
     assert _traced_peak(lambda: energy(f, model)) < 0.1 * grid_array
 
 
@@ -402,3 +421,139 @@ def test_ensemble_rejects_configs_it_cannot_share():
         with pytest.raises(ValueError, match="share"):
             run_ensemble(f0, [base, other])
     assert run_ensemble(f0, []) == []
+
+
+H, R = "heat", "reaction"
+
+
+@pytest.mark.parametrize(
+    "label,first,middle,last",
+    [
+        ("S1", "HR", "HR", "HR"),
+        ("S2(1)", "HR", "HR", "HRH"),
+        ("S2(0.5)", "RH", "RH", "RHR"),
+        ("S3X", "HRHRHR", "HRHRHR", "HRHRHR"),
+        ("S4U", "HRHRHR", "HRHRHR", "HRHRHRH"),
+        ("S4V", "HRHRHRHRHR", "HRHRHRHRHR", "HRHRHRHRHRH"),
+    ],
+)
+def test_step_rule_table(label, first, middle, last):
+    # three steps of 0.25, 0.25 and a shortened 0.125: the first, a middle
+    # and the last step of a run that merges its step boundaries
+    scheme = named_scheme(label)
+    plan = StepPlan.of(0.25, 0.625)
+    assert (plan.n_steps, plan.shortened) == (3, True)
+    merges = first != last
+    rule = StepRule.of(scheme, plan, merge=True)
+    coeffs = [(kind, c) for a_j, b_j in zip(scheme.a, scheme.b) for kind, c in ((H, a_j), (R, b_j)) if c != 0.0]
+    full = [(kind, c * 0.25) for kind, c in coeffs]
+    short = [(kind, c * 0.125) for kind, c in coeffs]
+    if merges:
+        carry = full[-1][1]
+        assert rule.deferred == full[-1] and full[-1][0] == full[0][0] and carry > 0
+        want = [full[:-1], [(full[0][0], full[0][1] + carry)] + full[1:-1], [(short[0][0], short[0][1] + carry)] + short[1:]]
+    else:
+        assert rule.deferred is None
+        want = [full, full, short]
+    got = [applied_substeps(scheme, *rule.step(i)) for i in (1, 2, 3)]
+    assert got == want
+    assert ["".join(kind[0].upper() for kind, _ in subs) for subs in got] == [first, middle, last]
+    assert [rule.step(i) for i in (1, 2, 3)] == [(0.25, 0.0, merges), (0.25, carry if merges else 0.0, merges),
+                                                 (0.125, carry if merges else 0.0, False)]
+    # a run that keeps its states, and a one-step run, apply every step whole
+    for unmerged in (StepRule.of(scheme, plan, merge=False), StepRule.of(scheme, StepPlan.of(0.25, 0.25), merge=True)):
+        assert unmerged.deferred is None
+        assert [applied_substeps(scheme, *unmerged.step(i)) for i in range(1, unmerged.plan.n_steps + 1)] == \
+            [full, full, short][: unmerged.plan.n_steps]
+
+
+def test_backward_ends_are_not_merged():
+    # heat at both ends of the step, but backward: a clamped backward flow
+    # does not compose exactly, so the rule keeps whole steps
+    scheme = SplitCoefficients((-0.5, 2.0, -0.5), (0.5, 0.5, 0.0), 1, "backward ends")
+    assert [kind for kind, _ in applied_substeps(scheme, 1.0)] == [H, R, H, R, H]
+    assert StepRule.of(scheme, StepPlan.of(0.25, 0.625), merge=True).deferred is None
+
+
+def _replay(f0, cfg):
+    """``cfg`` stepped with whole steps, as a run that merges nothing takes them;
+    returns the state and its per-step min and max."""
+    f, plan, lo, hi = f0, cfg.plan, [f0.values.min()], [f0.values.max()]
+    for i in range(1, plan.n_steps + 1):
+        f = step(f, cfg.scheme, plan.step_length(i), cfg.model, cfg.cutoff, cfg.phi_max)
+        lo.append(f.values.min())
+        hi.append(f.values.max())
+    return f, np.array(lo), np.array(hi)
+
+
+def _merge_cases():
+    # the front over a third of its horizon, 4 steps with a shortened last
+    # one: over the whole horizon the front amplifies a 1-ulp change of the
+    # initial field to a few 1e-12, the size of what the merge changes
+    spec = SpinodalSpec(cells=12, seed=3)
+    problems = (
+        ("wave", traveling_wave_field(WAVE.grid(128), 0.0, WAVE), MODEL, 0.1 / WAVE.speed),
+        ("12^3", spinodal_initial(spec), ModelParams(spec.epsilon), 1e-4),
+    )
+    for name, f0, model, dt in problems:
+        for label in ("S2(1)", "S2(0.5)", "S4U", "S4V"):
+            for n in (3.5, 1):
+                yield pytest.param(f0, label, model, dt, n * dt, id=f"{name}-{label}-{n}")
+
+
+@pytest.mark.parametrize("f0,label,model,dt,t_final", _merge_cases())
+def test_merged_run_matches_whole_steps(monkeypatch, f0, label, model, dt, t_final):
+    scheme = named_scheme(label)
+    cfg = RunConfig(scheme, dt, t_final, model, record_energy=False)
+    n = cfg.plan.n_steps
+    assert cfg.plan.shortened == (n > 1)
+    merged_kind = applied_substeps(scheme, dt)[0][0]
+    calls = {"heat_evolve": 0, "free_energy_evolve": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counted)
+
+    want, lo, hi = _replay(f0.copy(), cfg)
+    whole = dict(calls)
+    got = run(f0.copy(), cfg)
+    merged = {k: calls[k] - whole[k] for k in calls}
+
+    assert got.status == "completed" and got.diverged_step is None
+    peak = np.abs(want.values).max()
+    np.testing.assert_allclose(got.final.values, want.values, rtol=1e-12, atol=1e-12 * peak)
+    saved = {"heat_evolve": n - 1 if merged_kind == H else 0, "free_energy_evolve": n - 1 if merged_kind == R else 0}
+    assert {k: whole[k] - merged[k] for k in calls} == saved
+    # the states a merged run never forms have no min or max
+    assert np.isnan(got.phi_min[1:-1]).all() and np.isnan(got.phi_max[1:-1]).all()
+    assert (got.phi_min[[0, -1]] == [lo[0], got.final.values.min()]).all()
+    assert (got.phi_max[[0, -1]] == [hi[0], got.final.values.max()]).all()
+    if n == 1:
+        assert got.final.values.tobytes() == want.values.tobytes()
+
+    # a run that records energy or snapshots takes whole steps, byte for byte
+    for keeps in (dict(record_energy=True), dict(record_energy=False, snapshot_times=(dt,))):
+        kept = run(f0.copy(), RunConfig(scheme, dt, t_final, model, **keeps))
+        assert kept.final.values.tobytes() == want.values.tobytes()
+        assert kept.phi_min.tobytes() == lo.tobytes() and kept.phi_max.tobytes() == hi.tobytes()
+
+
+def test_diverged_merged_run_keeps_the_state_at_its_last_time():
+    # S4V under a 1e3 clamp on the front diverges in its second step, merged
+    # or not; the merged run's kept state still lacks the first step's last
+    # heat substep, which it applies for its final state, so that state is
+    # the end of the first step, byte for byte
+    f0 = traveling_wave_field(WAVE.grid(128), 0.0, WAVE)
+    cfg = RunConfig(fourth_order_v(), 0.3 / WAVE.speed, WAVE.t_final, MODEL, CutoffPolicy(1e3), record_energy=False)
+    assert StepRule.of(cfg.scheme, cfg.plan, merge=True).deferred is not None
+    got = run(f0.copy(), cfg)
+    assert (got.status, got.diverged_step) == ("diverged", 2)
+    assert got.times.tolist() == [0.0, cfg.plan.time(1)]
+    want = step(f0, cfg.scheme, cfg.dt, cfg.model, cfg.cutoff, cfg.phi_max)
+    with pytest.raises(DivergenceError):  # whole steps diverge in the second step too
+        step(want, cfg.scheme, cfg.dt, cfg.model, cfg.cutoff, cfg.phi_max)
+    assert got.final.values.tobytes() == want.values.tobytes()
+    assert np.isnan(got.phi_min[1]) and np.isnan(got.phi_max[1])
+    ensemble, = run_ensemble(f0, [cfg])
+    assert ensemble.final.values.tobytes() == want.values.tobytes()
