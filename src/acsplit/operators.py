@@ -85,6 +85,13 @@ def decay_factor(tau, model: ModelParams):
         return np.exp(-2.0 * np.asarray(tau, dtype=np.float64) / model.epsilon2)
 
 
+@lru_cache(maxsize=16)
+def _cached_decay(tau: float, model: ModelParams) -> float:
+    """Cached :func:`decay_factor` of a scalar ``tau``, with its bits; a run
+    reuses a handful of entries, one per distinct reaction substep length."""
+    return decay_factor(tau, model)
+
+
 def free_energy_evolve(f: Field, tau: float, model: ModelParams) -> Field:
     """Exact reaction flow over signed time ``tau``.
 
@@ -96,7 +103,7 @@ def free_energy_evolve(f: Field, tau: float, model: ModelParams) -> Field:
     """
     out = np.empty_like(f.values)
     bad = _kernels.free_energy_apply(
-        f.values.ravel(), out.ravel(), decay_factor(tau, model)
+        f.values.ravel(), out.ravel(), _cached_decay(tau, model)
     )
     if bad >= 0:
         raise DivergenceError(
@@ -169,15 +176,27 @@ def _heat_factors(grid: GridSpec, tau: float) -> tuple[np.ndarray, ...]:
     factors = []
     for length, n in zip(grid.lengths, grid.cells):
         c = _dct_matrix(n)
-        factor = (c.T * np.exp(axis_eigenvalues(length, n) * tau)) @ c
+        factors.append((c.T * np.exp(axis_eigenvalues(length, n) * tau)) @ c)
+    return _read_only(factors)
+
+
+def _read_only(factors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """``factors`` as a read-only tuple, the last one in Fortran order so that
+    its ``.T`` is C-contiguous for the slab products of :func:`_apply_factors`."""
+    factors[-1] = np.asfortranarray(factors[-1])
+    for factor in factors:
         factor.setflags(write=False)
-        factors.append(factor)
     return tuple(factors)
 
 
 def _apply_factors(values: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
     """Multiply ``values`` by one factor along each axis, as three matmuls at
-    most, into a fresh array by way of this thread's scratch array."""
+    most, into a fresh array by way of this thread's scratch array.
+
+    Axis 0 is one GEMM over all the other axes; the middle and last axes are
+    broadcast products over the axis-0 slabs, which OpenBLAS runs on its
+    unpacked small-matrix kernel (README, "How a heat substep is applied").
+    """
     shape = values.shape
     out = np.empty(shape)
     # in 3D, out holds the first product until the scratch array takes the second
@@ -185,8 +204,7 @@ def _apply_factors(values: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.nd
     np.matmul(factors[0], values.reshape(shape[0], -1), out=mid.reshape(shape[0], -1))
     if len(factors) == 3:
         mid = np.matmul(factors[1], out, out=_kernels.work(shape))
-    np.matmul(mid.reshape(-1, shape[-1]), factors[-1].T, out=out.reshape(-1, shape[-1]))
-    return out
+    return np.matmul(mid, factors[-1].T, out=out)
 
 
 def heat_evolve(
@@ -238,12 +256,10 @@ def _gradient_factors(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """Cached, read-only ``S_i = diag(sqrt(-lam_i)) C_i``, one per axis, so
     that ``sum_i ||S_i x_i phi||^2 = -sum_k A_k c_k^2`` (Parseval on the
     other axes)."""
-    factors = []
-    for length, n in zip(grid.lengths, grid.cells):
-        factor = np.sqrt(-axis_eigenvalues(length, n))[:, np.newaxis] * _dct_matrix(n)
-        factor.setflags(write=False)
-        factors.append(factor)
-    return tuple(factors)
+    return _read_only(
+        [np.sqrt(-axis_eigenvalues(length, n))[:, np.newaxis] * _dct_matrix(n)
+         for length, n in zip(grid.lengths, grid.cells)]
+    )
 
 
 def _squared_sum(values: np.ndarray) -> float:
@@ -260,8 +276,7 @@ def _factor_gradient(values: np.ndarray, factors: tuple[np.ndarray, ...], w: np.
     total = _squared_sum(np.matmul(factors[0], values.reshape(shape[0], -1), out=w.reshape(shape[0], -1)))
     if len(factors) == 3:
         total += _squared_sum(np.matmul(factors[1], values, out=w))
-    rows = w.reshape(-1, shape[-1])
-    return total + _squared_sum(np.matmul(values.reshape(-1, shape[-1]), factors[-1].T, out=rows))
+    return total + _squared_sum(np.matmul(values, factors[-1].T, out=w))
 
 
 def energy(f: Field, model: ModelParams) -> float:
@@ -281,8 +296,8 @@ def energy(f: Field, model: ModelParams) -> float:
     np.square(values, out=w)
     np.subtract(w, 1.0, out=w)
     np.square(w, out=w)
-    np.multiply(0.25, w, out=w)
-    bulk = float(np.sum(w)) / model.epsilon2
+    # a power-of-two scale of the sum has the bits of the sum of scaled terms
+    bulk = 0.25 * float(np.sum(w)) / model.epsilon2
     if _factor_grid(grid):
         grad = 0.5 * _factor_gradient(values, _gradient_factors(grid), w)
     else:

@@ -266,7 +266,38 @@ def test_heat_factors_are_cached_read_only():
         assert not factor.flags.writeable
         with pytest.raises(ValueError):
             factor[0, 0] = 2.0
+    # the last axis is applied as slab products with its transpose
+    assert factors[-1].T.flags.c_contiguous
     assert _heat_factors(grid, -1e-3) is factors
+
+
+# the slab products round differently from one GEMM on the first two
+EINSUM_GRIDS = [
+    GridSpec((1.0, 1.5), (32, 32)),
+    GridSpec((1.0, 0.8, 1.3), (24, 20, 28)),
+    GridSpec((1.0, 0.8, 1.3), (6, 5, 4)),
+]
+EINSUM_IDS = ["32x32", "24x20x28", "6x5x4"]
+
+
+def einsum_factors(values, factors):
+    """One factor along each axis, one ``np.einsum`` per axis."""
+    out = np.einsum("ai,i...->a...", factors[0], values)
+    if len(factors) == 3:
+        out = np.einsum("bj,ajk->abk", factors[1], out)
+    return np.einsum("ck,...k->...c", factors[-1], out)
+
+
+@pytest.mark.parametrize("tau", [0.003, -1e-3])
+@pytest.mark.parametrize("grid", EINSUM_GRIDS, ids=EINSUM_IDS)
+def test_apply_factors_matches_einsum(grid, tau):
+    from acsplit.operators import _apply_factors, _heat_factors
+
+    factors = _heat_factors(grid, tau)
+    values = np.random.default_rng(26).standard_normal(grid.shape)
+    want = einsum_factors(values, factors)
+    got = _apply_factors(values, factors)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 def test_heat_semigroup():
@@ -399,4 +430,22 @@ def test_gradient_factors_are_cached_read_only():
         assert not factor.flags.writeable
         with pytest.raises(ValueError):
             factor[0, 0] = 2.0
+    assert factors[-1].T.flags.c_contiguous
     assert _gradient_factors(grid) is factors
+
+
+@pytest.mark.parametrize("grid", EINSUM_GRIDS, ids=EINSUM_IDS)
+def test_energy_matches_einsum(grid):
+    from acsplit.operators import _gradient_factors
+
+    factors = _gradient_factors(grid)
+    rng = np.random.default_rng(27)
+    for _ in range(3):
+        values = rng.uniform(-1.0, 1.0, grid.shape)
+        bulk = np.sum(0.25 * (values * values - 1.0) ** 2) / MODEL.epsilon2
+        grad = 0.0
+        for axis, factor in enumerate(factors):
+            # S_i along axis i; the sum of squares does not see the axis order
+            grad += np.sum(np.einsum("ki,i...->k...", factor, np.moveaxis(values, axis, 0)) ** 2)
+        want = grid.cell_volume * (bulk + 0.5 * grad)
+        assert energy(Field(grid, values), MODEL) == pytest.approx(want, rel=1e-13)
