@@ -3,7 +3,8 @@
 Every kernel takes one field as a flat float64 array, or a stack of fields
 as a C-contiguous ``(R, M)`` array with one field per row.  A flat call is
 the one-row case of the stacked one and gets a scalar back where a stack
-gets one value per row.  Per-run parameters are scalars, or ``(R, 1)``
+gets one value per row; only a certified flat reaction call, which skips
+the checks, has no stacked form.  Per-run parameters are scalars, or ``(R, 1)``
 columns for a stack.  The radicand and the multipliers the kernels build,
 like the operators' intermediate products, use the per-thread scratch
 array of :func:`work`.
@@ -37,7 +38,7 @@ def work(shape) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay) -> int | np.ndarray:
+def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay, certified: bool = False) -> int | np.ndarray:
     """Apply ``phi -> phi / sqrt(phi^2 + (1 - phi^2) * decay)`` elementwise.
 
     ``decay`` is ``exp(-2*tau/eps^2)`` for a substep of signed length ``tau``:
@@ -50,28 +51,27 @@ def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay) -> int | np.ndarr
     radicand underflows to zero only when both decay and phi^2 do, where the
     flow saturates at the fixed point sign(phi) (0 stays 0).  ``out`` may
     alias ``phi``.
+
+    A flat call is ``certified`` when its caller has proved that every
+    radicand exceeds RADICAND_FLOOR; it then makes none of the checks and
+    returns -1, with the bits of the checked call (:func:`_certified_map`).
     """
     if phi.ndim == 1:
+        if certified:
+            _certified_map(phi, out, decay)
+            return -1
         return int(free_energy_apply(phi[np.newaxis], out[np.newaxis], decay)[0])
     decay = np.minimum(decay, _F64_MAX)  # exp overflow upstream; any huge value acts the same
-    # rad <- phi^2 + (1 - phi^2) * decay in the reference expression order;
     # out doubles as the second scratch array unless it aliases phi, which
     # the division at the end still reads
-    rad = np.square(phi, out=work(phi.shape))
-    tmp = np.empty_like(rad) if np.may_share_memory(phi, out) else out
-    np.subtract(1.0, rad, out=tmp)
-    # |phi| >> 1 against a huge decay is a blow-up; phi^2 = inf against a
-    # decay of 0 makes a NaN radicand, which the rare path below resolves
-    with np.errstate(over="ignore", invalid="ignore"):
-        tmp *= decay
-        rad += tmp
+    tmp = np.empty(phi.shape) if np.may_share_memory(phi, out) else out
+    rad = _radicand(phi, decay, work(phi.shape), tmp)
     least = rad.min()
     bad = np.full(len(phi), -1)
     if least > RADICAND_FLOOR:
         # every radicand is a normal number, so a row with decay 0 gets
         # phi / sqrt(phi^2) = sign(phi) exactly
-        np.sqrt(rad, out=rad)
-        np.divide(phi, rad, out=out)
+        _divide_by_root(phi, rad, out)
         return bad
     # the rare path: a blow-up, a zero radicand, decay 0 or NaN in some row
     blown = np.flatnonzero((decay > 1.0) & (rad.min(axis=1, keepdims=True) <= RADICAND_FLOOR))
@@ -90,6 +90,43 @@ def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay) -> int | np.ndarr
     frozen = np.flatnonzero(np.broadcast_to(decay == 0.0, (len(phi), 1)))
     out[frozen] = np.sign(out[frozen])
     return bad
+
+
+def _radicand(phi: np.ndarray, decay, rad: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``rad <- phi^2 + (1 - phi^2) * decay`` in the reference expression
+    order, with ``tmp`` as scratch; returns ``rad``."""
+    np.square(phi, out=rad)
+    np.subtract(1.0, rad, out=tmp)
+    # |phi| >> 1 against a huge decay is a blow-up; phi^2 = inf against a
+    # decay of 0 makes a NaN radicand, which the rare path resolves
+    with np.errstate(over="ignore", invalid="ignore"):
+        tmp *= decay
+        rad += tmp
+    return rad
+
+
+def _divide_by_root(phi: np.ndarray, rad: np.ndarray, out: np.ndarray) -> None:
+    """``out <- phi / sqrt(rad)``, taking the root in ``rad``."""
+    np.sqrt(rad, out=rad)
+    np.divide(phi, rad, out=out)
+
+
+# cells per block of a certified map: its two scratch rows and the blocks of
+# phi and out take 1 MB, so the six sweeps over a block stay in L2
+CERTIFIED_BLOCK = 1 << 15
+
+
+def _certified_map(phi: np.ndarray, out: np.ndarray, decay) -> None:
+    """The map of :func:`free_energy_apply` on a flat field whose every
+    radicand exceeds RADICAND_FLOOR, one :data:`CERTIFIED_BLOCK` at a time:
+    the sweeps of its fast path, with no ``rad.min()`` pass and no rare
+    path, so the same bits."""
+    decay = np.minimum(decay, _F64_MAX)
+    rad, tmp = work((2, min(phi.size, CERTIFIED_BLOCK)))
+    for start in range(0, phi.size, CERTIFIED_BLOCK):
+        block = phi[start : start + CERTIFIED_BLOCK]
+        n = block.size
+        _divide_by_root(block, _radicand(block, decay, rad[:n], tmp[:n]), out[start : start + n])
 
 
 def heat_multiplier_apply(

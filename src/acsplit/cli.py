@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__, harness
 from .coeffs import parse_decimal, split_scheme_ids
+from .grid import GridSpec
 from .operators import CutoffPolicy, ModelParams
 from .problems import SpinodalSpec, TravelingWaveSpec, spinodal_initial, traveling_wave_field
 from .solver import RunConfig
@@ -170,21 +171,37 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
+def _check_model_and_grid(epsilon: float, length: float, cells: int, dims: int) -> None:
+    """Refuse, naming its flag, a cell count, epsilon or length that the
+    model or the grid would refuse."""
+    if cells < 2:
+        raise CliError(f"--cells: need at least 2 cells per axis, got {cells}")
+    for flag, build in (("--epsilon", lambda: ModelParams(epsilon)),
+                        ("--length", lambda: GridSpec.box(length, cells, dims))):
+        try:
+            build()
+        except ValueError as err:
+            raise CliError(f"{flag}: {err}") from None
+
+
 def _wave_setup(args):
     epsilon = _number(args, "epsilon", float(DEFAULT_WAVE_EPSILON))
     cells = _whole_number(args, "cells", 128)
     length = _number(args, "length", 4.0)
+    _check_model_and_grid(epsilon, length, cells, 1)
     return TravelingWaveSpec(epsilon, length), cells
 
 
 def _spinodal_setup(args, default_cells: int) -> SpinodalSpec:
-    return SpinodalSpec(
+    spec = SpinodalSpec(
         epsilon=_number(args, "epsilon", 0.015),
         amplitude=_number(args, "amplitude", 0.005),
         seed=_whole_number(args, "seed", 0),
         cells=_whole_number(args, "cells", default_cells),
         length=_number(args, "length", 1.0),
     )
+    _check_model_and_grid(spec.epsilon, spec.length, spec.cells, spec.dims)
+    return spec
 
 
 def cmd_run(args) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,10 +31,19 @@ class GridSpec:
             raise ValueError(f"grid must be 1-, 2- or 3-dimensional, got {len(self.lengths)}")
         if len(self.cells) != len(self.lengths):
             raise ValueError("lengths and cells must have one entry per axis")
-        if any(length <= 0 for length in self.lengths):
-            raise ValueError(f"axis lengths must be positive, got {self.lengths}")
         if any(m < 2 for m in self.cells):
             raise ValueError(f"need at least 2 cells per axis, got {self.cells}")
+        if not all(length > 0 for length in self.lengths):
+            raise ValueError(f"axis lengths must be positive, got {self.lengths}")
+        # the largest Laplacian eigenvalue is -sum_i (pi (M_i - 1) / L_i)^2
+        top = [math.pi * (m - 1) / length for length, m in zip(self.lengths, self.cells)]
+        normal = np.finfo(np.float64).tiny
+        if not (all(normal <= h < math.inf for h in self.spacing) and normal <= self.cell_volume < math.inf
+                and sum(k * k for k in top) < math.inf):
+            raise ValueError(
+                f"axis lengths {self.lengths} over {self.cells} cells give a cell spacing, cell volume "
+                "or Laplacian eigenvalue that is not a finite normal number"
+            )
 
     @classmethod
     def line(cls, length: float, cells: int) -> "GridSpec":

@@ -7,6 +7,11 @@ multiplier that limits the exponential amplification of high modes during
 backward (tau < 0) substeps.  Where that clamp binds nowhere, the flow on a
 2D/3D grid is the tensor product of one small dense matrix per axis, and
 :func:`heat_evolve` applies those instead of a transform pair.
+
+:func:`heat_gain` and :func:`reaction_peak` carry an upper bound on
+``max|phi|`` through a substep wherever it can be certified, so that the
+solver's guard and the reaction's radicand check can be skipped where
+they provably pass.
 """
 
 from __future__ import annotations
@@ -30,7 +35,12 @@ __all__ = [
     "energy",
     "free_energy_evolve",
     "heat_evolve",
+    "heat_gain",
+    "reaction_peak",
 ]
+
+_F64_TINY = float(np.finfo(np.float64).tiny)  # the least positive normal number
+_F64_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -40,8 +50,14 @@ class ModelParams:
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        epsilon = float(self.epsilon)  # a numpy scalar would warn where eps^2 overflows
+        eps2 = epsilon * epsilon if epsilon > 0 else 0.0
+        # eps^2 and 1/eps^2 scale every reaction and energy; neither may
+        # overflow, underflow or lose precision as a subnormal
+        if not (_F64_TINY <= eps2 <= _F64_MAX and _F64_TINY <= 1.0 / eps2 <= _F64_MAX):
+            raise ValueError(
+                f"epsilon must be positive with eps^2 and 1/eps^2 normal finite numbers, got {self.epsilon}"
+            )
 
     @property
     def epsilon2(self) -> float:
@@ -87,24 +103,79 @@ def decay_factor(tau, model: ModelParams):
 
 @lru_cache(maxsize=16)
 def _cached_decay(tau: float, model: ModelParams) -> float:
-    """Cached :func:`decay_factor` of a scalar ``tau``, with its bits; a run
-    reuses a handful of entries, one per distinct reaction substep length."""
-    return decay_factor(tau, model)
+    """Cached :func:`decay_factor` of a scalar ``tau``, with its bits, capped
+    at the largest double as the kernel caps it; a run reuses a handful of
+    entries, one per distinct reaction substep length."""
+    return min(float(decay_factor(tau, model)), _F64_MAX)
 
 
-def free_energy_evolve(f: Field, tau: float, model: ModelParams) -> Field:
+# The relative slack of every carried bound on max|phi|: far above the
+# rounding of the products it covers (about 1e-13 for three axes of 128).
+BOUND_MARGIN = 1e-12
+# Where the reaction's radicand is certified: max|phi| <= PEAK_LIMIT, where
+# the radicand's rounding stays below 1e-7 of its value, and a forward
+# decay above FORWARD_DECAY_MIN, twice the radicand floor with room to spare.
+PEAK_LIMIT = 1e4
+FORWARD_DECAY_MIN = 2.1 * _kernels.RADICAND_FLOOR
+
+
+def _certified(peak: float, decay: float) -> bool:
+    """Whether a reaction with ``decay`` (capped as :func:`_cached_decay`
+    caps it) makes every radicand a normal number above the kernel's floor
+    on a field with ``max|phi| <= peak``: forward when
+    ``FORWARD_DECAY_MIN < decay <= 1``, backward when
+    ``(decay - 1) peak^2 <= decay/2``, which keeps the radicand
+    ``decay - (decay - 1) phi^2`` at least ``decay/2``."""
+    peak = float(peak)  # a numpy scalar would warn where the product overflows
+    if not peak <= PEAK_LIMIT:  # also NaN
+        return False
+    if decay <= 1.0:
+        return decay > FORWARD_DECAY_MIN
+    return (decay - 1.0) * peak * peak <= 0.5 * decay
+
+
+def _reaction_bound(peak: float, decay: float) -> float:
+    """An upper bound on ``max|phi|`` after the reaction kernel with the
+    capped ``decay`` maps a field with ``max|phi| <= peak``, or inf where
+    the reaction is not :func:`_certified`.
+
+    The flow ``g(b) = b / sqrt(b^2 + (1 - b^2) d)`` is increasing in ``b``,
+    so ``g(peak)`` bounds the exact result.  Where the radicand is
+    certified, the kernel's rounding and this evaluation's are each below
+    ``1e-15 (1 + peak^2)`` relative, which the margin
+    ``BOUND_MARGIN (1 + peak^2)`` covers.
+    """
+    if not _certified(peak, decay):
+        return math.inf
+    squared = peak * peak
+    return peak / math.sqrt(squared + (1.0 - squared) * decay) * (1.0 + BOUND_MARGIN * (1.0 + squared))
+
+
+def reaction_peak(peak: float, tau: float, model: ModelParams) -> float:
+    """An upper bound on ``max|phi|`` after :func:`free_energy_evolve` over
+    ``tau`` from a field with ``max|phi| <= peak``, or inf where the
+    reaction is not certified (:func:`_reaction_bound`)."""
+    return _reaction_bound(peak, _cached_decay(tau, model))
+
+
+def free_energy_evolve(f: Field, tau: float, model: ModelParams, peak: float = math.inf) -> Field:
     """Exact reaction flow over signed time ``tau``.
 
     phi -> phi / sqrt(phi^2 + (1 - phi^2) * exp(-2*tau/eps^2))
 
     Forward flow contracts onto [-1, 1]; the backward flow of values with
     |phi| > 1 blows up once the radicand reaches zero, which raises
-    :class:`DivergenceError` naming the first offending cell.
+    :class:`DivergenceError` naming the first offending cell.  Where
+    ``peak``, an upper bound on ``max|f|``, proves every radicand normal
+    (:func:`reaction_peak` is finite), the kernel runs certified: no
+    blow-up check, the same bits.
     """
     out = np.empty_like(f.values)
-    bad = _kernels.free_energy_apply(
-        f.values.ravel(), out.ravel(), _cached_decay(tau, model)
-    )
+    decay = _cached_decay(tau, model)
+    if _certified(peak, decay):
+        _kernels.free_energy_apply(f.values.ravel(), out.ravel(), decay, certified=True)
+        return Field(f.grid, out)
+    bad = _kernels.free_energy_apply(f.values.ravel(), out.ravel(), decay)
     if bad >= 0:
         raise DivergenceError(
             f"reaction substep of length {tau:g} blew up (radicand <= "
@@ -167,17 +238,50 @@ def _dct_matrix(cells: int) -> np.ndarray:
     return c
 
 
+class _HeatFactors(tuple):
+    """The read-only per-axis factors of one heat substep, with ``gain``,
+    the :func:`heat_gain` of that substep."""
+
+    gain: float
+
+
 @lru_cache(maxsize=4)
-def _heat_factors(grid: GridSpec, tau: float) -> tuple[np.ndarray, ...]:
+def _heat_factors(grid: GridSpec, tau: float) -> _HeatFactors:
     """Cached, read-only ``F_i = C_i^T diag(exp(lam_i * tau)) C_i``, one per
     axis, with ``C_i`` the orthonormal DCT-II matrix and
     ``lam_i = -(pi k / L_i)^2``; their tensor product is the unclamped flow.
+
+    Their ``gain`` is the product of their infinity norms (largest absolute
+    row sums) times ``1 + BOUND_MARGIN``: each product of
+    :func:`_apply_factors` sums at most ``FACTOR_MAX_CELLS`` terms, so it
+    rounds by less than 1.5e-14 of the sum of their absolute values, and so
+    does each row sum.
     """
     factors = []
     for length, n in zip(grid.lengths, grid.cells):
         c = _dct_matrix(n)
         factors.append((c.T * np.exp(axis_eigenvalues(length, n) * tau)) @ c)
-    return _read_only(factors)
+    factors = _HeatFactors(_read_only(factors))
+    factors.gain = 1.0 + BOUND_MARGIN
+    for factor in factors:
+        factors.gain *= float(np.abs(factor).sum(axis=1).max())
+    return factors
+
+
+@lru_cache(maxsize=8)
+def _factor_plan(grid: GridSpec, tau: float, k_tol: float) -> _HeatFactors | None:
+    """The :func:`_heat_factors` of a heat substep where :func:`_uses_factors`
+    holds, else None: one cached lookup serves :func:`heat_evolve` and
+    :func:`heat_gain` alike."""
+    return _heat_factors(grid, tau) if _uses_factors(grid, tau, k_tol) else None
+
+
+def heat_gain(grid: GridSpec, tau: float, k_tol: float) -> float:
+    """A factor by which a heat substep can at most grow ``max|phi|``, as
+    :func:`heat_evolve` computes it: the ``gain`` of its factors, or inf off
+    the factor path."""
+    factors = _factor_plan(grid, tau, k_tol)
+    return math.inf if factors is None else factors.gain
 
 
 def _read_only(factors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -234,11 +338,11 @@ def heat_evolve(
     if stacked and f.grid.dims > 1:
         rows = [heat_evolve(Field(f.grid, v), t, policy).values for v, t in zip(f.values, tau[:, 0])]
         return FieldStack(f.grid, np.stack(rows))
-    if not stacked and _uses_factors(f.grid, tau, k_tol):
+    if not stacked and (factors := _factor_plan(f.grid, tau, k_tol)) is not None:
         # an unbounded clamp may overflow the products to inf or NaN; the
         # solver guard is responsible for catching that
         with np.errstate(over="ignore", invalid="ignore"):
-            return Field(f.grid, _apply_factors(f.values, _heat_factors(f.grid, tau)))
+            return Field(f.grid, _apply_factors(f.values, factors))
     axes = (1,) if stacked else None  # every axis of a field; faster than naming them
     coeffs = dctn(f.values, type=2, norm="ortho", axes=axes)
     if stacked:

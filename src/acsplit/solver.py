@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -18,6 +19,8 @@ from .operators import (
     energy,
     free_energy_evolve,
     heat_evolve,
+    heat_gain,
+    reaction_peak,
 )
 
 __all__ = [
@@ -164,7 +167,8 @@ def _first_beyond(rows: np.ndarray, phi_max: float) -> np.ndarray:
     return np.argmax(~(np.abs(rows) <= phi_max), axis=1)
 
 
-def _guarded(values: np.ndarray, phi_max: float, grid) -> None:
+def _guarded(values: np.ndarray, phi_max: float, grid) -> float:
+    """``max|values|``, which must not exceed ``phi_max``."""
     m = _kernels.guard_scan(values.ravel())
     if not m <= phi_max:  # also trips on NaN
         raise DivergenceError(
@@ -172,6 +176,7 @@ def _guarded(values: np.ndarray, phi_max: float, grid) -> None:
             int(_first_beyond(values.reshape(1, -1), phi_max)[0]),
             grid,
         )
+    return m
 
 
 def applied_substeps(
@@ -245,8 +250,13 @@ class StepRule:
         return h, self.deferred[1] if carries else 0.0, defer_last
 
 
-def _substep(f, kind: str, tau, model: ModelParams, cutoff: CutoffPolicy):
-    return heat_evolve(f, tau, cutoff) if kind == HEAT else free_energy_evolve(f, tau, model)
+def _substep(f, kind: str, tau, model: ModelParams, cutoff: CutoffPolicy, peak: float = math.inf):
+    """Apply one substep to ``f``, a field with ``max|f| <= peak``; return
+    the new field and an upper bound on its ``max|phi|`` (inf if unknown)."""
+    if kind == HEAT:
+        f = heat_evolve(f, tau, cutoff)
+        return f, peak * heat_gain(f.grid, tau, cutoff.k_tol)
+    return free_energy_evolve(f, tau, model, peak), reaction_peak(peak, tau, model)
 
 
 def step(
@@ -258,6 +268,7 @@ def step(
     phi_max: float | None = None,
     carry: float = 0.0,
     defer_last: bool = False,
+    peak: float = math.inf,
 ) -> Field:
     """One full step: the :func:`applied_substeps` of ``scheme`` over ``dt``,
     with ``carry`` added to the first and the last one left out if
@@ -265,11 +276,19 @@ def step(
 
     Raises :class:`DivergenceError` from the reaction blow-up or when
     ``phi_max`` is given and ``max|phi|`` exceeds it after any substep.
+    That guard after each substep is either proved by a bound or scanned.
+    The bound starts at ``peak``, an upper bound on ``max|f|`` (inf or NaN
+    if unknown), and follows each substep by :func:`heat_gain` or
+    :func:`reaction_peak`; a substep it cannot follow makes it infinite.
+    The guard scans only where the bound is not finite or exceeds
+    ``phi_max``, and the scan's ``max|phi|`` becomes the bound.  A
+    reaction whose radicand the bound certifies skips its blow-up check.
     """
+    peak = float(peak)  # a numpy scalar would warn where the bound overflows
     for kind, tau in applied_substeps(scheme, dt, carry, defer_last):
-        f = _substep(f, kind, tau, model, cutoff)
-        if phi_max is not None:
-            _guarded(f.values, phi_max, f.grid)
+        f, peak = _substep(f, kind, tau, model, cutoff, peak)
+        if phi_max is not None and not (peak <= phi_max and peak < math.inf):  # also NaN
+            peak = _guarded(f.values, phi_max, f.grid)
     return f
 
 
@@ -278,9 +297,10 @@ def run(f0: Field, cfg: RunConfig) -> Trajectory:
     recorded, never raised.
 
     Every step is one :func:`step` call with the arguments of the run's
-    :class:`StepRule`.  A run that records no energy and no snapshots keeps
-    only its final state, so it merges the substeps that meet at each step
-    boundary where the rule allows; see :class:`Trajectory` for what it
+    :class:`StepRule` and the recorded ``max|phi|`` of the state it starts
+    from.  A run that records no energy and no snapshots keeps only its
+    final state, so it merges the substeps that meet at each step boundary
+    where the rule allows; see :class:`Trajectory` for what it
     records of the states it never forms.  Snapshots are taken at the
     completed step nearest each requested time.  A non-finite initial field
     raises ``ValueError``.
@@ -305,13 +325,15 @@ def run(f0: Field, cfg: RunConfig) -> Trajectory:
     for i in range(1, plan.n_steps + 1):
         h, carry, defer_last = rule.step(i)
         try:
-            f = step(f, cfg.scheme, h, cfg.model, cfg.cutoff, cfg.phi_max, carry, defer_last)
+            # the recorded min and max are NaN where a merged run formed no state
+            peak = max(-lo[-1], hi[-1])
+            f = step(f, cfg.scheme, h, cfg.model, cfg.cutoff, cfg.phi_max, carry, defer_last, peak)
         except DivergenceError as err:
             status = "diverged"
             diverged_step = i
             diverged_cell = err.cell
             if carry:  # the kept state still lacks the previous step's last substep
-                f = _substep(f, *rule.deferred, cfg.model, cfg.cutoff)
+                f, _ = _substep(f, *rule.deferred, cfg.model, cfg.cutoff)
             break
         times.append(plan.time(i))
         lo.append(np.nan if defer_last else float(f.values.min()))
@@ -441,7 +463,7 @@ def _run_stack(
         finals[r] = stack[pos]
     for r, (i, _) in failures.items():
         if merged and i > 1:  # like run(), apply the substep the kept state lacks
-            finals[r] = _substep(Field(grid, finals[r]), *rules[r].deferred, model, cutoff).values
+            finals[r] = _substep(Field(grid, finals[r]), *rules[r].deferred, model, cutoff)[0].values
     times = np.array([plan.time(i) for i in range(plan.n_steps + 1)])
     out = []
     for r in range(n):

@@ -494,4 +494,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["sweep-omega", "--branch", "+", "--omegas", "0.5,0.6", "--dt", "1e-300",
                  "--out", str(tmp_path / "never" / "sweep.csv")]) == 2
     assert capsys.readouterr().err.count("MAX_STEPS = 10,000,000") == 2
+    # an epsilon whose eps^2 or 1/eps^2 is not a normal finite number, and a
+    # length whose spacing, cell volume or eigenvalues are not finite
+    spinodal = ["run", "--problem", "spinodal", "--scheme", "S4V", "--dt", "1e-4", "--t-final", "1e-3",
+                "--cells", "8", "--out-dir", str(tmp_path / "never")]
+    for command, flag in (
+        (spinodal + ["--epsilon", "inf"], "--epsilon"),
+        (spinodal + ["--epsilon", "1e200"], "--epsilon"),
+        (spinodal + ["--epsilon", "1e-170"], "--epsilon"),
+        (spinodal + ["--epsilon", "1e-160"], "--epsilon"),
+        (wave + ["--scheme", "S1", "--dt", "1e-4", "--epsilon", "1e-200"], "--epsilon"),
+        (spinodal + ["--length", "inf"], "--length"),
+        (spinodal + ["--length", "1e-300"], "--length"),
+        (wave + ["--scheme", "S1", "--dt", "1e-4", "--length", "1e-300"], "--length"),
+        (spinodal + ["--cells", "1"], "--cells"),
+        (["converge", "--problem", "spinodal", "--schemes", "S1", "--dt-list", "1e-3", "--epsilon", "inf",
+          "--out", str(tmp_path / "never" / "c")], "--epsilon"),
+        (["sweep-omega", "--branch", "+", "--omegas", "0.5", "--length", "inf",
+          "--out", str(tmp_path / "never" / "sweep.csv")], "--length"),
+    ):
+        assert main(command) == 2, command
+        assert f"acsplit: error: {flag}: " in capsys.readouterr().err, command
     assert not (tmp_path / "never").exists()

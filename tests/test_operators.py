@@ -349,6 +349,25 @@ def test_cutoff_policy_validation():
         ModelParams(0.0)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, np.nan, np.inf, 1e200, 1e155, 1e-155, 1e-160, 1e-170])
+def test_model_refuses_an_epsilon_whose_scales_are_not_normal(epsilon):
+    # eps^2 or 1/eps^2 overflows, underflows or is subnormal
+    with pytest.raises(ValueError, match="epsilon"):
+        ModelParams(epsilon)
+
+
+def test_model_accepts_the_extreme_normal_scales():
+    for epsilon in (1e-150, 1e150, 1e12, 0.015):
+        model = ModelParams(epsilon)
+        assert 0.0 < model.epsilon2 < np.inf and 0.0 < 1.0 / model.epsilon2 < np.inf
+
+
+@pytest.mark.parametrize("lengths", [(np.inf,), (np.nan,), (1e-300,), (1.0, 1e-160), (1e300, 1e300, 1e300), (-1.0,)])
+def test_grid_refuses_a_length_whose_scales_are_not_finite(lengths):
+    with pytest.raises(ValueError, match="length"):
+        GridSpec(lengths, (64,) * len(lengths))
+
+
 # ---------------------------------------------------------------------------
 # energy diagnostic
 
@@ -449,3 +468,175 @@ def test_energy_matches_einsum(grid):
             grad += np.sum(np.einsum("ki,i...->k...", factor, np.moveaxis(values, axis, 0)) ** 2)
         want = grid.cell_volume * (bulk + 0.5 * grad)
         assert energy(Field(grid, values), MODEL) == pytest.approx(want, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# carried bounds on max|phi|
+
+BOUND_GRIDS = EINSUM_GRIDS + [GridSpec.box(1.0, 8, 3)]
+BOUND_IDS = EINSUM_IDS + ["8^3"]
+
+
+def _worst_heat_field(factors):
+    """The signs of each factor's largest absolute row, as a tensor product:
+    the field whose image attains the product of the factors' infinity norms."""
+    out = np.ones(())
+    for factor in factors:
+        row = factor[np.abs(factor).sum(axis=1).argmax()]
+        out = np.multiply.outer(out, np.where(row < 0.0, -1.0, 1.0))
+    return out
+
+
+@pytest.mark.parametrize("tau", [0.003, 1e-6, -1e-5, -1e-4])  # forward, and backward where the clamp binds nowhere
+@pytest.mark.parametrize("grid", BOUND_GRIDS, ids=BOUND_IDS)
+def test_heat_gain_bounds_the_factor_path(grid, tau):
+    from acsplit.operators import PEAK_LIMIT, _heat_factors, heat_gain
+
+    gain = heat_gain(grid, tau, 1e9)
+    assert 0.0 < gain < np.inf
+    worst = _worst_heat_field(_heat_factors(grid, tau))
+    rng = np.random.default_rng(28)
+    fields = [worst, -worst, rng.uniform(-1.0, 1.0, grid.shape), np.where(rng.random(grid.shape) < 0.5, -1.0, 1.0)]
+    for scale in (1.0, 0.7, 1.3, 3.7, 1e3, PEAK_LIMIT):
+        for values in fields:
+            f = Field(grid, scale * values)
+            out = heat_evolve(f, tau, CutoffPolicy(1e9)).values
+            assert np.abs(out).max() <= gain * np.abs(f.values).max()
+    # the worst field attains the norms, so the gain holds no more than its margin
+    peak = np.abs(heat_evolve(Field(grid, worst), tau, CutoffPolicy(1e9)).values).max()
+    assert gain <= peak * (1.0 + 2e-12)
+
+
+@pytest.mark.parametrize(
+    "grid, tau, k_tol",
+    [
+        (GridSpec.box(1.0, 64, 2), -1e-3, 1e4),  # the clamp binds
+        (GridSpec.line(1.0, 64), 0.003, 1e9),  # 1D
+        (GridSpec((1.0, 1.0), (130, 4)), 0.003, 1e9),  # an axis past FACTOR_MAX_CELLS
+        (GridSpec((1.0, 1.5), (8, 6)), -5.0, np.inf),  # exp(min(A) tau) overflows
+    ],
+    ids=["binding", "1d", "long-axis", "overflow"],
+)
+def test_heat_gain_is_unknown_off_the_factor_path(grid, tau, k_tol):
+    from acsplit.operators import heat_gain
+
+    assert heat_gain(grid, tau, k_tol) == np.inf
+
+
+def _backward_limit(peak):
+    """The largest double decay > 1 that certifies a reaction on ``peak`` > 1/sqrt(2)."""
+    from acsplit.operators import _certified
+
+    decay = peak * peak / (peak * peak - 0.5)
+    while not _certified(peak, decay):
+        decay = np.nextafter(decay, 0.0)
+    while _certified(peak, np.nextafter(decay, np.inf)):
+        decay = np.nextafter(decay, np.inf)
+    assert decay > 1.0
+    return float(decay)
+
+
+BOUND_PEAKS = [0.5, 1.0, 1.2, 3.0, 100.0, 1e4]
+
+
+def _reaction_fields(peak):
+    """Fields with max|phi| = ``peak``: dense just below the peak, spread
+    over [-peak, peak], and tiny values down to subnormal squares."""
+    rng = np.random.default_rng(29)
+    near = peak * (1.0 - 1e-11 * np.arange(4000))
+    spread = peak * rng.uniform(-1.0, 1.0, 4000)
+    tiny = np.array([0.0, -0.0, 5e-324, 1e-160, -1e-200, 1e-300])
+    return [np.concatenate(([peak], near, -near)), np.concatenate(([-peak], spread, tiny))]
+
+
+@pytest.mark.parametrize("decay", [2.2e-14, 1e-3, 0.3, 1.0 - 2.0**-53, 1.0, 1.7, "limit"])
+def test_reaction_bound_holds_where_certified(decay):
+    from acsplit._kernels import free_energy_apply
+    from acsplit.operators import _reaction_bound
+
+    certified = 0
+    for peak in BOUND_PEAKS:
+        if decay == "limit" and peak * peak <= 0.5:
+            continue  # (d - 1) peak^2 <= d/2 holds for every decay there
+        d = _backward_limit(peak) if decay == "limit" else decay
+        bound = _reaction_bound(peak, d)
+        if bound == np.inf:
+            continue
+        certified += 1
+        for phi in _reaction_fields(peak):
+            out = np.empty_like(phi)
+            assert free_energy_apply(phi, out, d) == -1
+            assert np.abs(out).max() <= bound, (peak, d)
+    assert certified == {1.7: 2, "limit": 5}.get(decay, len(BOUND_PEAKS))
+
+
+def test_reaction_is_certified_only_where_its_radicand_is_normal():
+    from acsplit.operators import FORWARD_DECAY_MIN, PEAK_LIMIT, _certified, _reaction_bound
+
+    assert _certified(PEAK_LIMIT, 0.5) and not _certified(np.nextafter(PEAK_LIMIT, np.inf), 0.5)
+    assert not _certified(np.nan, 0.5) and not _certified(np.inf, 0.5)
+    assert _certified(1.0, np.nextafter(FORWARD_DECAY_MIN, 1.0)) and not _certified(1.0, FORWARD_DECAY_MIN)
+    assert not _certified(0.0, 0.0)
+    # backward: any decay for peak^2 <= 1/2, none past the limit above it
+    f64_max = float(np.finfo(np.float64).max)
+    assert _certified(0.7, f64_max) and not _certified(0.75, f64_max)
+    limit = _backward_limit(3.0)
+    assert not _certified(3.0, np.nextafter(limit, np.inf))
+    assert _reaction_bound(3.0, np.nextafter(limit, np.inf)) == np.inf
+
+
+@pytest.mark.parametrize("aliased", [False, True])
+@pytest.mark.parametrize("blocks", [0, 1, 2], ids=["part-block", "one-block", "blocks"])
+def test_certified_kernel_keeps_the_checked_bits(blocks, aliased):
+    from acsplit._kernels import free_energy_apply
+    from acsplit._kernels._ref import CERTIFIED_BLOCK
+    from acsplit.operators import _certified
+
+    # exactly one block, or a partial block alone or after two whole ones
+    cells = CERTIFIED_BLOCK if blocks == 1 else blocks * CERTIFIED_BLOCK + 4003
+    rng = np.random.default_rng(30)
+    decays = [0.0, 1e-300, 1e-14, 2.1e-14, 2.2e-14, 1e-3, 0.3, 1.0 - 2.0**-53, 1.0,
+              1.0 + 2.0**-52, 1.7, 1e10, float(np.finfo(np.float64).max)]
+    compared = 0
+    for peak in [1e-150, 0.5, np.sqrt(0.5), 1.0, 1.2, 3.0, 1e4]:
+        phi = peak * rng.uniform(-1.0, 1.0, cells)
+        phi[:8] = [peak, -peak, 0.0, 5e-324, 1e-160, -1e-200, 1e-300, -0.0]
+        phi = np.minimum(np.maximum(phi, -peak), peak)
+        for decay in decays:
+            if not _certified(peak, decay):
+                continue
+            want = np.empty_like(phi)
+            assert free_energy_apply(phi, want, decay) == -1
+            got = phi.copy() if aliased else np.empty_like(phi)
+            assert free_energy_apply(got if aliased else phi, got, decay, certified=True) == -1
+            assert got.tobytes() == want.tobytes(), (peak, decay)
+            compared += 1
+    assert compared >= 40
+
+
+def test_certified_reaction_in_free_energy_evolve(monkeypatch):
+    # a bound that certifies takes the certified kernel, one that does not
+    # keeps the blow-up check, and both give the checked bits
+    from acsplit import _kernels
+    from acsplit.operators import _cached_decay, _certified
+
+    modes = []
+    kernel = _kernels.free_energy_apply
+
+    def recorded(phi, out, decay, certified=False):
+        modes.append(certified)
+        return kernel(phi, out, decay, certified)
+
+    monkeypatch.setattr(_kernels, "free_energy_apply", recorded)
+    grid = GridSpec.box(1.0, 6, 3)
+    values = np.random.default_rng(31).uniform(-1.2, 1.2, grid.shape)
+    tau = -0.1 * EPS**2
+    assert _certified(1.2, _cached_decay(tau, MODEL)) and not _certified(1.2, _cached_decay(-EPS**2, MODEL))
+    checked = free_energy_evolve(Field(grid, values), tau, MODEL)
+    assert free_energy_evolve(Field(grid, values), tau, MODEL, 1.2).values.tobytes() == checked.values.tobytes()
+    assert modes == [False, True]
+    values = np.full(grid.shape, 0.5)
+    values[1, 2, 3] = 3.0
+    with pytest.raises(DivergenceError) as excinfo:
+        free_energy_evolve(Field(grid, values), -EPS**2, MODEL, 3.0)
+    assert excinfo.value.cell == (1, 2, 3) and modes[-1] is False

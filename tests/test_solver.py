@@ -557,3 +557,119 @@ def test_diverged_merged_run_keeps_the_state_at_its_last_time():
     assert np.isnan(got.phi_min[1]) and np.isnan(got.phi_max[1])
     ensemble, = run_ensemble(f0, [cfg])
     assert ensemble.final.values.tobytes() == want.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the carried bound on max|phi|: guards it proves are skipped, with the same bits
+
+
+def _count_scans(monkeypatch) -> list[int]:
+    """Count the solver's guard scans from here on; returns the one-entry counter."""
+    from acsplit import _kernels
+
+    count = [0]
+    scan = _kernels.guard_scan
+
+    def counted(values):
+        count[0] += 1
+        return scan(values)
+
+    monkeypatch.setattr(_kernels, "guard_scan", counted)
+    return count
+
+
+def _without_bounds(monkeypatch) -> None:
+    """Scan after every substep and check every reaction, as without a carried bound."""
+    from acsplit import operators
+
+    monkeypatch.setattr(solver, "heat_gain", lambda *args: np.inf)
+    monkeypatch.setattr(operators, "_certified", lambda *args: False)
+
+
+def _outcome(f0, cfg):
+    """Everything a run gives, as bytes, and the DivergenceError that
+    ``step`` raises when stepped as ``run()`` steps a run that keeps its states."""
+    traj = run(f0.copy(), cfg)
+    recorded = (
+        traj.final.values.tobytes(), traj.times.tobytes(), traj.phi_min.tobytes(), traj.phi_max.tobytes(),
+        traj.energies.tobytes(), traj.status, traj.diverged_step, traj.diverged_cell, traj.shortened_final_step,
+        {t: snap.values.tobytes() for t, snap in traj.snapshots.items()},
+    )
+    f, plan, error = f0, cfg.plan, None
+    for i in range(1, plan.n_steps + 1):
+        try:
+            f = step(f, cfg.scheme, plan.step_length(i), cfg.model, cfg.cutoff, cfg.phi_max,
+                     peak=float(np.abs(f.values).max()))
+        except DivergenceError as err:
+            error = (str(err), err.flat_index, err.cell)
+            break
+    return recorded, error, f.values.tobytes()
+
+
+def _substep_peak(f0, cfg) -> float:
+    """The largest max|phi| after any substep of ``cfg`` taken in whole steps, unguarded."""
+    f, plan, peak = f0, cfg.plan, 0.0
+    for i in range(1, plan.n_steps + 1):
+        for kind, tau in applied_substeps(cfg.scheme, plan.step_length(i)):
+            f, _ = solver._substep(f, kind, tau, cfg.model, cfg.cutoff)
+            peak = max(peak, float(np.abs(f.values).max()))
+    return peak
+
+
+CRITERION_09 = ("S1", "S2(1)", "S3X", "S3Y", "S3Z", "S4U", "S4V")
+
+
+def _bound_cases():
+    spec = SpinodalSpec(cells=12, seed=3)
+    quench, model = spinodal_initial(spec), ModelParams(spec.epsilon)
+    for label in CRITERION_09 + ("S2(0.5)",):
+        for keeps in (True, False):  # whole steps with energy, or merged
+            yield pytest.param(quench, RunConfig(named_scheme(label), 1e-4, 3.5e-4, model, record_energy=keeps),
+                               id=f"12^3-{label}-{'energy' if keeps else 'merged'}")
+    grid = GridSpec.box(1.0, 12, 3)
+    rough = Field(grid, np.random.default_rng(7).uniform(-1.3, 1.3, grid.shape))
+    for label in ("S4V", "S3Y"):
+        # phi_max within an ulp or 1e-12 of the largest max|phi| after a substep
+        peak = _substep_peak(rough, RunConfig(named_scheme(label), 1e-4, 5e-4, model))
+        assert peak > 1.0
+        for name, phi_max in (("ulp-below", np.nextafter(peak, 0.0)), ("at", peak),
+                              ("ulp-above", np.nextafter(peak, 2.0)), ("rel-1e-12-above", peak * (1.0 + 1e-12)),
+                              ("rel-1e-12-below", peak * (1.0 - 1e-12))):
+            yield pytest.param(rough, RunConfig(named_scheme(label), 1e-4, 5e-4, model, phi_max=float(phi_max)),
+                               id=f"guard-{name}-{label}")
+    for label in ("S3Y", "S4U", "S4V"):  # a backward reaction blows up in the first step
+        yield pytest.param(rough, RunConfig(named_scheme(label), 1e-3, 3e-3, model, phi_max=np.inf),
+                           id=f"blowup-{label}")
+    yield pytest.param(rough, RunConfig(fourth_order_v(), 1e-4, 5e-4, model, phi_max=np.inf), id="phi-max-inf")
+    yield pytest.param(rough, RunConfig(fourth_order_v(), 1e-4, 5e-4, model, CutoffPolicy(1.0)), id="clamped-3d")
+    wave = traveling_wave_field(WAVE.grid(128), 0.0, WAVE)
+    for label in ("S3Y", "S4V"):
+        yield pytest.param(wave, RunConfig(named_scheme(label), 0.1 / WAVE.speed, 0.45 / WAVE.speed, MODEL,
+                                           snapshot_times=(0.2 / WAVE.speed,)), id=f"1d-{label}")
+
+
+@pytest.mark.parametrize("f0,cfg", _bound_cases())
+def test_carried_bound_keeps_every_byte(monkeypatch, f0, cfg):
+    scans = _count_scans(monkeypatch)
+    got = _outcome(f0, cfg)
+    bounded_scans = scans[0]
+    _without_bounds(monkeypatch)
+    scans[0] = 0
+    want = _outcome(f0, cfg)
+    assert got == want
+    assert bounded_scans <= scans[0]
+
+
+def test_carried_bound_skips_scans(monkeypatch):
+    # a run that keeps its states starts each step from its recorded
+    # max|phi|, so an unmerged 3D S4V run scans at most once per step
+    spec = SpinodalSpec(cells=16, seed=1)
+    cfg = RunConfig(fourth_order_v(), 1e-4, 1e-3, ModelParams(spec.epsilon))
+    f0 = spinodal_initial(spec)
+    scans = _count_scans(monkeypatch)
+    assert run(f0, cfg).completed
+    assert scans[0] <= cfg.plan.n_steps
+    _without_bounds(monkeypatch)
+    scans[0] = 0
+    run(f0, cfg)
+    assert scans[0] == 11 * cfg.plan.n_steps  # every substep of S4V
