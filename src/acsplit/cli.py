@@ -69,14 +69,39 @@ def _integer(value, flag: str) -> int:
     raise CliError(f"{flag}: {value!r} is not an integer")
 
 
-def _float_list(value, flag: str) -> list[float]:
-    """The decimal numbers of ``flag``: a comma-separated string, whose empty
-    entries are skipped, or a JSON list."""
+def _float_entries(value, flag: str) -> list[tuple[int, object, float]]:
+    """The entries of ``flag`` as ``(place, as given, decimal number)``: a
+    comma-separated string, whose empty entries are skipped, or a JSON list."""
     if isinstance(value, str):
-        return [_decimal(tok, flag, pos) for pos, tok in enumerate(value.split(","), start=1) if tok.strip()]
-    if isinstance(value, list):
-        return [_decimal(v, flag, pos) for pos, v in enumerate(value, start=1)]
-    raise CliError(f"{flag}: {value!r} is not a list of decimal numbers")
+        entries = [(pos, tok) for pos, tok in enumerate(value.split(","), start=1) if tok.strip()]
+    elif isinstance(value, list):
+        entries = list(enumerate(value, start=1))
+    else:
+        raise CliError(f"{flag}: {value!r} is not a list of decimal numbers")
+    return [(pos, v, _decimal(v, flag, pos)) for pos, v in entries]
+
+
+def _float_list(value, flag: str) -> list[float]:
+    """The decimal numbers of ``flag`` (see :func:`_float_entries`)."""
+    return [x for _, _, x in _float_entries(value, flag)]
+
+
+def _k_tols(args) -> tuple[float, ...]:
+    """The clamps of ``--k-tols``, default 1e4 and 1e9: at least one, none twice."""
+    value = _merge(args, "k_tols")
+    if value is None:
+        return (1e4, 1e9)
+    entries = _float_entries(value, "--k-tols")
+    if not entries:
+        raise CliError(f"--k-tols: {value!r} gives no clamp value")
+    first: dict[float, tuple[int, object]] = {}
+    for pos, given, k_tol in entries:
+        if k_tol in first:
+            raise CliError(
+                "--k-tols: entries {}, {!r}, and {}, {!r}, give the same clamp".format(*first[k_tol], pos, given)
+            )
+        first[k_tol] = (pos, given)
+    return tuple(k_tol for _, _, k_tol in entries)
 
 
 def _flag(key: str) -> str:
@@ -321,8 +346,7 @@ def cmd_sweep_omega(args) -> int:
     dt = _number(args, "dt")
     if dt is None:
         dt = _number(args, "dt_factor", 2.0**-4) / spec.speed
-    k_tols = _merge(args, "k_tols")
-    k_tols = (1e4, 1e9) if k_tols is None else tuple(_float_list(k_tols, "--k-tols"))
+    k_tols = _k_tols(args)
     records, meta = harness.omega_sweep(
         branch,
         _omega_grid(args),
@@ -330,9 +354,9 @@ def cmd_sweep_omega(args) -> int:
         cells=cells,
         epsilon=spec.epsilon,
         length=spec.length,
-        k_tols=tuple(k_tols),
+        k_tols=k_tols,
     )
-    _write(_merge(args, "out"), harness.omega_sweep_csv(records, meta, tuple(k_tols)))
+    _write(_merge(args, "out"), harness.omega_sweep_csv(records, meta, k_tols))
     return EXIT_OK
 
 

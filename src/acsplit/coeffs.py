@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
-import numpy as np
-
 __all__ = [
     "BranchSolution",
     "ConvergenceFailure",
@@ -115,19 +113,34 @@ def order_residuals(c: SplitCoefficients) -> tuple[float, float, float, float, f
      sum_j     b_j (sum_{k<=j} a_k)   - 1/2,
      sum_{j>=2} a_j (sum_{k<j} b_k)^2 - 1/3,
      sum_j     b_j (sum_{k<=j} a_k)^2 - 1/3).
+
+    Evaluated in Python floats, each sum left to right as numpy sums fewer
+    than eight terms, so every residual has the bits of the numpy form.
     """
-    a = np.asarray(c.a)
-    b = np.asarray(c.b)
-    b_before = np.concatenate(([0.0], np.cumsum(b)[:-1]))  # sum_{k<j} b_k
-    a_through = np.cumsum(a)  # sum_{k<=j} a_k
+    a, b = c.a, c.b
+    b_before = [0.0] + _running_sums(b)[:-1]  # sum_{k<j} b_k
+    a_through = _running_sums(a)  # sum_{k<=j} a_k
     return (
-        float(a.sum() - 1.0),
-        float(b.sum() - 1.0),
-        float(np.sum(a * b_before) - 0.5),
-        float(np.sum(b * a_through) - 0.5),
-        float(np.sum(a * b_before**2) - 1.0 / 3.0),
-        float(np.sum(b * a_through**2) - 1.0 / 3.0),
+        _sum(a) - 1.0,
+        _sum(b) - 1.0,
+        _sum([x * s for x, s in zip(a, b_before)]) - 0.5,
+        _sum([x * s for x, s in zip(b, a_through)]) - 0.5,
+        _sum([x * (s * s) for x, s in zip(a, b_before)]) - 1.0 / 3.0,
+        _sum([x * (s * s) for x, s in zip(b, a_through)]) - 1.0 / 3.0,
     )
+
+
+def _running_sums(terms) -> list[float]:
+    """The partial sums ``terms[0]``, ``terms[0] + terms[1]``, ...; ``np.cumsum``'s order."""
+    sums = [terms[0]]
+    for term in terms[1:]:
+        sums.append(sums[-1] + term)
+    return sums
+
+
+def _sum(terms) -> float:
+    """``terms`` summed left to right, the order of ``np.sum`` below eight terms."""
+    return _running_sums(terms)[-1]
 
 
 def first_order() -> SplitCoefficients:
@@ -231,7 +244,7 @@ def third_order_family(omega: float, branch) -> BranchSolution:
         raise InvalidOmega(f"{label}: discriminant D = {dval:g} < 0, no real solution")
 
     sign = 1.0 if branch == "positive" else -1.0
-    b1 = (1.0 - omega) / 2.0 - sign * np.sqrt(dval) / (2.0 * (4.0 * omega - 1.0))
+    b1 = (1.0 - omega) / 2.0 - sign * math.sqrt(dval) / (2.0 * (4.0 * omega - 1.0))
     a2 = (4.0 * omega - 1.0) / (2.0 * (3.0 * omega - 1.0))
     a3 = (0.5 - b1 * a2) / (1.0 - omega)
     a1 = 1.0 - a2 - a3

@@ -14,6 +14,7 @@ from ._kernels import BACKEND
 from .coeffs import (
     InvalidOmega,
     SplitCoefficients,
+    _omega_text,
     fourth_order_v,
     named_scheme,
     third_order_family,
@@ -164,6 +165,20 @@ def spinodal_convergence(
     )
 
 
+def _clamp_keys(k_tols) -> list[str]:
+    """The column key of each clamp of a sweep, ``ktol_`` and the clamp as
+    scheme labels write omega (``:g`` where that reads back exactly, else
+    ``repr``), so distinct clamps get distinct keys.  An empty or repeated
+    clamp list raises ``ValueError``."""
+    labels = [_omega_text(k) for k in k_tols]
+    if not labels:
+        raise ValueError("k_tols gives no clamp value")
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"k_tols {tuple(k_tols)!r} gives the clamp {label} more than once")
+    return [f"ktol_{label}" for label in labels]
+
+
 def omega_sweep(
     branch: str,
     omegas: list[float],
@@ -178,7 +193,9 @@ def omega_sweep(
     Returns one record per omega with the error under each clamp value;
     singular omegas carry an error marker instead of numbers.  All runs
     advance together as one ensemble (:func:`acsplit.solver.run_ensemble`).
+    An empty or repeated clamp list raises ``ValueError``.
     """
+    keys = _clamp_keys(k_tols)
     spec = TravelingWaveSpec(epsilon, length)
     grid = spec.grid(cells)
     model = ModelParams(epsilon)
@@ -194,8 +211,8 @@ def omega_sweep(
             rec["marker"] = str(err)
             continue
         rec["max_coeff"] = sol.coefficients.max_magnitude()
-        for k_tol in k_tols:
-            scored.append((rec, f"ktol_{k_tol:g}"))
+        for k_tol, key in zip(k_tols, keys):
+            scored.append((rec, key))
             configs.append(RunConfig(
                 sol.coefficients, dt, spec.t_final, model, CutoffPolicy(k_tol),
                 record_energy=False,
@@ -210,14 +227,14 @@ def omega_sweep(
         cells=cells,
         length=repr(float(length)),
         dt=repr(float(dt)),
-        k_tols=",".join(f"{k:g}" for k in k_tols),
+        k_tols=",".join(_omega_text(k) for k in k_tols),
         t_final=repr(float(spec.t_final)),
     )
     return records, meta
 
 
 def omega_sweep_csv(records: list[dict], meta: dict[str, str], k_tols=(1e4, 1e9)) -> str:
-    keys = [f"ktol_{k:g}" for k in k_tols]
+    keys = _clamp_keys(k_tols)
     rows = []
     for rec in records:
         row = [repr(rec["omega"])]

@@ -31,6 +31,7 @@ __all__ = [
     "CutoffPolicy",
     "DivergenceError",
     "ModelParams",
+    "clamped_multipliers",
     "decay_factor",
     "energy",
     "free_energy_evolve",
@@ -186,17 +187,27 @@ def free_energy_evolve(f: Field, tau: float, model: ModelParams, peak: float = m
     return Field(f.grid, out)
 
 
-@lru_cache(maxsize=4)
-def _clamped_multiplier(grid: GridSpec, tau: float, k_tol: float) -> np.ndarray:
-    """Cached, read-only ``min(exp(A_k * tau), k_tol)`` for ``grid``.
+def clamped_multipliers(grid: GridSpec, tau, k_tol: float) -> np.ndarray:
+    """``min(exp(A_k * tau), k_tol)`` over the cells of ``grid`` in C order,
+    for a scalar ``tau`` or per row of an ``(R, 1)`` column of them: shape
+    ``(M,)`` or ``(R, M)``.
 
     Built by one kernel call on ones, so it has the bits of the multiplier
-    the kernel applies to a stack row with the same ``tau``.  No scheme has
-    more than three distinct ``a_j``, so a run reuses a handful of entries.
+    the kernel applies to coefficients with the same ``tau``; multiplying
+    by it gives the bits of that kernel call.
     """
-    mult = np.ones(grid.shape)
-    flat = mult.ravel()
-    _kernels.heat_multiplier_apply(flat, eigenvalue_table(grid).ravel(), tau, k_tol, flat)
+    mult = np.ones(np.shape(tau)[:-1] + (grid.cell_count,))
+    _kernels.heat_multiplier_apply(mult, eigenvalue_table(grid).ravel(), tau, k_tol, mult)
+    return mult
+
+
+@lru_cache(maxsize=4)
+def _clamped_multiplier(grid: GridSpec, tau: float, k_tol: float) -> np.ndarray:
+    """Cached, read-only :func:`clamped_multipliers` of a scalar ``tau``,
+    shaped as ``grid``.  No scheme has more than three distinct ``a_j``, so
+    a run reuses a handful of entries.
+    """
+    mult = clamped_multipliers(grid, tau, k_tol).reshape(grid.shape)
     mult.setflags(write=False)
     return mult
 
@@ -312,7 +323,7 @@ def _apply_factors(values: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.nd
 
 
 def heat_evolve(
-    f: Field | FieldStack, tau, policy: CutoffPolicy = CutoffPolicy()
+    f: Field | FieldStack, tau, policy: CutoffPolicy = CutoffPolicy(), multipliers: np.ndarray | None = None
 ) -> Field | FieldStack:
     """Diffusion flow over signed time ``tau`` with the spectral clamp.
 
@@ -329,8 +340,9 @@ def heat_evolve(
 
     A :class:`FieldStack` takes an ``(R, 1)`` column ``tau``, one entry per
     row.  On a 1D grid it is advanced by one transform pair over the grid
-    axis, its coefficients scaled by one kernel call with the bits of the
-    cached multipliers; on a 2D/3D grid each row is advanced as a
+    axis, its coefficients scaled by ``multipliers``, the
+    :func:`clamped_multipliers` of ``tau``, which are built here unless the
+    caller passes them; on a 2D/3D grid each row is advanced as a
     :class:`Field`.  Either way every row gets the bits that row gets alone.
     """
     k_tol = policy.k_tol
@@ -343,16 +355,20 @@ def heat_evolve(
         # solver guard is responsible for catching that
         with np.errstate(over="ignore", invalid="ignore"):
             return Field(f.grid, _apply_factors(f.values, factors))
+    if not stacked:
+        multipliers = _clamped_multiplier(f.grid, tau, k_tol)
+    elif multipliers is None:
+        multipliers = clamped_multipliers(f.grid, tau, k_tol)
     axes = (1,) if stacked else None  # every axis of a field; faster than naming them
     coeffs = dctn(f.values, type=2, norm="ortho", axes=axes)
-    if stacked:
-        _kernels.heat_multiplier_apply(coeffs, eigenvalue_table(f.grid), tau, k_tol, coeffs)
-    else:
-        # an unbounded clamp may overflow the product to inf; the solver
-        # guard is responsible for catching that
-        with np.errstate(over="ignore"):
-            np.multiply(coeffs, _clamped_multiplier(f.grid, tau, k_tol), out=coeffs)
-    return type(f)(f.grid, idctn(coeffs, type=2, norm="ortho", axes=axes))
+    # an unbounded clamp may overflow the product to inf; the solver guard
+    # is responsible for catching that
+    with np.errstate(over="ignore"):
+        np.multiply(coeffs, multipliers, out=coeffs)
+    # a stack's inverse transform overwrites its coefficients, with the same
+    # bits: one array fewer per substep (a serial grid's gains nothing, see
+    # ROADMAP "Measured dead ends")
+    return type(f)(f.grid, idctn(coeffs, type=2, norm="ortho", axes=axes, overwrite_x=stacked))
 
 
 @lru_cache(maxsize=4)

@@ -15,6 +15,7 @@ from .operators import (
     CutoffPolicy,
     DivergenceError,
     ModelParams,
+    clamped_multipliers,
     decay_factor,
     energy,
     free_energy_evolve,
@@ -118,7 +119,8 @@ class RunConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.dt <= self.t_final < np.inf:
             raise ValueError(f"t_final must be finite and at least one step, got {self.t_final}")
-        StepPlan.of(self.dt, self.t_final)  # refuses a step count above MAX_STEPS
+        # refuses a step count above MAX_STEPS; kept for .plan
+        object.__setattr__(self, "_plan", StepPlan.of(self.dt, self.t_final))
         slack = 1e-12 * self.t_final  # the tolerance run() allows on the horizon
         for t in self.snapshot_times:
             if not -slack <= t <= self.t_final + slack:
@@ -128,7 +130,7 @@ class RunConfig:
 
     @property
     def plan(self) -> StepPlan:
-        return StepPlan.of(self.dt, self.t_final)
+        return self._plan
 
 
 @dataclass
@@ -411,10 +413,20 @@ def _run_stack(
     substep as rows of one stack.  ``cfg`` is one of the runs, and
     ``substeps`` maps each :meth:`StepRule.position` to those kinds and an
     ``(R, kinds)`` array of the runs' taus.  ``rules`` are the runs' step
-    rules, which merge the step boundaries of all of them or of none."""
+    rules, which merge the step boundaries of all of them or of none.
+
+    On a 1D grid each position's heat substeps scale the rows by an
+    ``(R, M)`` table of their clamped multipliers, built once and compacted
+    with the rows.  The guard checks the whole stack first and scans it row
+    by row only where that check fails."""
     grid, model, cutoff, phi_max, plan = f0.grid, cfg.model, cfg.cutoff, cfg.phi_max, cfg.plan
     merged = rules[0].deferred is not None
     n = len(rules)
+    # (position, substep) -> the rows' multipliers; 2D/3D rows take heat_evolve's per-row path
+    tables = {} if grid.dims > 1 else {
+        (pos, j): clamped_multipliers(grid, taus[:, j : j + 1], cutoff.k_tol)
+        for pos, (kinds, taus) in substeps.items() for j, kind in enumerate(kinds) if kind == HEAT
+    }
     # the per-step diagnostics run() records; energy is not recorded, and a
     # merged run forms no state at the end of steps 1..n-1
     lo, hi = np.full((n, plan.n_steps + 1), np.nan), np.full((n, plan.n_steps + 1), np.nan)
@@ -424,13 +436,14 @@ def _run_stack(
     ids = np.arange(n)  # the row of each stack row
     stack = np.repeat(f0.values[np.newaxis], n, axis=0)
     for i in range(1, plan.n_steps + 1):
-        kinds, taus = substeps[rules[0].position(i)]
+        position = rules[0].position(i)
+        kinds, taus = substeps[position]
         taus = taus[ids]
         start, start_rows = stack, np.arange(len(ids))
         for j, kind in enumerate(kinds):
             tau = taus[:, j : j + 1]
             if kind == HEAT:
-                stack = heat_evolve(FieldStack(grid, stack), tau, cutoff).values
+                stack = heat_evolve(FieldStack(grid, stack), tau, cutoff, tables.get((position, j))).values
                 cells = np.full(len(ids), -1)
             else:
                 out = np.empty(stack.shape)
@@ -438,9 +451,11 @@ def _run_stack(
                     _flat_rows(stack), _flat_rows(out), decay_factor(tau, model)
                 )
                 stack = out
-            # a blown-up row has failed already; the guard also trips on NaN
-            tripped = ~(_kernels.guard_scan(_flat_rows(stack)) <= phi_max) & (cells < 0)
-            if tripped.any():
+            # the whole stack passes the guard, or some rows are scanned for
+            # the cells that trip it; a blown-up row has failed already, and
+            # both checks trip on NaN
+            if not (stack.max() <= phi_max and -stack.min() <= phi_max):
+                tripped = ~(_kernels.guard_scan(_flat_rows(stack)) <= phi_max) & (cells < 0)
                 cells[tripped] = _first_beyond(_flat_rows(stack)[tripped], phi_max)
             failed = cells >= 0
             if not failed.any():
@@ -451,6 +466,7 @@ def _run_stack(
                 failures[ids[pos]] = (i, grid.cell(cells[pos]))
             keep = np.flatnonzero(~failed)
             stack, taus = _compact(stack, keep), taus[keep]
+            tables = {key: _compact(table, keep) for key, table in tables.items()}
             ids, start_rows = ids[keep], start_rows[keep]
             if not len(ids):
                 break

@@ -370,6 +370,38 @@ def test_sweep_omega_shape(tmp_path):
     assert rows[2]["marker"] != ""  # inside the 1/3 exclusion
 
 
+def test_sweep_omega_labels_each_clamp_by_its_exact_value(tmp_path, capsys):
+    # 1e4 and 10000.01 both print as 10000 with :g; each keeps its own
+    # column, labelled as scheme labels write omega, with its own errors
+    sweep = ["sweep-omega", "--branch", "+", "--omegas", "0.5"]
+    errors = {}
+    for k_tols in ("1e4", "10000.01", "1e4,10000.01"):
+        out = tmp_path / f"{k_tols}.csv"
+        assert main(sweep + ["--k-tols", k_tols, "--out", str(out)]) == 0
+        errors[k_tols] = {key: value for key, value in read_csv_rows(out)[0].items() if key.startswith("err_")}
+        assert f"# k_tols={k_tols.replace('1e4', '10000')}\n" in out.read_text()
+    assert errors["1e4,10000.01"] == {**errors["1e4"], **errors["10000.01"]}
+    assert errors["1e4"]["err_ktol_10000"] != errors["10000.01"]["err_ktol_10000.01"]
+    # an empty or repeated clamp list is refused, naming the flag and the entries
+    never = str(tmp_path / "never" / "sweep.csv")
+    for k_tols, message in (("inf,inf", "--k-tols: entries 1, 'inf', and 2, 'inf', give the same clamp"),
+                            ("1e4,,10000", "--k-tols: entries 1, '1e4', and 3, '10000', give the same clamp"),
+                            ("", "--k-tols: '' gives no clamp value"),
+                            (",", "--k-tols: ',' gives no clamp value")):
+        assert main(sweep + [f"--k-tols={k_tols}", "--out", never]) == 2, k_tols
+        assert message in capsys.readouterr().err, k_tols
+    config = tmp_path / "sweep.json"
+    for k_tols, message in (([1e9, "1e+09"], "--k-tols: entries 1, 1000000000.0, and 2, '1e+09', give the same clamp"),
+                            ([], "--k-tols: [] gives no clamp value")):
+        config.write_text(json.dumps({"branch": "+", "omegas": [0.5], "k_tols": k_tols}))
+        assert main(["sweep-omega", "--config", str(config), "--out", never]) == 2, k_tols
+        assert message in capsys.readouterr().err, k_tols
+    assert not (tmp_path / "never").exists()
+    for k_tols in ((), (np.inf, np.inf), (1e4, 10000.0)):
+        with pytest.raises(ValueError, match="k_tols"):
+            omega_sweep("+", [0.5], 2.0**-4 / SPEED, cells=16, k_tols=k_tols)
+
+
 def test_non_finite_omegas_get_markers_in_both_sweeps(tmp_path):
     out = tmp_path / "family.csv"
     assert main(["coeffs", "--family", "S3+", "--omegas", "nan,inf,0.5", "--out", str(out)]) == 0

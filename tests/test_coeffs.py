@@ -159,6 +159,57 @@ def valid_omega_grid(n=200):
     return grid[keep]
 
 
+def _numpy_residuals(c: SplitCoefficients) -> tuple[float, ...]:
+    """The order residuals in numpy, as :func:`order_residuals` once computed them."""
+    a, b = np.asarray(c.a), np.asarray(c.b)
+    b_before = np.concatenate(([0.0], np.cumsum(b)[:-1]))
+    a_through = np.cumsum(a)
+    return (
+        float(a.sum() - 1.0),
+        float(b.sum() - 1.0),
+        float(np.sum(a * b_before) - 0.5),
+        float(np.sum(b * a_through) - 0.5),
+        float(np.sum(a * b_before**2) - 1.0 / 3.0),
+        float(np.sum(b * a_through**2) - 1.0 / 3.0),
+    )
+
+
+def test_order_residuals_keep_the_bits_of_the_numpy_form():
+    class Fractions:  # order_residuals reads only a and b
+        def __init__(self, a, b):
+            self.a, self.b = tuple(float(v) for v in a), tuple(float(v) for v in b)
+
+    rng = np.random.default_rng(31)
+    for p in range(1, 7):
+        for _ in range(500):
+            # magnitudes over many decades, so that the order of each sum shows
+            a, b = (rng.uniform(-3.0, 3.0, p) * 10.0 ** rng.integers(-8, 4, p) for _ in range(2))
+            c = Fractions(a, b)
+            assert np.array(order_residuals(c)).tobytes() == np.array(_numpy_residuals(c)).tobytes(), (a, b)
+    for label in ("S1", "S2(1)", "S2(0.5)", "S2(0.7000001)", "S3X", "S3Y", "S3Z", "S3(0.62,-)", "S4U", "S4V"):
+        c = named_scheme(label)
+        assert np.array(order_residuals(c)).tobytes() == np.array(_numpy_residuals(c)).tobytes(), label
+
+
+@pytest.mark.parametrize("branch", ["+", "-"])
+def test_third_order_family_keeps_the_bits_of_the_numpy_closed_form(branch):
+    sign = 1.0 if branch == "+" else -1.0
+    omegas = np.concatenate([np.linspace(0.2505, 1.2, 150), np.linspace(-3.0, -1.25, 50)])
+    checked = 0
+    for omega in omegas.tolist():
+        try:
+            got = third_order_family(omega, branch).coefficients
+        except InvalidOmega:
+            continue
+        b1 = (1.0 - omega) / 2.0 - sign * np.sqrt(discriminant(omega)) / (2.0 * (4.0 * omega - 1.0))
+        a2 = (4.0 * omega - 1.0) / (2.0 * (3.0 * omega - 1.0))
+        a3 = (0.5 - b1 * a2) / (1.0 - omega)
+        want = (1.0 - a2 - a3, a2, a3), (b1, 1.0 - b1 - omega, omega)
+        assert np.array(got.a + got.b).tobytes() == np.array(want[0] + want[1]).tobytes(), omega
+        checked += 1
+    assert checked >= 190
+
+
 @pytest.mark.parametrize("branch", ["+", "-"])
 def test_residuals_vanish_across_the_family(branch):
     for omega in valid_omega_grid():

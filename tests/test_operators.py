@@ -188,6 +188,28 @@ def test_heat_on_a_stack_matches_each_row(k_tol):
         FieldStack(grid, np.zeros((2, 6, 8)))
 
 
+@pytest.mark.parametrize("k_tol", [1e4, np.inf])
+def test_heat_on_a_1d_stack_takes_given_multipliers_with_the_bits_of_each_row(k_tol):
+    # a 1D stack is one transform pair over the grid axis, its coefficients
+    # scaled by the rows' clamped multipliers, built here or by the caller
+    from acsplit.grid import FieldStack
+    from acsplit.operators import clamped_multipliers
+
+    grid = GridSpec.line(1.0, 48)
+    taus = np.array([[0.01], [-0.002], [0.0], [-0.01], [-2.0]])  # the last overflows without a clamp
+    stack = FieldStack(grid, np.random.default_rng(16).standard_normal((len(taus), 48)))
+    table = clamped_multipliers(grid, taus, k_tol)
+    assert table.shape == (len(taus), 48)
+    built = heat_evolve(stack, taus, CutoffPolicy(k_tol))
+    given = heat_evolve(stack, taus, CutoffPolicy(k_tol), table)
+    assert built.values.tobytes() == given.values.tobytes()
+    for row, tau, mult, got in zip(stack.values, taus[:, 0], table, given.values):
+        assert mult.tobytes() == clamped_multipliers(grid, float(tau), k_tol).tobytes()
+        with np.errstate(all="ignore"):
+            alone = heat_evolve(Field(grid, row), tau, CutoffPolicy(k_tol)).values
+        assert got.tobytes() == alone.tobytes()
+
+
 def explicit_heat(f, tau, k_tol):
     """dctn -> min(exp(A tau), k_tol) -> idctn, the multiplier capped at the
     largest double as the kernel caps it."""

@@ -306,6 +306,18 @@ def test_run_config_validation():
         RunConfig(first_order(), 0.1, 1.0, MODEL, phi_max=0.5)
 
 
+def test_run_config_keeps_the_plan_it_validated():
+    import dataclasses
+
+    cfg = RunConfig(first_order(), 0.4, 1.0, MODEL)
+    assert cfg.plan is cfg.plan and cfg.plan == StepPlan.of(0.4, 1.0)
+    # the kept plan is no field: equality, hash and repr see the fields only
+    same = RunConfig(first_order(), 0.4, 1.0, MODEL)
+    assert cfg == same and hash(cfg) == hash(same)
+    assert "_plan" not in repr(cfg) and "plan" not in [f.name for f in dataclasses.fields(cfg)]
+    assert dataclasses.replace(cfg, dt=0.5).plan == StepPlan.of(0.5, 1.0)
+
+
 def test_step_count_above_the_cap_is_refused():
     with pytest.raises(ValueError, match="MAX_STEPS = 10,000,000"):
         RunConfig(first_order(), 1e-300, 1.0, MODEL)
@@ -408,6 +420,67 @@ def _assert_ensemble_matches_serial_runs(f0, configs):
         assert got.final.values.tobytes() == want.final.values.tobytes(), label
         steps.append(want.diverged_step)
     return steps
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Count calls of ``owner.name`` from here on; returns the one-entry counter."""
+    count = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return count
+
+
+def test_stack_builds_its_multipliers_once_per_position_and_heat_substep(monkeypatch):
+    # 9 full steps and a shortened tenth: the third-order stack has two
+    # positions of three heat substeps each; S4V merges its boundaries, so
+    # its first, middle and last steps are three positions with 5, 5 and 6
+    from acsplit import _kernels
+
+    f0 = traveling_wave_field(WAVE.grid(64), 0.0, WAVE)
+    dt = 0.11 / WAVE.speed
+    schemes = [named_scheme("S3(0.5,+)"), named_scheme("S3(0.7,-)"), fourth_order_v()]
+    configs = [RunConfig(s, dt, WAVE.t_final, MODEL, CutoffPolicy(1e4), record_energy=False) for s in schemes]
+    assert configs[0].plan.n_steps == 10 and configs[0].plan.shortened
+    builds = _count_calls(monkeypatch, _kernels, "heat_multiplier_apply")
+    heats = _count_calls(monkeypatch, solver, "heat_evolve")
+    assert all(traj.completed for traj in run_ensemble(f0, configs))
+    assert builds[0] == 2 * 3 + (5 + 5 + 6)
+    assert heats[0] == 10 * 3 + (5 + 8 * 5 + 6)  # one heat_evolve per stacked heat substep
+    _assert_ensemble_matches_serial_runs(f0, configs)
+
+
+def test_stack_scans_rows_only_where_the_whole_stack_trips(monkeypatch):
+    scans = _count_scans(monkeypatch)
+
+    def unclamped(f0, omegas, dt, t_final):
+        configs = [RunConfig(named_scheme(f"S3({w},+)"), dt, t_final, MODEL, CutoffPolicy(np.inf),
+                             record_energy=False) for w in omegas]
+        scans[0] = 0
+        trajectories = run_ensemble(f0, configs)
+        return configs, trajectories, scans[0]
+
+    front = traveling_wave_field(WAVE.grid(64), 0.0, WAVE)
+    dt = 2.0**-4 / WAVE.speed
+    configs, trajectories, n_scans = unclamped(front, (0.27, 0.3, 0.5), dt, WAVE.t_final)
+    assert all(traj.completed for traj in trajectories) and n_scans == 0
+    # one row exceeds phi_max under the unbounded clamp, in its second step
+    configs, trajectories, n_scans = unclamped(front, (0.27, 0.35, 0.5), dt, WAVE.t_final)
+    assert [traj.status for traj in trajectories] == ["completed", "diverged", "completed"]
+    assert 1 <= n_scans < 6 * configs[0].plan.n_steps
+    assert _assert_ensemble_matches_serial_runs(front, configs) == [None, 2, None]
+    # one row turns NaN in its first step; the guard trips on that too
+    rough = rough_field(seed=0)
+    configs, trajectories, n_scans = unclamped(rough, (0.27, 0.334), 1e-3, 4e-3)
+    assert [traj.status for traj in trajectories] == ["completed", "diverged"]
+    assert n_scans >= 1
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="max.phi. = nan"):
+        step(rough, configs[1].scheme, 1e-3, MODEL, CutoffPolicy(np.inf), phi_max=10.0)
+    assert _assert_ensemble_matches_serial_runs(rough, configs) == [None, 1]
 
 
 def test_ensemble_rejects_configs_it_cannot_share():

@@ -127,6 +127,18 @@ def test_grid_validation():
         Field(GridSpec.line(1.0, 4), np.zeros(5))
 
 
+def test_equal_grids_hash_equal():
+    import dataclasses
+
+    a, b = GridSpec((2.0, 1.0), (8, 4)), GridSpec([2, 1.0], [8.0, 4])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, GridSpec((2.0, 1.0), (8, 5))}) == 2
+    # the hash is kept outside the dataclass fields
+    assert [f.name for f in dataclasses.fields(a)] == ["lengths", "cells"]
+    assert dataclasses.asdict(a) == {"lengths": (2.0, 1.0), "cells": (8, 4)}
+    assert repr(a) == "GridSpec(lengths=(2.0, 1.0), cells=(8, 4))"
+
+
 def test_grid_geometry():
     grid = GridSpec((2.0, 1.0), (8, 4))
     assert grid.spacing == (0.25, 0.25)
