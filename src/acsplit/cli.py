@@ -69,39 +69,28 @@ def _integer(value, flag: str) -> int:
     raise CliError(f"{flag}: {value!r} is not an integer")
 
 
-def _float_entries(value, flag: str) -> list[tuple[int, object, float]]:
-    """The entries of ``flag`` as ``(place, as given, decimal number)``: a
-    comma-separated string, whose empty entries are skipped, or a JSON list."""
-    if isinstance(value, str):
-        entries = [(pos, tok) for pos, tok in enumerate(value.split(","), start=1) if tok.strip()]
-    elif isinstance(value, list):
-        entries = list(enumerate(value, start=1))
-    else:
-        raise CliError(f"{flag}: {value!r} is not a list of decimal numbers")
-    return [(pos, v, _decimal(v, flag, pos)) for pos, v in entries]
-
-
 def _float_list(value, flag: str) -> list[float]:
-    """The decimal numbers of ``flag`` (see :func:`_float_entries`)."""
-    return [x for _, _, x in _float_entries(value, flag)]
+    """The decimal numbers of ``flag``: a comma-separated string, whose empty
+    entries are skipped, or a JSON list."""
+    if isinstance(value, str):
+        return [_decimal(tok, flag, pos) for pos, tok in enumerate(value.split(","), start=1) if tok.strip()]
+    if isinstance(value, list):
+        return [_decimal(v, flag, pos) for pos, v in enumerate(value, start=1)]
+    raise CliError(f"{flag}: {value!r} is not a list of decimal numbers")
 
 
 def _k_tols(args) -> tuple[float, ...]:
-    """The clamps of ``--k-tols``, default 1e4 and 1e9: at least one, none twice."""
+    """The clamps of ``--k-tols``, default 1e4 and 1e9, refused as the sweep
+    refuses them."""
     value = _merge(args, "k_tols")
     if value is None:
         return (1e4, 1e9)
-    entries = _float_entries(value, "--k-tols")
-    if not entries:
-        raise CliError(f"--k-tols: {value!r} gives no clamp value")
-    first: dict[float, tuple[int, object]] = {}
-    for pos, given, k_tol in entries:
-        if k_tol in first:
-            raise CliError(
-                "--k-tols: entries {}, {!r}, and {}, {!r}, give the same clamp".format(*first[k_tol], pos, given)
-            )
-        first[k_tol] = (pos, given)
-    return tuple(k_tol for _, _, k_tol in entries)
+    k_tols = tuple(_float_list(value, "--k-tols"))
+    try:
+        harness._clamp_keys(k_tols)
+    except ValueError as err:
+        raise CliError(f"--k-tols: {err}") from None
+    return k_tols
 
 
 def _flag(key: str) -> str:

@@ -44,11 +44,6 @@ class GridSpec:
                 f"axis lengths {self.lengths} over {self.cells} cells give a cell spacing, cell volume "
                 "or Laplacian eigenvalue that is not a finite normal number"
             )
-        # every cache keyed by a grid hashes it on each lookup; hash it once
-        object.__setattr__(self, "_hash", hash((self.lengths, self.cells)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def line(cls, length: float, cells: int) -> "GridSpec":

@@ -172,10 +172,11 @@ def _clamp_keys(k_tols) -> list[str]:
     clamp list raises ``ValueError``."""
     labels = [_omega_text(k) for k in k_tols]
     if not labels:
-        raise ValueError("k_tols gives no clamp value")
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ValueError(f"k_tols {tuple(k_tols)!r} gives the clamp {label} more than once")
+        raise ValueError("no clamp value given")
+    for label in labels:
+        places = [str(pos) for pos, other in enumerate(labels, start=1) if other == label]
+        if len(places) > 1:
+            raise ValueError(f"clamp {label} is given more than once, as entries {', '.join(places)} of {tuple(k_tols)!r}")
     return [f"ktol_{label}" for label in labels]
 
 

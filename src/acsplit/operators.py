@@ -341,9 +341,11 @@ def heat_evolve(
     A :class:`FieldStack` takes an ``(R, 1)`` column ``tau``, one entry per
     row.  On a 1D grid it is advanced by one transform pair over the grid
     axis, its coefficients scaled by ``multipliers``, the
-    :func:`clamped_multipliers` of ``tau``, which are built here unless the
-    caller passes them; on a 2D/3D grid each row is advanced as a
-    :class:`Field`.  Either way every row gets the bits that row gets alone.
+    :func:`clamped_multipliers` of ``tau``; the solver passes the tables it
+    keeps per stack, and where none is passed they are built here, the
+    reference the tests compare those tables against.  On a 2D/3D grid each
+    row is advanced as a :class:`Field`.  Either way every row gets the bits
+    that row gets alone.  Only a 1D stack reads ``multipliers``.
     """
     k_tol = policy.k_tol
     stacked = isinstance(f, FieldStack)
@@ -365,10 +367,7 @@ def heat_evolve(
     # is responsible for catching that
     with np.errstate(over="ignore"):
         np.multiply(coeffs, multipliers, out=coeffs)
-    # a stack's inverse transform overwrites its coefficients, with the same
-    # bits: one array fewer per substep (a serial grid's gains nothing, see
-    # ROADMAP "Measured dead ends")
-    return type(f)(f.grid, idctn(coeffs, type=2, norm="ortho", axes=axes, overwrite_x=stacked))
+    return type(f)(f.grid, idctn(coeffs, type=2, norm="ortho", axes=axes))
 
 
 @lru_cache(maxsize=4)

@@ -119,8 +119,7 @@ class RunConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.dt <= self.t_final < np.inf:
             raise ValueError(f"t_final must be finite and at least one step, got {self.t_final}")
-        # refuses a step count above MAX_STEPS; kept for .plan
-        object.__setattr__(self, "_plan", StepPlan.of(self.dt, self.t_final))
+        StepPlan.of(self.dt, self.t_final)  # refuses a step count above MAX_STEPS
         slack = 1e-12 * self.t_final  # the tolerance run() allows on the horizon
         for t in self.snapshot_times:
             if not -slack <= t <= self.t_final + slack:
@@ -130,7 +129,7 @@ class RunConfig:
 
     @property
     def plan(self) -> StepPlan:
-        return self._plan
+        return StepPlan.of(self.dt, self.t_final)
 
 
 @dataclass

@@ -384,21 +384,22 @@ def test_sweep_omega_labels_each_clamp_by_its_exact_value(tmp_path, capsys):
     assert errors["1e4"]["err_ktol_10000"] != errors["10000.01"]["err_ktol_10000.01"]
     # an empty or repeated clamp list is refused, naming the flag and the entries
     never = str(tmp_path / "never" / "sweep.csv")
-    for k_tols, message in (("inf,inf", "--k-tols: entries 1, 'inf', and 2, 'inf', give the same clamp"),
-                            ("1e4,,10000", "--k-tols: entries 1, '1e4', and 3, '10000', give the same clamp"),
-                            ("", "--k-tols: '' gives no clamp value"),
-                            (",", "--k-tols: ',' gives no clamp value")):
+    for k_tols, message in (("inf,inf", "--k-tols: clamp inf is given more than once, as entries 1, 2 of (inf, inf)"),
+                            ("1e4,,10000", "--k-tols: clamp 10000 is given more than once, as entries 1, 2 of (10000.0, 10000.0)"),
+                            ("1e9,1e4,1e+09", "--k-tols: clamp 1e+09 is given more than once, as entries 1, 3 of"),
+                            ("", "--k-tols: no clamp value given"),
+                            (",", "--k-tols: no clamp value given")):
         assert main(sweep + [f"--k-tols={k_tols}", "--out", never]) == 2, k_tols
         assert message in capsys.readouterr().err, k_tols
     config = tmp_path / "sweep.json"
-    for k_tols, message in (([1e9, "1e+09"], "--k-tols: entries 1, 1000000000.0, and 2, '1e+09', give the same clamp"),
-                            ([], "--k-tols: [] gives no clamp value")):
+    for k_tols, message in (([1e9, "1e+09"], "--k-tols: clamp 1e+09 is given more than once, as entries 1, 2 of"),
+                            ([], "--k-tols: no clamp value given")):
         config.write_text(json.dumps({"branch": "+", "omegas": [0.5], "k_tols": k_tols}))
         assert main(["sweep-omega", "--config", str(config), "--out", never]) == 2, k_tols
         assert message in capsys.readouterr().err, k_tols
     assert not (tmp_path / "never").exists()
     for k_tols in ((), (np.inf, np.inf), (1e4, 10000.0)):
-        with pytest.raises(ValueError, match="k_tols"):
+        with pytest.raises(ValueError, match="no clamp value|more than once"):
             omega_sweep("+", [0.5], 2.0**-4 / SPEED, cells=16, k_tols=k_tols)
 
 

@@ -306,18 +306,6 @@ def test_run_config_validation():
         RunConfig(first_order(), 0.1, 1.0, MODEL, phi_max=0.5)
 
 
-def test_run_config_keeps_the_plan_it_validated():
-    import dataclasses
-
-    cfg = RunConfig(first_order(), 0.4, 1.0, MODEL)
-    assert cfg.plan is cfg.plan and cfg.plan == StepPlan.of(0.4, 1.0)
-    # the kept plan is no field: equality, hash and repr see the fields only
-    same = RunConfig(first_order(), 0.4, 1.0, MODEL)
-    assert cfg == same and hash(cfg) == hash(same)
-    assert "_plan" not in repr(cfg) and "plan" not in [f.name for f in dataclasses.fields(cfg)]
-    assert dataclasses.replace(cfg, dt=0.5).plan == StepPlan.of(0.5, 1.0)
-
-
 def test_step_count_above_the_cap_is_refused():
     with pytest.raises(ValueError, match="MAX_STEPS = 10,000,000"):
         RunConfig(first_order(), 1e-300, 1.0, MODEL)
