@@ -95,11 +95,11 @@ def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay, certified: bool =
 def _radicand(phi: np.ndarray, decay, rad: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """``rad <- phi^2 + (1 - phi^2) * decay`` in the reference expression
     order, with ``tmp`` as scratch; returns ``rad``."""
-    np.square(phi, out=rad)
-    np.subtract(1.0, rad, out=tmp)
-    # |phi| >> 1 against a huge decay is a blow-up; phi^2 = inf against a
-    # decay of 0 makes a NaN radicand, which the rare path resolves
+    # phi^2 may overflow to inf, and |phi| >> 1 against a huge decay is a
+    # blow-up; phi^2 = inf makes a NaN radicand, which the rare path resolves
     with np.errstate(over="ignore", invalid="ignore"):
+        np.square(phi, out=rad)
+        np.subtract(1.0, rad, out=tmp)
         tmp *= decay
         rad += tmp
     return rad

@@ -79,18 +79,22 @@ def _float_list(value, flag: str) -> list[float]:
     raise CliError(f"{flag}: {value!r} is not a list of decimal numbers")
 
 
+def _distinct(flag: str, what: str, given: list, labels: list[str] | None = None) -> list:
+    """``given``, the list of ``flag``, refused if it is empty or names one
+    entry twice, as the sweep refuses its clamps (``labels`` as there)."""
+    try:
+        harness._refuse_repeats(what, given, labels)
+    except ValueError as err:
+        raise CliError(f"{flag}: {err}") from None
+    return given
+
+
 def _k_tols(args) -> tuple[float, ...]:
-    """The clamps of ``--k-tols``, default 1e4 and 1e9, refused as the sweep
-    refuses them."""
+    """The clamps of ``--k-tols``, default 1e4 and 1e9."""
     value = _merge(args, "k_tols")
     if value is None:
         return (1e4, 1e9)
-    k_tols = tuple(_float_list(value, "--k-tols"))
-    try:
-        harness._clamp_keys(k_tols)
-    except ValueError as err:
-        raise CliError(f"--k-tols: {err}") from None
-    return k_tols
+    return tuple(_distinct("--k-tols", "clamp", _float_list(value, "--k-tols")))
 
 
 def _flag(key: str) -> str:
@@ -144,7 +148,7 @@ def _load_config(args: argparse.Namespace) -> None:
 def _omega_grid(args) -> list[float]:
     explicit = _merge(args, "omegas")
     if explicit is not None:
-        return _float_list(explicit, "--omegas")
+        return _distinct("--omegas", "omega", _float_list(explicit, "--omegas"))
     lo = _number(args, "omega_min")
     hi = _number(args, "omega_max")
     step = _number(args, "omega_step")
@@ -283,21 +287,23 @@ def cmd_run(args) -> int:
 def _dt_list(args, speed: float | None) -> list[float]:
     dts = _merge(args, "dt_list")
     if dts is not None:
-        return _float_list(dts, "--dt-list")
+        return _distinct("--dt-list", "dt", _float_list(dts, "--dt-list"))
     pow2 = _merge(args, "dt_pow2")
     if pow2 is not None and speed is not None:
         lo, colon, hi = str(pow2).partition(":")
         if not colon:
             raise CliError(f"--dt-pow2: {pow2!r} is not K1:K2")
-        return [2.0 ** (-k) / speed for k in range(_integer(lo, "--dt-pow2"), _integer(hi, "--dt-pow2") + 1)]
+        ks = range(_integer(lo, "--dt-pow2"), _integer(hi, "--dt-pow2") + 1)
+        return _distinct("--dt-pow2", "dt", [2.0 ** (-k) / speed for k in ks])
     raise CliError("need --dt-list (or --dt-pow2 for the wave problem)")
 
 
 def cmd_converge(args) -> int:
     problem = _require(args, "problem")
     ids = _require(args, "schemes")
-    ids = ids if isinstance(ids, list) else split_scheme_ids(str(ids))
-    schemes = [harness.scheme_from_string(str(s)) for s in ids]
+    ids = [str(s) for s in ids] if isinstance(ids, list) else split_scheme_ids(str(ids))
+    schemes = [harness.scheme_from_string(s) for s in ids]
+    _distinct("--schemes", "scheme", ids, [scheme.label for scheme in schemes])
     k_tol = _number(args, "k_tol", 1e9)
     out = _merge(args, "out", "converge")
 

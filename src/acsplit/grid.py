@@ -122,16 +122,17 @@ class Field:
 
 @dataclass
 class FieldStack:
-    """Fields on one grid stacked along a leading axis: ``values[r]`` is the
-    field of row ``r``, shaped ``(R, *grid.shape)``."""
+    """Fields on one 1D grid stacked along a leading axis: ``values[r]`` is
+    the field of row ``r``, shaped ``(R, M)``."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape[1:] != self.grid.shape:
+        if self.grid.dims != 1 or self.values.shape[1:] != self.grid.shape:
             raise ValueError(
-                f"a stack on grid {self.grid.shape} has rows of shape {self.values.shape[1:]}"
+                f"a stack holds fields on one 1D grid, not on grid {self.grid.shape} "
+                f"in rows of shape {self.values.shape[1:]}"
             )
 
 

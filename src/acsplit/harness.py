@@ -3,6 +3,7 @@ convergence studies, omega sweeps, and single runs with snapshots."""
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -165,19 +166,26 @@ def spinodal_convergence(
     )
 
 
+def _refuse_repeats(what: str, given, labels: list[str] | None = None) -> None:
+    """Raise ``ValueError`` if the list ``given`` is empty or names one entry
+    twice, naming ``what`` and the entries; entries are compared by
+    ``labels``, by default each number as scheme labels write omega."""
+    labels = [_omega_text(v) for v in given] if labels is None else labels
+    if not labels:
+        raise ValueError(f"no {what} value given")
+    for label, count in Counter(labels).items():
+        if count > 1:
+            places = ", ".join(str(pos) for pos, other in enumerate(labels, start=1) if other == label)
+            raise ValueError(f"{what} {label} is given more than once, as entries {places} of {tuple(given)!r}")
+
+
 def _clamp_keys(k_tols) -> list[str]:
     """The column key of each clamp of a sweep, ``ktol_`` and the clamp as
     scheme labels write omega (``:g`` where that reads back exactly, else
     ``repr``), so distinct clamps get distinct keys.  An empty or repeated
     clamp list raises ``ValueError``."""
-    labels = [_omega_text(k) for k in k_tols]
-    if not labels:
-        raise ValueError("no clamp value given")
-    for label in labels:
-        places = [str(pos) for pos, other in enumerate(labels, start=1) if other == label]
-        if len(places) > 1:
-            raise ValueError(f"clamp {label} is given more than once, as entries {', '.join(places)} of {tuple(k_tols)!r}")
-    return [f"ktol_{label}" for label in labels]
+    _refuse_repeats("clamp", k_tols)
+    return [f"ktol_{_omega_text(k)}" for k in k_tols]
 
 
 def omega_sweep(

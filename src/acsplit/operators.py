@@ -338,20 +338,16 @@ def heat_evolve(
     to rounding, not to the bit.  Otherwise it is one transform pair with
     the cached clamped multiplier; every 1D substep takes that path.
 
-    A :class:`FieldStack` takes an ``(R, 1)`` column ``tau``, one entry per
-    row.  On a 1D grid it is advanced by one transform pair over the grid
+    A :class:`FieldStack` of 1D fields takes an ``(R, 1)`` column ``tau``,
+    one entry per row.  It is advanced by one transform pair over the grid
     axis, its coefficients scaled by ``multipliers``, the
     :func:`clamped_multipliers` of ``tau``; the solver passes the tables it
     keeps per stack, and where none is passed they are built here, the
-    reference the tests compare those tables against.  On a 2D/3D grid each
-    row is advanced as a :class:`Field`.  Either way every row gets the bits
-    that row gets alone.  Only a 1D stack reads ``multipliers``.
+    reference the tests compare those tables against.  Every row gets the
+    bits that row gets alone.  Only a stack reads ``multipliers``.
     """
     k_tol = policy.k_tol
     stacked = isinstance(f, FieldStack)
-    if stacked and f.grid.dims > 1:
-        rows = [heat_evolve(Field(f.grid, v), t, policy).values for v, t in zip(f.values, tau[:, 0])]
-        return FieldStack(f.grid, np.stack(rows))
     if not stacked and (factors := _factor_plan(f.grid, tau, k_tol)) is not None:
         # an unbounded clamp may overflow the products to inf or NaN; the
         # solver guard is responsible for catching that

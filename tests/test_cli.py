@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -549,3 +550,51 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert main(command) == 2, command
         assert f"acsplit: error: {flag}: " in capsys.readouterr().err, command
     assert not (tmp_path / "never").exists()
+
+
+def test_empty_or_repeated_lists_exit_2(tmp_path, capsys):
+    # every list flag is refused as --k-tols is: empty, or naming one entry
+    # twice (the same number, or scheme ids with the same label)
+    never = str(tmp_path / "never" / "out")
+    wave = ["converge", "--problem", "wave", "--cells", "16", "--out", never]
+    for command, message in (
+        (wave + ["--schemes", "S1", "--dt-list", ","], "--dt-list: no dt value given"),
+        (wave + ["--schemes", "S1", "--dt-pow2", "5:3"], "--dt-pow2: no dt value given"),
+        (wave + ["--schemes", "S1", "--dt-list", "1e-3,1e-3,1e-3"],
+         "--dt-list: dt 0.001 is given more than once, as entries 1, 2, 3 of (0.001, 0.001, 0.001)"),
+        (wave + ["--schemes", "S1", "--dt-list", "2e-3,1e-3,0.001"],
+         "--dt-list: dt 0.001 is given more than once, as entries 2, 3"),
+        (wave + ["--schemes", "S1,S1", "--dt-pow2", "3:4"],
+         "--schemes: scheme S1 is given more than once, as entries 1, 2 of ('S1', 'S1')"),
+        (wave + ["--schemes", "S2(1),S1,s2(1.0)", "--dt-pow2", "3:4"],
+         "--schemes: scheme S2(1) is given more than once, as entries 1, 3"),
+        (["sweep-omega", "--branch", "+", "--omegas", ",", "--out", never], "--omegas: no omega value given"),
+        (["sweep-omega", "--branch", "+", "--omegas", "0.5,0.6,0.50", "--out", never],
+         "--omegas: omega 0.5 is given more than once, as entries 1, 3 of (0.5, 0.6, 0.5)"),
+        (["coeffs", "--family", "S3+", "--omegas", ",", "--out", never], "--omegas: no omega value given"),
+    ):
+        assert main(command) == 2, command
+        assert f"acsplit: error: {message}" in capsys.readouterr().err, command
+    config = tmp_path / "study.json"
+    for cfg, command, message in (
+        ({"problem": "spinodal", "schemes": ["S1"], "dt_list": []}, ["converge"], "--dt-list: no dt value given"),
+        ({"problem": "wave", "schemes": ["S1", "S1"], "dt_pow2": "3:4"}, ["converge"],
+         "--schemes: scheme S1 is given more than once"),
+        ({"family": "S3+", "omegas": []}, ["coeffs"], "--omegas: no omega value given"),
+    ):
+        config.write_text(json.dumps(cfg))
+        assert main(command + ["--config", str(config), "--out", never]) == 2, cfg
+        assert message in capsys.readouterr().err, cfg
+    assert not (tmp_path / "never").exists()
+
+
+def test_run_past_an_overflowing_square_warns_nothing(tmp_path):
+    # with the guard and the clamp off, this run's field exceeds 1.34e154,
+    # whose square overflows inside the reaction kernel; the kernel
+    # resolves that silently, so pytest's RuntimeWarning-as-error finds nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--problem", "wave", "--scheme", "S3(0.333,+)", "--cells", "64", "--k-tol", "inf",
+                     "--phi-max", "inf", "--dt", "0.002946278254943948", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert "# status=completed" in (tmp_path / "diagnostics.csv").read_text()

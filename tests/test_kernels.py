@@ -240,3 +240,18 @@ def test_stacked_guard_scan_matches_rows():
     got = _ref.guard_scan(values)
     assert got.shape == (len(values),)
     np.testing.assert_array_equal(got, guard_scan_rows_plain(values))
+
+
+@pytest.mark.parametrize("decay", [0.5, 2.0], ids=["forward", "backward"])
+def test_free_energy_squares_an_overflowing_phi_silently(decay):
+    # phi^2 overflows to inf above |phi| of about 1.34e154, inside the
+    # kernel's errstate block; a flat call and a stacked one alike
+    row = np.array([0.3, -0.7, 1e200, 0.5])
+    flat, stacked = np.empty_like(row), np.empty((2, row.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bad = _ref.free_energy_apply(row, flat, decay)
+        bads = _ref.free_energy_apply(np.array([row, row[::-1]]), stacked, np.array([[decay], [decay]]))
+    assert [bad, bad] == bads.tolist()
+    np.testing.assert_array_equal(_bits(flat), _bits(stacked[0]))
+    np.testing.assert_array_equal(_bits(flat[::-1]), _bits(stacked[1]))

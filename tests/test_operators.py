@@ -172,20 +172,23 @@ def test_heat_never_writes_its_input():
 
 @pytest.mark.parametrize("k_tol", [1e4, np.inf])
 def test_heat_on_a_stack_matches_each_row(k_tol):
-    # one transform pair over the grid axes of a stack; each row must get
+    # one transform pair over the grid axis of a stack; each row must get
     # the bits heat_evolve gives that row alone, cached multiplier included
     from acsplit.grid import FieldStack
 
     rng = np.random.default_rng(15)
-    grid = GridSpec((1.0, 1.5), (8, 6))
+    grid = GridSpec.line(1.5, 8)
     taus = np.array([[0.01], [-0.002], [0.0], [-0.01], [0.003]])
-    stack = FieldStack(grid, rng.standard_normal((len(taus), 8, 6)))
+    stack = FieldStack(grid, rng.standard_normal((len(taus), 8)))
     out = heat_evolve(stack, taus, CutoffPolicy(k_tol))
     assert isinstance(out, FieldStack) and out.values.shape == stack.values.shape
     for row, tau, got in zip(stack.values, taus[:, 0], out.values):
         assert got.tobytes() == heat_evolve(Field(grid, row), tau, CutoffPolicy(k_tol)).values.tobytes()
+    # stacks are 1D; a 2D/3D ensemble runs each field on its own
+    with pytest.raises(ValueError, match="1D grid"):
+        FieldStack(GridSpec((1.0, 1.5), (8, 6)), rng.standard_normal((len(taus), 8, 6)))
     with pytest.raises(ValueError, match="rows of shape"):
-        FieldStack(grid, np.zeros((2, 6, 8)))
+        FieldStack(grid, np.zeros((2, 6)))
 
 
 @pytest.mark.parametrize("k_tol", [1e4, np.inf])

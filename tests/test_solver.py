@@ -410,6 +410,21 @@ def _assert_ensemble_matches_serial_runs(f0, configs):
     return steps
 
 
+def test_2d_ensemble_matches_serial_runs():
+    # stacks are 1D: a 2D ensemble runs each config through run(), merged
+    # boundaries and failures included
+    grid = GridSpec((1.0, 1.5), (12, 10))
+    f0 = Field(grid, np.random.default_rng(4).uniform(-1.0, 1.0, grid.shape))
+    dt = 2 * EPS**2
+    configs = [
+        RunConfig(named_scheme(label), dt, 5.5 * dt, MODEL, CutoffPolicy(1e4), phi_max=1.05, record_energy=False)
+        for label in ("S1", "S2(1)", "S4V", "S3Y", "S3(0.6,-)")
+    ]
+    assert [StepRule.of(c.scheme, c.plan, merge=True).deferred is not None for c in configs] == \
+        [False, True, True, False, False]
+    assert _assert_ensemble_matches_serial_runs(f0, configs) == [None, None, 2, 1, 5]
+
+
 def _count_calls(monkeypatch, owner, name: str) -> list[int]:
     """Count calls of ``owner.name`` from here on; returns the one-entry counter."""
     count = [0]
@@ -734,3 +749,61 @@ def test_carried_bound_skips_scans(monkeypatch):
     scans[0] = 0
     run(f0, cfg)
     assert scans[0] == 11 * cfg.plan.n_steps  # every substep of S4V
+
+
+# ---------------------------------------------------------------------------
+# what the benchmark's tracer relies on (perfbench/tracing.py)
+
+
+def test_run_calls_the_module_step_once_per_step(monkeypatch):
+    # the tracer cuts a run into steps at each call of solver.step
+    calls = _count_calls(monkeypatch, solver, "step")
+    front = traveling_wave_field(WAVE.grid(128), 0.0, WAVE)
+    grid = GridSpec((1.0, 1.5), (12, 10))
+    rough = Field(grid, np.random.default_rng(4).uniform(-1.0, 1.0, grid.shape))
+    for f0, cfg, diverged_step in (
+        (front, RunConfig(fourth_order_v(), 0.1 / WAVE.speed, 0.35 / WAVE.speed, MODEL), None),
+        (front, RunConfig(fourth_order_v(), 0.1 / WAVE.speed, 0.35 / WAVE.speed, MODEL, record_energy=False), None),
+        (front, RunConfig(fourth_order_v(), 0.3 / WAVE.speed, WAVE.t_final, MODEL, CutoffPolicy(1e3),
+                          record_energy=False), 2),
+        (rough, RunConfig(named_scheme("S3Y"), 2 * EPS**2, 5.5 * EPS**2, MODEL, phi_max=1.05), 1),
+    ):
+        calls[0] = 0
+        traj = run(f0, cfg)
+        assert traj.diverged_step == diverged_step
+        assert calls[0] == (cfg.plan.n_steps if diverged_step is None else diverged_step)
+
+
+def test_1d_ensemble_makes_no_step_call(monkeypatch):
+    # the tracer does not wrap run_ensemble, and a stack never calls step
+    calls = _count_calls(monkeypatch, solver, "step")
+    f0 = rough_field(m=64, seed=2)
+    configs = [RunConfig(named_scheme(label), 2 * EPS**2, 12.3 * EPS**2, MODEL, phi_max=1.02, record_energy=False)
+               for label in ("S3(0.3,+)", "S3(0.9,-)", "S4V")]
+    trajectories = run_ensemble(f0, configs)
+    assert "diverged" in [traj.status for traj in trajectories]
+    assert calls[0] == 0
+
+
+def test_spinodal_convergence_runs_each_run_through_harness_run(monkeypatch):
+    # the tracer counts runs, and segments them, at harness.run
+    from acsplit import harness
+
+    calls = _count_calls(monkeypatch, harness, "run")
+    report = harness.spinodal_convergence([named_scheme("S1"), named_scheme("S2(1)")], [2e-4, 1e-4],
+                                          SpinodalSpec(cells=8, seed=1), t_final=4e-4)
+    assert len(report.rows) == 4
+    assert calls[0] == 4 + 1  # and one for the reference
+
+
+@pytest.mark.parametrize("record_energy", [True, False], ids=["energy", "merged"])
+def test_run_holds_at_most_three_grid_arrays(record_energy):
+    # a step holds the state it began with, a substep's input and its
+    # result; the state of the step before must be gone by then
+    spec = SpinodalSpec(cells=32, seed=0)
+    f0 = spinodal_initial(spec)
+    cfg = RunConfig(fourth_order_v(), 1e-4, 4e-4, ModelParams(spec.epsilon), record_energy=record_energy)
+    for _ in range(2):  # builds the cached factors and this thread's scratch array
+        run(f0, cfg)
+    call_objects = 8192  # the Python objects, small arrays and trajectory of the call
+    assert _traced_peak(lambda: run(f0, cfg)) <= 3 * f0.values.nbytes + call_objects
