@@ -1,13 +1,13 @@
-"""Numpy implementations of the hot pointwise kernels.
+"""Hot pointwise kernels, in numpy, and the per-thread scratch array ``work``.
 
 Every kernel takes one field as a flat float64 array, or a stack of fields
 as a C-contiguous ``(R, M)`` array with one field per row.  A flat call is
 the one-row case of the stacked one and gets a scalar back where a stack
 gets one value per row; only a certified flat reaction call, which skips
 the checks, has no stacked form.  Per-run parameters are scalars, or ``(R, 1)``
-columns for a stack.  The radicand and the multipliers the kernels build,
-like the operators' intermediate products, use the per-thread scratch
-array of :func:`work`.
+columns for a stack.  The reaction's radicand, like the operators'
+intermediate products, uses the per-thread scratch array of :func:`work`.
+``BACKEND`` names the implementation and is written into every CSV header.
 """
 
 from __future__ import annotations
@@ -17,6 +17,16 @@ import threading
 
 import numpy as np
 
+__all__ = [
+    "BACKEND",
+    "RADICAND_FLOOR",
+    "free_energy_apply",
+    "guard_scan",
+    "heat_multiplier_apply",
+    "work",
+]
+
+BACKEND = "numpy"
 RADICAND_FLOOR = 1e-14
 _F64_MAX = np.finfo(np.float64).max
 _scratch = threading.local()
@@ -45,22 +55,28 @@ def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay, certified: bool =
     a scalar, or an ``(R, 1)`` column for a stack.  For ``decay > 1``
     (backward step) the radicand can cross zero, which is the pointwise
     blow-up: that row gets the index of its first cell whose radicand is
-    <= RADICAND_FLOOR, and its row of ``out`` is unspecified.  A row that
-    took the map everywhere gets -1.  A flat call returns an int, a stack an
-    int array with one entry per row.  Forward steps cannot blow up: the
-    radicand underflows to zero only when both decay and phi^2 do, where the
-    flow saturates at the fixed point sign(phi) (0 stays 0).  ``out`` may
-    alias ``phi``.
+    <= RADICAND_FLOOR or NaN (a NaN cell, or a phi whose square overflows),
+    and its row of ``out`` is unspecified.  A row that took the map
+    everywhere gets -1.  A flat call returns an int, a stack an int array
+    with one entry per row.  Forward steps cannot blow up: the radicand
+    underflows to zero only when both decay and phi^2 do, where the flow
+    saturates at the fixed point sign(phi) (0 stays 0).  ``out`` may alias
+    ``phi``.
 
     A flat call is ``certified`` when its caller has proved that every
     radicand exceeds RADICAND_FLOOR; it then makes none of the checks and
     returns -1, with the bits of the checked call (:func:`_certified_map`).
     """
-    if phi.ndim == 1:
-        if certified:
-            _certified_map(phi, out, decay)
-            return -1
-        return int(free_energy_apply(phi[np.newaxis], out[np.newaxis], decay)[0])
+    if phi.ndim == 2:
+        return _stacked_free_energy(phi, out, decay)
+    if certified:
+        _certified_map(phi, out, decay)
+        return -1
+    return int(_stacked_free_energy(phi[np.newaxis], out[np.newaxis], decay)[0])
+
+
+def _stacked_free_energy(phi: np.ndarray, out: np.ndarray, decay) -> np.ndarray:
+    """The checked :func:`free_energy_apply` of an ``(R, M)`` stack."""
     decay = np.minimum(decay, _F64_MAX)  # exp overflow upstream; any huge value acts the same
     # out doubles as the second scratch array unless it aliases phi, which
     # the division at the end still reads
@@ -74,9 +90,10 @@ def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay, certified: bool =
         _divide_by_root(phi, rad, out)
         return bad
     # the rare path: a blow-up, a zero radicand, decay 0 or NaN in some row
-    blown = np.flatnonzero((decay > 1.0) & (rad.min(axis=1, keepdims=True) <= RADICAND_FLOOR))
+    low = ~(rad > RADICAND_FLOOR)  # NaN counts as at or below the floor
+    blown = np.flatnonzero((decay > 1.0) & low.any(axis=1, keepdims=True))
     if blown.size:
-        bad[blown] = np.argmax(rad[blown] <= RADICAND_FLOOR, axis=1)
+        bad[blown] = np.argmax(low[blown], axis=1)
         # no square root of a negative radicand: these rows of out are unspecified
         rad[blown] = 1.0
     np.sqrt(rad, out=rad)
@@ -129,24 +146,18 @@ def _certified_map(phi: np.ndarray, out: np.ndarray, decay) -> None:
         _divide_by_root(block, _radicand(block, decay, rad[:n], tmp[:n]), out[start : start + n])
 
 
-def heat_multiplier_apply(
-    coeffs: np.ndarray, eig: np.ndarray, tau, k_tol, out: np.ndarray
-) -> None:
-    """``out <- coeffs * min(exp(eig * tau), k_tol)`` elementwise.
+def heat_multiplier_apply(out: np.ndarray, eig: np.ndarray, tau, k_tol) -> None:
+    """``out <- min(exp(eig * tau), k_tol)`` elementwise, the clamped heat multiplier.
 
     ``eig`` is one row of eigenvalues; for a stack, ``tau`` and ``k_tol``
-    may be ``(R, 1)`` columns.  ``out`` may alias ``coeffs``.  The multiplier
-    is capped at the largest finite double even for ``k_tol = inf`` so that
-    zero coefficients stay exactly zero instead of turning into inf * 0.
+    may be ``(R, 1)`` columns.  The multiplier is capped at the largest
+    finite double even for ``k_tol = inf``, so that zero coefficients
+    multiplied by it stay exactly zero instead of turning into inf * 0.
     """
-    cap = np.minimum(k_tol, _F64_MAX)
     with np.errstate(over="ignore"):
-        mult = np.multiply(eig, tau, out=work(out.shape))
-        np.exp(mult, out=mult)
-        np.minimum(mult, cap, out=mult)
-        # an unbounded clamp may overflow the product to inf; the solver guard
-        # is responsible for catching that
-        np.multiply(coeffs, mult, out=out)
+        np.multiply(eig, tau, out=out)
+        np.exp(out, out=out)
+        np.minimum(out, np.minimum(k_tol, _F64_MAX), out=out)
 
 
 def guard_scan(values: np.ndarray) -> float | np.ndarray:

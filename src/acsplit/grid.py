@@ -68,17 +68,11 @@ class GridSpec:
 
     @property
     def cell_count(self) -> int:
-        n = 1
-        for m in self.cells:
-            n *= m
-        return n
+        return math.prod(self.cells)
 
     @property
     def cell_volume(self) -> float:
-        v = 1.0
-        for h in self.spacing:
-            v *= h
-        return v
+        return math.prod(self.spacing)
 
     def cell(self, flat_index: int) -> tuple[int, ...]:
         """Multi-index of the cell at ``flat_index`` in C order."""

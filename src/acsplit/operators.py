@@ -6,7 +6,10 @@ cosine space, with a clamp ``min(exp(A_k * tau), K_tol)`` on the spectral
 multiplier that limits the exponential amplification of high modes during
 backward (tau < 0) substeps.  Where that clamp binds nowhere, the flow on a
 2D/3D grid is the tensor product of one small dense matrix per axis, and
-:func:`heat_evolve` applies those instead of a transform pair.
+:func:`heat_evolve` applies those instead of a transform pair.  Which of
+the two a substep takes, with the factors or the clamped multiplier it
+needs, is planned once per ``(grid, tau, k_tol)`` and cached
+(:func:`_heat_plan`).
 
 :func:`heat_gain` and :func:`reaction_peak` carry an upper bound on
 ``max|phi|`` through a substep wherever it can be certified, so that the
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dct, dctn, idctn
@@ -190,25 +194,10 @@ def free_energy_evolve(f: Field, tau: float, model: ModelParams, peak: float = m
 def clamped_multipliers(grid: GridSpec, tau, k_tol: float) -> np.ndarray:
     """``min(exp(A_k * tau), k_tol)`` over the cells of ``grid`` in C order,
     for a scalar ``tau`` or per row of an ``(R, 1)`` column of them: shape
-    ``(M,)`` or ``(R, M)``.
-
-    Built by one kernel call on ones, so it has the bits of the multiplier
-    the kernel applies to coefficients with the same ``tau``; multiplying
-    by it gives the bits of that kernel call.
+    ``(M,)`` or ``(R, M)``; one kernel call builds it.
     """
-    mult = np.ones(np.shape(tau)[:-1] + (grid.cell_count,))
-    _kernels.heat_multiplier_apply(mult, eigenvalue_table(grid).ravel(), tau, k_tol, mult)
-    return mult
-
-
-@lru_cache(maxsize=4)
-def _clamped_multiplier(grid: GridSpec, tau: float, k_tol: float) -> np.ndarray:
-    """Cached, read-only :func:`clamped_multipliers` of a scalar ``tau``,
-    shaped as ``grid``.  No scheme has more than three distinct ``a_j``, so
-    a run reuses a handful of entries.
-    """
-    mult = clamped_multipliers(grid, tau, k_tol).reshape(grid.shape)
-    mult.setflags(write=False)
+    mult = np.empty(np.shape(tau)[:-1] + (grid.cell_count,))
+    _kernels.heat_multiplier_apply(mult, eigenvalue_table(grid).ravel(), tau, k_tol)
     return mult
 
 
@@ -233,9 +222,13 @@ def _uses_factors(grid: GridSpec, tau: float, k_tol: float) -> bool:
     """
     if not _factor_grid(grid):
         return False
+    # min(A) is the highest mode on every axis, summed from 0.0 in axis
+    # order as spectral.eigenvalue_table sums it, so it has the table's bits
+    least = 0.0
+    for length, n in zip(grid.lengths, grid.cells):
+        least += float(axis_eigenvalues(length, n)[-1])
     try:
-        # the last entry of the table, the highest mode on every axis, is min(A)
-        peak = math.exp(float(eigenvalue_table(grid).flat[-1]) * float(tau))
+        peak = math.exp(least * float(tau))
     except OverflowError:
         return False
     return peak <= k_tol
@@ -249,50 +242,50 @@ def _dct_matrix(cells: int) -> np.ndarray:
     return c
 
 
-class _HeatFactors(tuple):
-    """The read-only per-axis factors of one heat substep, with ``gain``,
-    the :func:`heat_gain` of that substep."""
+class _HeatPlan(NamedTuple):
+    """How :func:`heat_evolve` applies one heat substep, and its :func:`heat_gain`."""
 
+    factors: tuple[np.ndarray, ...] | None  # read-only, where _uses_factors holds
+    multiplier: np.ndarray | None  # read-only, shaped as the grid, elsewhere
     gain: float
 
 
 @lru_cache(maxsize=4)
-def _heat_factors(grid: GridSpec, tau: float) -> _HeatFactors:
-    """Cached, read-only ``F_i = C_i^T diag(exp(lam_i * tau)) C_i``, one per
-    axis, with ``C_i`` the orthonormal DCT-II matrix and
-    ``lam_i = -(pi k / L_i)^2``; their tensor product is the unclamped flow.
+def _heat_plan(grid: GridSpec, tau: float, k_tol: float) -> _HeatPlan:
+    """The cached plan of a heat substep.  No scheme has more than three
+    distinct heat substep lengths, so a run reuses a handful of entries.
 
-    Their ``gain`` is the product of their infinity norms (largest absolute
-    row sums) times ``1 + BOUND_MARGIN``: each product of
-    :func:`_apply_factors` sums at most ``FACTOR_MAX_CELLS`` terms, so it
-    rounds by less than 1.5e-14 of the sum of their absolute values, and so
-    does each row sum.
+    Where :func:`_uses_factors` holds, the read-only
+    ``F_i = C_i^T diag(exp(lam_i * tau)) C_i``, one per axis, with ``C_i``
+    the orthonormal DCT-II matrix and ``lam_i = -(pi k / L_i)^2``; their
+    tensor product is the unclamped flow.  Their ``gain`` is the product of
+    their infinity norms (largest absolute row sums) times
+    ``1 + BOUND_MARGIN``: each product of :func:`_apply_factors` sums at
+    most ``FACTOR_MAX_CELLS`` terms, so it rounds by less than 1.5e-14 of
+    the sum of their absolute values, and so does each row sum.
+
+    Elsewhere, the read-only :func:`clamped_multipliers` shaped as
+    ``grid``, and an unknown ``gain``: inf.
     """
+    if not _uses_factors(grid, tau, k_tol):
+        multiplier = clamped_multipliers(grid, tau, k_tol).reshape(grid.shape)
+        multiplier.setflags(write=False)
+        return _HeatPlan(None, multiplier, math.inf)
     factors = []
     for length, n in zip(grid.lengths, grid.cells):
         c = _dct_matrix(n)
         factors.append((c.T * np.exp(axis_eigenvalues(length, n) * tau)) @ c)
-    factors = _HeatFactors(_read_only(factors))
-    factors.gain = 1.0 + BOUND_MARGIN
+    gain = 1.0 + BOUND_MARGIN
     for factor in factors:
-        factors.gain *= float(np.abs(factor).sum(axis=1).max())
-    return factors
-
-
-@lru_cache(maxsize=8)
-def _factor_plan(grid: GridSpec, tau: float, k_tol: float) -> _HeatFactors | None:
-    """The :func:`_heat_factors` of a heat substep where :func:`_uses_factors`
-    holds, else None: one cached lookup serves :func:`heat_evolve` and
-    :func:`heat_gain` alike."""
-    return _heat_factors(grid, tau) if _uses_factors(grid, tau, k_tol) else None
+        gain *= float(np.abs(factor).sum(axis=1).max())
+    return _HeatPlan(_read_only(factors), None, gain)
 
 
 def heat_gain(grid: GridSpec, tau: float, k_tol: float) -> float:
     """A factor by which a heat substep can at most grow ``max|phi|``, as
     :func:`heat_evolve` computes it: the ``gain`` of its factors, or inf off
     the factor path."""
-    factors = _factor_plan(grid, tau, k_tol)
-    return math.inf if factors is None else factors.gain
+    return _heat_plan(grid, tau, k_tol).gain
 
 
 def _read_only(factors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -336,7 +329,8 @@ def heat_evolve(
     ``N_i x N_i`` factor per axis (fast diagonalisation; the clamp binds
     nowhere, so nothing is lost), and its result matches the transform pair
     to rounding, not to the bit.  Otherwise it is one transform pair with
-    the cached clamped multiplier; every 1D substep takes that path.
+    the clamped multiplier; every 1D substep takes that path.  Either is
+    looked up once, in the cached :func:`_heat_plan`.
 
     A :class:`FieldStack` of 1D fields takes an ``(R, 1)`` column ``tau``,
     one entry per row.  It is advanced by one transform pair over the grid
@@ -346,17 +340,17 @@ def heat_evolve(
     reference the tests compare those tables against.  Every row gets the
     bits that row gets alone.  Only a stack reads ``multipliers``.
     """
-    k_tol = policy.k_tol
     stacked = isinstance(f, FieldStack)
-    if not stacked and (factors := _factor_plan(f.grid, tau, k_tol)) is not None:
-        # an unbounded clamp may overflow the products to inf or NaN; the
-        # solver guard is responsible for catching that
-        with np.errstate(over="ignore", invalid="ignore"):
-            return Field(f.grid, _apply_factors(f.values, factors))
     if not stacked:
-        multipliers = _clamped_multiplier(f.grid, tau, k_tol)
+        plan = _heat_plan(f.grid, tau, policy.k_tol)
+        if plan.factors is not None:
+            # an unbounded clamp may overflow the products to inf or NaN; the
+            # solver guard is responsible for catching that
+            with np.errstate(over="ignore", invalid="ignore"):
+                return Field(f.grid, _apply_factors(f.values, plan.factors))
+        multipliers = plan.multiplier
     elif multipliers is None:
-        multipliers = clamped_multipliers(f.grid, tau, k_tol)
+        multipliers = clamped_multipliers(f.grid, tau, policy.k_tol)
     axes = (1,) if stacked else None  # every axis of a field; faster than naming them
     coeffs = dctn(f.values, type=2, norm="ortho", axes=axes)
     # an unbounded clamp may overflow the product to inf; the solver guard

@@ -111,7 +111,7 @@ _F64_MAX = np.finfo(np.float64).max
 
 def free_energy_plain(phi: np.ndarray, out: np.ndarray, decay: float) -> int:
     """``phi / sqrt(phi^2 + (1 - phi^2) * decay)``; the first cell whose
-    radicand is <= RADICAND_FLOOR on a backward step, else -1."""
+    radicand is <= RADICAND_FLOOR or NaN on a backward step, else -1."""
     if decay > _F64_MAX:
         decay = _F64_MAX
     if decay == 0.0:
@@ -120,8 +120,8 @@ def free_energy_plain(phi: np.ndarray, out: np.ndarray, decay: float) -> int:
     phi2 = phi * phi
     with np.errstate(over="ignore"):
         rad = phi2 + (1.0 - phi2) * decay
-    if decay > 1.0 and np.min(rad) <= RADICAND_FLOOR:
-        return int(np.argmax(rad <= RADICAND_FLOOR))
+    if decay > 1.0 and not np.all(rad > RADICAND_FLOOR):
+        return int(np.argmax(~(rad > RADICAND_FLOOR)))
     np.sqrt(rad, out=rad)
     nonzero = rad > 0.0
     np.divide(phi, rad, out=out, where=nonzero)

@@ -6,13 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from acsplit._kernels import BACKEND, RADICAND_FLOOR, _ref
+from acsplit import _kernels
+from acsplit._kernels import BACKEND, RADICAND_FLOOR
 
 from oracles import (
     free_energy_plain,
     free_energy_rows_plain,
     guard_scan_plain,
     guard_scan_rows_plain,
+    heat_multiplier_plain,
     heat_multiplier_rows_plain,
 )
 
@@ -25,11 +27,11 @@ def test_work_is_one_buffer_viewed_by_element_count():
     views = {}
 
     def probe():  # a new thread starts without a scratch array
-        views["grid"] = _ref.work((4, 6))
-        views["row"] = _ref.work((1, 24))
-        views["fewer"] = _ref.work((5,))
-        views["more"] = _ref.work((4000,))
-        views["after"] = _ref.work((4, 6))
+        views["grid"] = _kernels.work((4, 6))
+        views["row"] = _kernels.work((1, 24))
+        views["fewer"] = _kernels.work((5,))
+        views["more"] = _kernels.work((4000,))
+        views["after"] = _kernels.work((4, 6))
 
     thread = threading.Thread(target=probe)
     thread.start()
@@ -49,39 +51,34 @@ def test_free_energy_radicand_floor():
     crit = np.sqrt((decay - RADICAND_FLOOR) / (decay - 1.0))
     phi = np.array([crit * (1.0 + 1e-9)])
     out = np.empty(1)
-    assert _ref.free_energy_apply(phi, out, decay) == 0
+    assert _kernels.free_energy_apply(phi, out, decay) == 0
     phi = np.array([crit * (1.0 - 1e-9)])
-    assert _ref.free_energy_apply(phi, out, decay) == -1
+    assert _kernels.free_energy_apply(phi, out, decay) == -1
     assert np.isfinite(out[0])
 
 
-# the kernel module is a parameter so that these test ids name it
-@pytest.mark.parametrize("impl", [_ref])
-def test_heat_multiplier_allows_aliased_output(impl):
+def test_heat_multiplier_writes_the_clamp_of_exp():
     rng = np.random.default_rng(5)
     eig = -rng.uniform(0.0, 100.0, 64)
-    coeffs = rng.standard_normal(64)
-    expected = np.empty_like(coeffs)
-    impl.heat_multiplier_apply(coeffs, eig, 0.01, 1e9, expected)
-    aliased = coeffs.copy()
-    impl.heat_multiplier_apply(aliased, eig, 0.01, 1e9, aliased)
-    np.testing.assert_array_equal(aliased, expected)
+    out = np.full(64, -7.0)
+    _kernels.heat_multiplier_apply(out, eig, -0.1, 1e3)
+    ones = np.ones(64)
+    np.testing.assert_array_equal(_bits(out), _bits(heat_multiplier_plain(ones, eig, -0.1, 1e3)))
+    assert out.max() == 1e3 and out.min() < 1e3  # the clamp binds on some modes only
 
 
-@pytest.mark.parametrize("impl", [_ref])
-def test_zero_coefficients_stay_zero_with_unbounded_clamp(impl):
+def test_zero_coefficients_stay_zero_with_unbounded_clamp():
     eig = np.array([-0.0, -1e6])
-    coeffs = np.array([0.0, 0.0])
-    out = np.empty(2)
-    impl.heat_multiplier_apply(coeffs, eig, -1.0, np.inf, out)  # exp overflows
-    assert np.all(out == 0.0)
+    mult = np.empty(2)
+    _kernels.heat_multiplier_apply(mult, eig, -1.0, np.inf)  # exp overflows
+    assert mult[0] == 1.0 and mult[1] == np.finfo(np.float64).max
+    assert np.all(np.array([0.0, 0.0]) * mult == 0.0)
 
 
-@pytest.mark.parametrize("impl", [_ref])
-def test_guard_scan(impl):
-    assert impl.guard_scan(np.array([0.5, -2.0, 1.0])) == 2.0
-    assert impl.guard_scan(np.array([0.0, np.inf])) == np.inf
-    assert np.isnan(impl.guard_scan(np.array([1.0, np.nan, 3.0])))
+def test_guard_scan():
+    assert _kernels.guard_scan(np.array([0.5, -2.0, 1.0])) == 2.0
+    assert _kernels.guard_scan(np.array([0.0, np.inf])) == np.inf
+    assert np.isnan(_kernels.guard_scan(np.array([1.0, np.nan, 3.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +105,7 @@ def test_free_energy_matches_plain_formula(name, decay, aliased):
     want = free_energy_plain(phi.copy(), expected, decay)
     work = phi.copy()
     out = work if aliased else np.full_like(phi, -7.0)
-    got = _ref.free_energy_apply(work, out, decay)
+    got = _kernels.free_energy_apply(work, out, decay)
     assert got == want  # same blow-up index, or -1 for both
     if want == -1:
         np.testing.assert_array_equal(out, expected)
@@ -145,7 +142,7 @@ GUARD_INPUTS = {
 def test_guard_scan_matches_plain_formula(name):
     values = GUARD_INPUTS[name]
     want = guard_scan_plain(values)
-    got = _ref.guard_scan(values)
+    got = _kernels.guard_scan(values)
     assert isinstance(got, float)
     if np.isnan(want):
         assert np.isnan(got)
@@ -187,7 +184,7 @@ def test_stacked_free_energy_matches_rows(aliased):
     out = work if aliased else np.full_like(phi, -7.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a blown-up row must not leak an invalid sqrt
-        got = _ref.free_energy_apply(work, out, decay)
+        got = _kernels.free_energy_apply(work, out, decay)
     np.testing.assert_array_equal(got, want)
     done = want == -1
     np.testing.assert_array_equal(_bits(out[done]), _bits(expected[done]))
@@ -200,9 +197,9 @@ def test_flat_free_energy_is_the_one_row_stack():
         phi = np.array(values)
         flat = np.empty_like(phi)
         stacked = np.empty((1, phi.size))
-        got = _ref.free_energy_apply(phi, flat, decay)
+        got = _kernels.free_energy_apply(phi, flat, decay)
         assert isinstance(got, int)
-        assert [got] == _ref.free_energy_apply(phi[np.newaxis], stacked, np.array([[decay]])).tolist()
+        assert [got] == _kernels.free_energy_apply(phi[np.newaxis], stacked, np.array([[decay]])).tolist()
         if got == -1:
             np.testing.assert_array_equal(_bits(flat), _bits(stacked[0]))
 
@@ -213,15 +210,13 @@ def test_stacked_heat_multiplier_matches_rows():
     eig[0] = 0.0
     tau = np.array([[0.01], [-0.01], [-0.5], [0.0], [-0.01]])
     k_tol = np.array([[1e9], [1e4], [np.inf], [1.0], [1e9]])
-    coeffs = rng.standard_normal((len(tau), eig.size))
-    coeffs[2, 7] = 0.0  # stays 0 under an overflowing, unbounded multiplier
-    out = np.empty_like(coeffs)
-    _ref.heat_multiplier_apply(coeffs, eig, tau, k_tol, out)
-    np.testing.assert_array_equal(_bits(out), _bits(heat_multiplier_rows_plain(coeffs, eig, tau, k_tol)))
-    assert out[2, 7] == 0.0
+    out = np.empty((len(tau), eig.size))
+    _kernels.heat_multiplier_apply(out, eig, tau, k_tol)
+    np.testing.assert_array_equal(_bits(out), _bits(heat_multiplier_rows_plain(np.ones_like(out), eig, tau, k_tol)))
+    assert np.all(np.isfinite(out))  # capped under an overflowing, unbounded multiplier
     for r in range(len(tau)):  # the flat call is the one-row case
         flat = np.empty(eig.size)
-        _ref.heat_multiplier_apply(coeffs[r], eig, float(tau[r, 0]), float(k_tol[r, 0]), flat)
+        _kernels.heat_multiplier_apply(flat, eig, float(tau[r, 0]), float(k_tol[r, 0]))
         np.testing.assert_array_equal(_bits(flat), _bits(out[r]))
 
 
@@ -237,7 +232,7 @@ def test_stacked_guard_scan_matches_rows():
         [np.inf, np.nan, 0.0],
         [-1e-310, 0.0, 1e-320],
     ])
-    got = _ref.guard_scan(values)
+    got = _kernels.guard_scan(values)
     assert got.shape == (len(values),)
     np.testing.assert_array_equal(got, guard_scan_rows_plain(values))
 
@@ -250,8 +245,28 @@ def test_free_energy_squares_an_overflowing_phi_silently(decay):
     flat, stacked = np.empty_like(row), np.empty((2, row.size))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bad = _ref.free_energy_apply(row, flat, decay)
-        bads = _ref.free_energy_apply(np.array([row, row[::-1]]), stacked, np.array([[decay], [decay]]))
-    assert [bad, bad] == bads.tolist()
+        bad = _kernels.free_energy_apply(row, flat, decay)
+        bads = _kernels.free_energy_apply(np.array([row, row[::-1]]), stacked, np.array([[decay], [decay]]))
+    if decay > 1.0:  # the overflowed square makes a NaN radicand: a blow-up at that cell
+        assert [bad] + bads.tolist() == [2, 2, 1]
+        return
+    assert [bad, bad] == bads.tolist() == [-1, -1]
     np.testing.assert_array_equal(_bits(flat), _bits(stacked[0]))
     np.testing.assert_array_equal(_bits(flat[::-1]), _bits(stacked[1]))
+
+
+@pytest.mark.parametrize("row, cell", [([0.3, 1e200, 1e100], 1), ([0.3, 1e100, np.nan, 0.2], 1),
+                                       ([0.3, np.nan, 0.2], 1), ([0.3, 0.2, np.nan], 2)],
+                         ids=["overflow-first", "overflow-and-nan", "nan", "nan-last"])
+def test_backward_nan_radicand_is_a_blow_up(row, cell):
+    # a NaN radicand hides the row's least radicand from a plain min, so it
+    # counts as one at the floor; no square root of a negative radicand is taken
+    row = np.array(row)
+    flat, stacked = np.empty_like(row), np.empty((2, row.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bad = _kernels.free_energy_apply(row, flat, 2.0)
+        bads = _kernels.free_energy_apply(np.array([row, np.full_like(row, 0.5)]), stacked, np.array([[2.0], [2.0]]))
+    assert bad == cell and bads.tolist() == [cell, -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracle squares phi plainly
+        assert bad == free_energy_plain(row, np.empty_like(row), 2.0)

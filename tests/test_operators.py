@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -143,11 +145,11 @@ def test_heat_clamp_semantics_exact():
 
 
 def test_clamped_multiplier_cache_is_read_only_and_keyed_by_clamp():
-    from acsplit.operators import _clamped_multiplier
+    from acsplit.operators import _heat_plan
 
     grid = GridSpec.line(1.0, 64)  # A_max ~ -3.9e4, so exp(-A * 1e-3) ~ 1e17
     tau = -1e-3
-    tables = {k_tol: _clamped_multiplier(grid, tau, k_tol) for k_tol in (1e4, 1e9, np.inf)}
+    tables = {k_tol: _heat_plan(grid, tau, k_tol).multiplier for k_tol in (1e4, 1e9, np.inf)}
     for table in tables.values():
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -156,7 +158,7 @@ def test_clamped_multiplier_cache_is_read_only_and_keyed_by_clamp():
     assert tables[1e4].max() == 1e4
     assert tables[1e9].max() == 1e9
     assert tables[np.inf].max() > 1e16
-    assert _clamped_multiplier(grid, tau, 1e9) is tables[1e9]
+    assert _heat_plan(grid, tau, 1e9).multiplier is tables[1e9]
 
 
 def test_heat_never_writes_its_input():
@@ -255,18 +257,46 @@ def test_heat_factor_path_matches_the_transform_formula(grid, tau, k_tol):
     ids=["binding", "1d", "1d-unclamped", "long-axis", "overflow"],
 )
 def test_heat_transform_path_keeps_the_formula_bytes(grid, tau, k_tol):
-    from acsplit.operators import _heat_factors, _uses_factors
+    from acsplit.operators import _heat_plan, _uses_factors
 
     assert not _uses_factors(grid, tau, k_tol)
     rng = np.random.default_rng(22)
-    _heat_factors.cache_clear()
+    _heat_plan.cache_clear()
     for values in (rng.standard_normal(grid.shape), np.zeros(grid.shape)):
         f = Field(grid, values)
         got = heat_evolve(f, tau, CutoffPolicy(k_tol)).values
         assert got.tobytes() == explicit_heat(f, tau, k_tol).tobytes()
     # zeros stay zeros, not inf * 0, and no factor was built on the way
     np.testing.assert_array_equal(got, 0.0)
-    assert _heat_factors.cache_info().currsize == 0
+    assert _heat_plan.cache_info().currsize == 1 and _heat_plan(grid, tau, k_tol).factors is None
+
+
+# on the last two, summing the axes' minima in another order moves min(A) by an ulp
+@pytest.mark.parametrize("grid", FACTOR_GRIDS + [GridSpec((1.0, 0.9, 1.1), (32, 32, 32)),
+                                                 GridSpec((1.0, 0.8, 1.3), (10, 9, 7))],
+                         ids=["2d", "3d", "32^3", "10x9x7"])
+def test_uses_factors_reads_min_a_with_the_table_bits(grid):
+    # min(A) is summed from the axes as the table sums it: a clamp at
+    # exactly the table's largest multiplier is inert, one ulp below binds
+    from acsplit.operators import _uses_factors
+    from acsplit.spectral import eigenvalue_table
+
+    for tau in (-1e-3, -3.7e-4, -1e-4, -3e-5, -1e-5):
+        peak = math.exp(float(eigenvalue_table(grid).flat[-1]) * tau)  # math.exp, as the predicate takes it
+        assert _uses_factors(grid, tau, peak)
+        assert not _uses_factors(grid, tau, np.nextafter(peak, 0.0))
+
+
+def test_factor_path_builds_no_eigenvalue_table():
+    from acsplit.spectral import eigenvalue_table
+
+    grid = GridSpec((1.0, 0.9, 1.1), (10, 9, 7))  # no other test builds its table
+    f = Field(grid, np.random.default_rng(27).standard_normal(grid.shape))
+    misses = eigenvalue_table.cache_info().misses
+    for tau in (1e-3, -1e-4):
+        heat_evolve(f, tau, CutoffPolicy(1e9))
+    energy(f, MODEL)
+    assert eigenvalue_table.cache_info().misses == misses
 
 
 def test_heat_factor_path_overflow_is_left_to_the_guard():
@@ -281,10 +311,10 @@ def test_heat_factor_path_overflow_is_left_to_the_guard():
 
 
 def test_heat_factors_are_cached_read_only():
-    from acsplit.operators import _heat_factors
+    from acsplit.operators import _heat_plan
 
     grid = FACTOR_GRIDS[1]
-    factors = _heat_factors(grid, -1e-3)
+    factors = _heat_plan(grid, -1e-3, 1e9).factors
     assert [m.shape for m in factors] == [(6, 6), (5, 5), (4, 4)]
     for factor in factors:
         assert np.all(np.isfinite(factor))
@@ -293,7 +323,7 @@ def test_heat_factors_are_cached_read_only():
             factor[0, 0] = 2.0
     # the last axis is applied as slab products with its transpose
     assert factors[-1].T.flags.c_contiguous
-    assert _heat_factors(grid, -1e-3) is factors
+    assert _heat_plan(grid, -1e-3, 1e9).factors is factors
 
 
 # the slab products round differently from one GEMM on the first two
@@ -316,9 +346,9 @@ def einsum_factors(values, factors):
 @pytest.mark.parametrize("tau", [0.003, -1e-3])
 @pytest.mark.parametrize("grid", EINSUM_GRIDS, ids=EINSUM_IDS)
 def test_apply_factors_matches_einsum(grid, tau):
-    from acsplit.operators import _apply_factors, _heat_factors
+    from acsplit.operators import _apply_factors, _heat_plan
 
-    factors = _heat_factors(grid, tau)
+    factors = _heat_plan(grid, tau, 1e9).factors
     values = np.random.default_rng(26).standard_normal(grid.shape)
     want = einsum_factors(values, factors)
     got = _apply_factors(values, factors)
@@ -515,11 +545,11 @@ def _worst_heat_field(factors):
 @pytest.mark.parametrize("tau", [0.003, 1e-6, -1e-5, -1e-4])  # forward, and backward where the clamp binds nowhere
 @pytest.mark.parametrize("grid", BOUND_GRIDS, ids=BOUND_IDS)
 def test_heat_gain_bounds_the_factor_path(grid, tau):
-    from acsplit.operators import PEAK_LIMIT, _heat_factors, heat_gain
+    from acsplit.operators import PEAK_LIMIT, _heat_plan, heat_gain
 
     gain = heat_gain(grid, tau, 1e9)
     assert 0.0 < gain < np.inf
-    worst = _worst_heat_field(_heat_factors(grid, tau))
+    worst = _worst_heat_field(_heat_plan(grid, tau, 1e9).factors)
     rng = np.random.default_rng(28)
     fields = [worst, -worst, rng.uniform(-1.0, 1.0, grid.shape), np.where(rng.random(grid.shape) < 0.5, -1.0, 1.0)]
     for scale in (1.0, 0.7, 1.3, 3.7, 1e3, PEAK_LIMIT):
@@ -614,7 +644,7 @@ def test_reaction_is_certified_only_where_its_radicand_is_normal():
 @pytest.mark.parametrize("blocks", [0, 1, 2], ids=["part-block", "one-block", "blocks"])
 def test_certified_kernel_keeps_the_checked_bits(blocks, aliased):
     from acsplit._kernels import free_energy_apply
-    from acsplit._kernels._ref import CERTIFIED_BLOCK
+    from acsplit._kernels import CERTIFIED_BLOCK
     from acsplit.operators import _certified
 
     # exactly one block, or a partial block alone or after two whole ones

@@ -785,6 +785,31 @@ def test_1d_ensemble_makes_no_step_call(monkeypatch):
     assert calls[0] == 0
 
 
+@pytest.mark.parametrize("checked", [False, True], ids=["certified", "checked"])
+@pytest.mark.parametrize("record_energy", [True, False], ids=["whole-steps", "merged"])
+def test_the_reaction_kernel_is_called_once_per_1d_reaction_substep(monkeypatch, record_energy, checked):
+    # the tracer wraps the kernel module's attribute; a flat checked call
+    # must not reach the stacked code through it and be counted twice
+    from acsplit import _kernels
+
+    if checked:
+        _without_bounds(monkeypatch)
+    calls = _count_calls(monkeypatch, _kernels, "free_energy_apply")
+    f0 = rough_field(m=64, seed=3)
+    cfg = RunConfig(fourth_order_v(), 0.5 * EPS**2, 4.3 * EPS**2, MODEL, record_energy=record_energy)
+    rule = StepRule.of(cfg.scheme, cfg.plan, merge=not record_energy)
+    reactions = sum(kind == R for i in range(1, cfg.plan.n_steps + 1)
+                    for kind, _ in applied_substeps(cfg.scheme, *rule.step(i)))
+    assert run(f0, cfg).completed
+    assert calls[0] == reactions
+    if record_energy:
+        return
+    # an ensemble of one scheme is one stack: one call per stacked substep
+    calls[0] = 0
+    assert all(traj.completed for traj in run_ensemble(f0, [cfg, cfg, cfg]))
+    assert calls[0] == reactions
+
+
 def test_spinodal_convergence_runs_each_run_through_harness_run(monkeypatch):
     # the tracer counts runs, and segments them, at harness.run
     from acsplit import harness
