@@ -60,8 +60,9 @@ def free_energy_apply(phi: np.ndarray, out: np.ndarray, decay, certified: bool =
     everywhere gets -1.  A flat call returns an int, a stack an int array
     with one entry per row.  Forward steps cannot blow up: the radicand
     underflows to zero only when both decay and phi^2 do, where the flow
-    saturates at the fixed point sign(phi) (0 stays 0).  ``out`` may alias
-    ``phi``.
+    saturates at the fixed point sign(phi) (0 stays 0).  A finite phi whose
+    square overflows takes the forward flow's limit sign(phi) / sqrt(1 - decay),
+    or stays phi at decay 1, the identity.  ``out`` may alias ``phi``.
 
     A flat call is ``certified`` when its caller has proved that every
     radicand exceeds RADICAND_FLOOR; it then makes none of the checks and
@@ -101,6 +102,13 @@ def _stacked_free_energy(phi: np.ndarray, out: np.ndarray, decay) -> np.ndarray:
     nonzero = rad > 0.0
     np.divide(phi, rad, out=out, where=nonzero)
     out[~nonzero] = np.sign(phi[~nonzero])
+    # a finite phi whose square overflows makes the radicand inf - inf
+    over = np.isnan(rad)
+    if over.any():
+        over &= np.isfinite(phi) & (decay <= 1.0)
+        d = np.broadcast_to(decay, phi.shape)[over]
+        with np.errstate(divide="ignore"):
+            out[over] = np.where(d < 1.0, np.sign(phi[over]) / np.sqrt(1.0 - d), phi[over])
     # decay underflow means an effectively infinite forward step: those rows
     # saturate at their fixed point, which out already has the sign of.
     # phi / sqrt(phi^2) would lose mantissa bits once phi^2 is subnormal.

@@ -58,12 +58,6 @@ def _error(traj: Trajectory, reference: Field) -> float:
     return relative_l2_error(traj.final, reference) if traj.completed else float("nan")
 
 
-def _scored_run(f0: Field, cfg: RunConfig, reference: Field) -> tuple[Trajectory, float]:
-    """Run from a copy of ``f0`` and score it with :func:`_error`."""
-    traj = run(f0.copy(), cfg)
-    return traj, _error(traj, reference)
-
-
 def _convergence_report(
     schemes: list[SplitCoefficients],
     dt_list: list[float],
@@ -77,8 +71,8 @@ def _convergence_report(
     rows = []
     for scheme in schemes:
         for dt in dt_list:
-            traj, err = _scored_run(f0, run_config(scheme, dt), reference)
-            rows.append(RunRow(scheme.label, dt, len(traj.times) - 1, err, traj.status))
+            traj = run(f0, run_config(scheme, dt))
+            rows.append(RunRow(scheme.label, dt, len(traj.times) - 1, _error(traj, reference), traj.status))
     report = ErrorReport(sorted(rows, key=lambda r: (r.scheme, -r.dt)), metadata)
     report.fit_slopes()
     return report
@@ -141,7 +135,7 @@ def spinodal_convergence(
         record_energy=False,
     )
     f0 = spinodal_initial(spec)
-    ref = run(f0.copy(), run_config(fourth_order_v(), ref_dt))
+    ref = run(f0, run_config(fourth_order_v(), ref_dt))
     if not ref.completed:
         raise RuntimeError("reference run diverged; refusing to compare against it")
     return _convergence_report(

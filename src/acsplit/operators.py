@@ -336,9 +336,10 @@ def heat_evolve(
     one entry per row.  It is advanced by one transform pair over the grid
     axis, its coefficients scaled by ``multipliers``, the
     :func:`clamped_multipliers` of ``tau``; the solver passes the tables it
-    keeps per stack, and where none is passed they are built here, the
-    reference the tests compare those tables against.  Every row gets the
-    bits that row gets alone.  Only a stack reads ``multipliers``.
+    keeps per stack, and ``tau`` is then not read.  Where none is passed
+    they are built here, the reference the tests compare those tables
+    against.  Every row gets the bits that row gets alone.  Only a stack
+    reads ``multipliers``.
     """
     stacked = isinstance(f, FieldStack)
     if not stacked:

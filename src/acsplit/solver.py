@@ -220,24 +220,26 @@ class StepRule:
     every step but the last and carries its tau into the next step's first
     substep, so it changes only low bits of the final state.  ``deferred``
     is that substep, ``(kind, tau)`` of a full step, or None when the
-    boundaries are not merged.
+    boundaries are not merged.  ``schedule`` maps each :meth:`position` to
+    the :func:`applied_substeps` of a step there.
     """
 
     plan: StepPlan
     deferred: tuple[str, float] | None = None
+    schedule: dict = field(default_factory=dict, compare=False)
 
     @classmethod
     def of(cls, scheme: SplitCoefficients, plan: StepPlan, merge: bool) -> "StepRule":
         """The rule for ``scheme`` on ``plan``, merging boundaries if ``merge`` and they can be."""
-        if not merge or plan.n_steps < 2:
-            return cls(plan)
         # every step but the last is a full one; the last may be shortened
         full = applied_substeps(scheme, plan.dt)
         last = applied_substeps(scheme, plan.step_length(plan.n_steps)) if plan.shortened else full
         ends = (full[-1], full[0], last[0])
-        if all(kind == full[-1][0] and tau > 0 for kind, tau in ends):
-            return cls(plan, full[-1])
-        return cls(plan)
+        merges = merge and plan.n_steps > 1 and all(kind == full[-1][0] and tau > 0 for kind, tau in ends)
+        rule = cls(plan, full[-1] if merges else None)
+        at = {rule.position(i): i for i in (1, min(2, plan.n_steps), plan.n_steps)}  # a step at each position
+        rule.schedule.update({pos: tuple(applied_substeps(scheme, *rule.step(i))) for pos, i in at.items()})
+        return rule
 
     def position(self, i: int) -> tuple[float, bool, bool]:
         """Where step ``i`` (1-based) stands: its length, whether it takes a
@@ -346,56 +348,53 @@ def run_ensemble(f0: Field, configs: Sequence[RunConfig]) -> list[Trajectory]:
     if f0.grid.dims > 1:
         return [run(f0, cfg) for cfg in configs]
     plan = configs[0].plan
-    # per scheme: its rule, what a stack of its runs shares (the kind of the
-    # deferred substep and the kinds of substep at each step position), and
-    # its taus at each position
-    split: dict[SplitCoefficients, tuple[StepRule, tuple, dict]] = {}
-    groups: dict[tuple, list[int]] = {}
+    rules: dict[SplitCoefficients, StepRule] = {}
+    kinds: dict[SplitCoefficients, tuple] = {}  # (deferred kind, kinds at each position) per scheme
+    stacks: dict[tuple, list[int]] = {}
     for r, cfg in enumerate(configs):
-        if cfg.scheme not in split:
-            rule = StepRule.of(cfg.scheme, plan, merge=True)
-            at = {rule.position(i): i for i in (1, min(2, plan.n_steps), plan.n_steps)}
-            steps = {pos: tuple(zip(*applied_substeps(cfg.scheme, *rule.step(i)))) for pos, i in at.items()}
-            stack_key = rule.deferred and rule.deferred[0], tuple((pos, k) for pos, (k, _) in steps.items())
-            split[cfg.scheme] = rule, stack_key, {pos: t for pos, (_, t) in steps.items()}
-        groups.setdefault((cfg.cutoff, split[cfg.scheme][1]), []).append(r)
+        if cfg.scheme not in rules:
+            rule = rules[cfg.scheme] = StepRule.of(cfg.scheme, plan, merge=True)
+            kinds[cfg.scheme] = rule.deferred and rule.deferred[0], tuple(
+                (pos, tuple(kind for kind, _ in subs)) for pos, subs in rule.schedule.items())
+        stacks.setdefault((cfg.cutoff, kinds[cfg.scheme]), []).append(r)
     trajectories: list[Trajectory] = [None] * len(configs)  # type: ignore[list-item]
-    for (_, (_, kinds)), runs in groups.items():
-        rules, _, scheme_taus = zip(*(split[configs[r].scheme] for r in runs))
-        taus = {pos: np.array([t[pos] for t in scheme_taus]).reshape(len(runs), len(k)) for pos, k in kinds}
-        cfg = configs[runs[0]]
-        advance = _stack_step(f0.grid, cfg, dict(kinds), taus, rules[0])
-        for r, traj in zip(runs, _march(f0, cfg, rules, advance)):
+    for runs in stacks.values():
+        cfg, stack_rules = configs[runs[0]], [rules[configs[r].scheme] for r in runs]
+        for r, traj in zip(runs, _march(f0, cfg, stack_rules, _stack_step(f0.grid, cfg, stack_rules))):
             trajectories[r] = traj
     return trajectories
 
 
-def _stack_step(grid, cfg: RunConfig, kinds: dict, taus: dict, rule: StepRule):
-    """The step of :func:`_march` for runs under one clamp whose steps apply
-    the same ``kinds`` of substep at each :meth:`StepRule.position`, as rows
-    of one 1D stack with ``(R, kinds)`` ``taus`` there; ``cfg`` and ``rule``
-    are those of one run.  A heat substep scales the rows by an ``(R, M)``
-    table of their clamped multipliers, built once; the guard scans rows
-    only where a whole-stack check fails."""
+def _stack_step(grid, cfg: RunConfig, rules: Sequence[StepRule]):
+    """The step of :func:`_march` for runs under one clamp whose ``rules``
+    schedule the same kinds of substep at each :meth:`StepRule.position`,
+    as rows of one 1D stack; ``cfg`` is that of one run.  Each substep at
+    each position gets one row constant, built once: a heat substep's
+    ``(R, M)`` table of the rows' clamped multipliers, or a reaction's
+    ``(R, 1)`` column of decay factors.  The guard scans rows only where a
+    whole-stack check fails."""
     model, cutoff, phi_max = cfg.model, cfg.cutoff, cfg.phi_max
-    tables = {  # (position, substep) -> the rows' multipliers
-        (pos, j): clamped_multipliers(grid, taus[pos][:, j : j + 1], cutoff.k_tol)
-        for pos, at in kinds.items() for j, kind in enumerate(at) if kind == HEAT
-    }
+    schedule = rules[0].schedule
+    consts = {}  # (position, substep) -> the rows' constant
+    for pos, subs in schedule.items():
+        taus = np.array([[tau for _, tau in rule.schedule[pos]] for rule in rules])
+        for j, (kind, _) in enumerate(subs):
+            tau = taus[:, j : j + 1]
+            consts[pos, j] = (clamped_multipliers(grid, tau, cutoff.k_tol) if kind == HEAT
+                              else decay_factor(tau, model))
 
     def advance(i, rows, peaks):
-        nonlocal taus, tables
-        position = rule.position(i)
+        nonlocal consts
+        position = rules[0].position(i)
         failures = []  # (input row, cell) of each row that diverged
         origin = np.arange(len(rows))  # the input row of each row
-        for j, kind in enumerate(kinds[position]):
-            tau = taus[position][:, j : j + 1]
+        for j, (kind, _) in enumerate(schedule[position]):
             if kind == HEAT:
-                rows = heat_evolve(FieldStack(grid, rows), tau, cutoff, tables[position, j]).values
+                rows = heat_evolve(FieldStack(grid, rows), None, cutoff, consts[position, j]).values
                 cells = np.full(len(rows), -1)
             else:
                 out = np.empty(rows.shape)
-                cells = _kernels.free_energy_apply(rows, out, decay_factor(tau, model))
+                cells = _kernels.free_energy_apply(rows, out, consts[position, j])
                 rows = out
             # the whole stack passes the guard, or some rows are scanned for
             # the cells that trip it; a blown-up row has failed already, and
@@ -409,8 +408,7 @@ def _stack_step(grid, cfg: RunConfig, kinds: dict, taus: dict, rule: StepRule):
             failures += zip(origin[failed], cells[failed])
             keep = np.flatnonzero(~failed)
             rows, origin = _compact(rows, keep), origin[keep]
-            taus = {pos: t[keep] for pos, t in taus.items()}
-            tables = {key: _compact(table, keep) for key, table in tables.items()}
+            consts = {key: _compact(const, keep) for key, const in consts.items()}
             if not len(rows):
                 break
         return rows, failures

@@ -237,10 +237,12 @@ def test_stacked_guard_scan_matches_rows():
     np.testing.assert_array_equal(got, guard_scan_rows_plain(values))
 
 
-@pytest.mark.parametrize("decay", [0.5, 2.0], ids=["forward", "backward"])
+@pytest.mark.parametrize("decay", [0.5, 1.0, 2.0], ids=["forward", "identity", "backward"])
 def test_free_energy_squares_an_overflowing_phi_silently(decay):
     # phi^2 overflows to inf above |phi| of about 1.34e154, inside the
-    # kernel's errstate block; a flat call and a stacked one alike
+    # kernel's errstate block; a flat call and a stacked one alike.  Forward,
+    # the overflowed cell takes the flow's limit sign(phi) / sqrt(1 - decay),
+    # and decay 1 keeps it as it is
     row = np.array([0.3, -0.7, 1e200, 0.5])
     flat, stacked = np.empty_like(row), np.empty((2, row.size))
     with warnings.catch_warnings():
@@ -253,6 +255,8 @@ def test_free_energy_squares_an_overflowing_phi_silently(decay):
     assert [bad, bad] == bads.tolist() == [-1, -1]
     np.testing.assert_array_equal(_bits(flat), _bits(stacked[0]))
     np.testing.assert_array_equal(_bits(flat[::-1]), _bits(stacked[1]))
+    want = 1e200 if decay == 1.0 else 1.0 / np.sqrt(1.0 - decay)
+    assert flat[2] == stacked[0, 2] == stacked[1, 1] == want
 
 
 @pytest.mark.parametrize("row, cell", [([0.3, 1e200, 1e100], 1), ([0.3, 1e100, np.nan, 0.2], 1),

@@ -425,6 +425,35 @@ def test_2d_ensemble_matches_serial_runs():
     assert _assert_ensemble_matches_serial_runs(f0, configs) == [None, None, 2, 1, 5]
 
 
+@pytest.mark.parametrize("dims", [1, 3])
+def test_runs_leave_a_read_only_f0_as_it_is(dims):
+    # run() and run_ensemble() step from a read-only view of f0 and return no
+    # array that shares its memory, so a study starts every run from one f0:
+    # whole steps with a t = 0 snapshot, merged steps, and stacks or serial
+    # ensembles whose runs complete or diverge in their first step
+    grid = GridSpec.line(1.0, 64) if dims == 1 else GridSpec((1.0, 1.0, 1.0), (8, 8, 8))
+    f0 = Field(grid, np.random.default_rng(1).uniform(-1.0, 1.0, grid.shape))
+    f0.values.flags.writeable = False
+    before = f0.values.tobytes()
+    dt = 2 * EPS**2
+
+    def config(label, **kwargs):
+        return RunConfig(named_scheme(label), dt, 3.5 * dt, MODEL, **kwargs)
+
+    trajectories = [
+        run(f0, config("S4V", snapshot_times=(0.0, 3.5 * dt))),
+        run(f0, config("S4V", record_energy=False)),
+        *run_ensemble(f0, [config(label, cutoff=CutoffPolicy(np.inf), phi_max=1.02, record_energy=False)
+                           for label in ("S2(1)", "S4V", "S3Y", "S3(0.3,+)")]),
+    ]
+    statuses = {(traj.status, traj.diverged_step) for traj in trajectories}
+    assert {("completed", None), ("diverged", 1)} <= statuses
+    assert f0.values.tobytes() == before
+    for traj in trajectories:
+        for kept in (traj.final, *traj.snapshots.values()):
+            assert not np.shares_memory(kept.values, f0.values)
+
+
 def _count_calls(monkeypatch, owner, name: str) -> list[int]:
     """Count calls of ``owner.name`` from here on; returns the one-entry counter."""
     count = [0]
@@ -533,14 +562,17 @@ def test_step_rule_table(label, first, middle, last):
         want = [full, full, short]
     got = [applied_substeps(scheme, *rule.step(i)) for i in (1, 2, 3)]
     assert got == want
+    assert [list(rule.schedule[rule.position(i)]) for i in (1, 2, 3)] == want
+    assert len(rule.schedule) == (3 if merges else 2)  # the shortened last step is a position of its own
     assert ["".join(kind[0].upper() for kind, _ in subs) for subs in got] == [first, middle, last]
     assert [rule.step(i) for i in (1, 2, 3)] == [(0.25, 0.0, merges), (0.25, carry if merges else 0.0, merges),
                                                  (0.125, carry if merges else 0.0, False)]
     # a run that keeps its states, and a one-step run, apply every step whole
     for unmerged in (StepRule.of(scheme, plan, merge=False), StepRule.of(scheme, StepPlan.of(0.25, 0.25), merge=True)):
         assert unmerged.deferred is None
-        assert [applied_substeps(scheme, *unmerged.step(i)) for i in range(1, unmerged.plan.n_steps + 1)] == \
-            [full, full, short][: unmerged.plan.n_steps]
+        steps = range(1, unmerged.plan.n_steps + 1)
+        assert [applied_substeps(scheme, *unmerged.step(i)) for i in steps] == \
+            [list(unmerged.schedule[unmerged.position(i)]) for i in steps] == [full, full, short][: len(steps)]
 
 
 def test_backward_ends_are_not_merged():

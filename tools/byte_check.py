@@ -1,0 +1,107 @@
+"""Print the sha256 prefix of every output of a fixed set of acsplit commands.
+
+    python tools/byte_check.py [OUT_DIR]
+
+runs the `acsplit` of this checkout (its `src/`) with one BLAS thread: the
+six criterion-08 omega sweeps (383 omegas at 128 cells, both branches, three
+step sizes) and a reference set of `run`, `converge` and `coeffs` commands
+that covers the 3D factor path, a clamped 3D run, snapshots, both studies,
+a diverging 1D run and a run whose field overflows a square.  It prints one
+`name sha256[:8]` line per output file, per stdout, and per command's exit
+code with its stderr.  Output is deterministic, so
+
+    diff <(python old/tools/byte_check.py) <(python new/tools/byte_check.py)
+
+is the byte check of a change.  The files are written to OUT_DIR when it is
+given, otherwise to a temporary directory that is removed.  A full pass takes
+about 15 s on one core of a 2-vCPU Xeon.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# criterion 08's omega grid (tests/test_acceptance.py)
+OMEGAS = ",".join(repr(w) for w in [0.2505, 0.2510, 0.2515] + [0.2525 + 0.0025 * i for i in range(380)])
+
+# the wave steps 2^-2/s (criterion 07's) and 2^-5/s, for the front's speed s at the default epsilon
+WAVE_DT = {2: "0.005000000000000001", 5: "0.0006250000000000001"}
+
+# name -> arguments; "{out}" is the command's own output directory
+COMMANDS: dict[str, list[str]] = {
+    **{
+        f"sweep{branch}{factor}": ["sweep-omega", "--branch", branch, "--omegas", OMEGAS, "--cells", "128",
+                                   "--dt-factor", factor]
+        for branch in "+-"
+        for factor in ("0.0625", "0.125", "0.03125")
+    },
+    "run-spinodal-S4V-64": ["run", "--problem", "spinodal", "--scheme", "S4V", "--cells", "64", "--seed", "1",
+                            "--dt", "1e-4", "--t-final", "4e-3", "--snapshots", "0,1e-3,2e-3,3e-3,4e-3",
+                            "--out-dir", "{out}"],
+    "run-spinodal-S3Z-24": ["run", "--problem", "spinodal", "--scheme", "S3Z", "--cells", "24", "--seed", "2",
+                            "--k-tol", "1e4", "--dt", "2e-4", "--t-final", "4e-3", "--snapshots", "2e-3,4e-3",
+                            "--out-dir", "{out}"],
+    "run-spinodal-S4V-16": ["run", "--problem", "spinodal", "--scheme", "S4V", "--cells", "16", "--seed", "3",
+                            "--dt", "2.5e-4", "--t-final", "5e-3", "--snapshots", "0,1e-3,5e-3",
+                            "--out-dir", "{out}"],
+    "converge-spinodal": ["converge", "--problem", "spinodal", "--schemes", "S1,S2(1),S2(0.5),S3X,S4U,S4V",
+                          "--cells", "16", "--dt-list", "5e-4,2.5e-4,1.25e-4", "--t-final", "2e-3",
+                          "--ref-dt", "3.125e-5", "--out", "{out}/spinodal"],
+    "converge-wave": ["converge", "--problem", "wave", "--schemes", "S1,S2(1),S3X,S3Y,S3Z,S4U,S4V",
+                      "--dt-pow2", "3:6", "--out", "{out}/wave"],
+    "run-wave-S3Y-1024": ["run", "--problem", "wave", "--scheme", "S3Y", "--cells", "1024", "--k-tol", "inf",
+                          "--dt", WAVE_DT[2], "--out-dir", "{out}"],
+    "run-wave-S4V-256": ["run", "--problem", "wave", "--scheme", "S4V", "--cells", "256", "--dt", WAVE_DT[5],
+                         "--snapshots", "0,0.01,0.02", "--out-dir", "{out}"],
+    "run-wave-S3(0.333,+)-phi-max-inf": ["run", "--problem", "wave", "--scheme", "S3(0.333,+)", "--cells", "64",
+                                         "--k-tol", "inf", "--phi-max", "inf", "--dt", "0.002946278254943948",
+                                         "--out-dir", "{out}"],
+    "coeffs-S3X": ["coeffs", "--scheme", "S3X"],
+    "coeffs-S3-": ["coeffs", "--family", "S3-", "--omega-min", "0.2505", "--omega-max", "1.2",
+                   "--omega-step", "0.0025"],
+}
+
+
+def _prefix(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:8]
+
+
+def check(root: Path) -> list[str]:
+    """Run every command with its outputs under ``root``; one line per output."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
+    lines = []
+    for name, args in COMMANDS.items():
+        out = root / name
+        out.mkdir(parents=True)
+        argv = [arg.replace("{out}", str(out)) for arg in args]
+        done = subprocess.run([sys.executable, "-m", "acsplit.cli", *argv], env=env, capture_output=True)
+        status = f"{done.returncode}\n".encode() + done.stderr
+        lines.append(f"{name}:exit+stderr {_prefix(status)}")
+        if done.stdout:
+            lines.append(f"{name}:stdout {_prefix(done.stdout)}")
+        lines += [f"{name}/{path.name} {_prefix(path.read_bytes())}" for path in sorted(out.iterdir())]
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print("usage: python tools/byte_check.py [OUT_DIR]", file=sys.stderr)
+        return 2
+    if argv:
+        lines = check(Path(argv[0]))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = check(Path(tmp))
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
