@@ -228,6 +228,8 @@ def cmd_run(args) -> int:
     k_tol = _number(args, "k_tol", 1e9)
     out_dir = Path(_merge(args, "out_dir", "."))
     snapshots = _float_list(_merge(args, "snapshots", []), "--snapshots")
+    if snapshots:  # each is saved as snapshot_t{t:g}.acf
+        _distinct("--snapshots", "snapshot time", snapshots, [f"{t:g}" for t in snapshots])
     phi_max = _number(args, "phi_max", 10.0)
 
     if problem == "wave":

@@ -181,16 +181,12 @@ def _guarded(values: np.ndarray, phi_max: float, grid) -> float:
     return m
 
 
-def applied_substeps(
-    scheme: SplitCoefficients, h: float, carry: float = 0.0, defer_last: bool = False
-) -> list[tuple[str, float]]:
+def applied_substeps(scheme: SplitCoefficients, h: float) -> list[tuple[str, float]]:
     """The substeps of one step of length ``h`` in the order they are applied:
     ``("heat", a_j*h)`` then ``("reaction", b_j*h)`` for j = 1..p.
 
     An exactly-zero ``a_j*h`` or ``b_j*h`` is left out, so padding substeps
-    are never evaluated.  ``carry`` is added to the tau of the first applied
-    substep and ``defer_last`` leaves out the last one; :class:`StepRule`
-    uses them to merge the two substeps that meet at a step boundary.
+    are never evaluated.
     """
     out = []
     for a_j, b_j in scheme.substeps():
@@ -198,17 +194,12 @@ def applied_substeps(
             out.append((HEAT, a_j * h))
         if b_j * h != 0.0:
             out.append((REACTION, b_j * h))
-    if carry:
-        kind, tau = out[0]
-        out[0] = (kind, tau + carry)
-    if defer_last:
-        out.pop()
     return out
 
 
 @dataclass(frozen=True)
 class StepRule:
-    """The arguments of each :func:`step` that :func:`run` and
+    """The substeps of each :func:`step` that :func:`run` and
     :func:`run_ensemble` apply along ``plan``.
 
     A step's last applied substep and the next step's first meet at the
@@ -221,7 +212,7 @@ class StepRule:
     substep, so it changes only low bits of the final state.  ``deferred``
     is that substep, ``(kind, tau)`` of a full step, or None when the
     boundaries are not merged.  ``schedule`` maps each :meth:`position` to
-    the :func:`applied_substeps` of a step there.
+    the ``(kind, tau)`` substeps a step there applies.
     """
 
     plan: StepPlan
@@ -237,8 +228,11 @@ class StepRule:
         ends = (full[-1], full[0], last[0])
         merges = merge and plan.n_steps > 1 and all(kind == full[-1][0] and tau > 0 for kind, tau in ends)
         rule = cls(plan, full[-1] if merges else None)
-        at = {rule.position(i): i for i in (1, min(2, plan.n_steps), plan.n_steps)}  # a step at each position
-        rule.schedule.update({pos: tuple(applied_substeps(scheme, *rule.step(i))) for pos, i in at.items()})
+        for i in (1, min(2, plan.n_steps), plan.n_steps):  # a step at each position
+            _, carries, defers = pos = rule.position(i)
+            (kind, tau), *rest = last if i == plan.n_steps else full
+            subs = [(kind, tau + rule.deferred[1] if carries else tau), *rest]
+            rule.schedule[pos] = tuple(subs[:-1] if defers else subs)
         return rule
 
     def position(self, i: int) -> tuple[float, bool, bool]:
@@ -247,11 +241,6 @@ class StepRule:
         last one cover every position."""
         merged = self.deferred is not None
         return self.plan.step_length(i), merged and i > 1, merged and i < self.plan.n_steps
-
-    def step(self, i: int) -> tuple[float, float, bool]:
-        """``(h, carry, defer_last)`` of step ``i`` (1-based)."""
-        h, carries, defer_last = self.position(i)
-        return h, self.deferred[1] if carries else 0.0, defer_last
 
 
 def _substep(f, kind: str, tau, model: ModelParams, cutoff: CutoffPolicy, peak: float = math.inf):
@@ -265,18 +254,14 @@ def _substep(f, kind: str, tau, model: ModelParams, cutoff: CutoffPolicy, peak: 
 
 def step(
     f: Field,
-    scheme: SplitCoefficients,
-    dt: float,
+    substeps: Sequence[tuple[str, float]],
     model: ModelParams,
     cutoff: CutoffPolicy = CutoffPolicy(),
     phi_max: float | None = None,
-    carry: float = 0.0,
-    defer_last: bool = False,
     peak: float = math.inf,
 ) -> Field:
-    """One full step: the :func:`applied_substeps` of ``scheme`` over ``dt``,
-    with ``carry`` added to the first and the last one left out if
-    ``defer_last`` (see :class:`StepRule`).
+    """One step: apply the ``(kind, tau)`` pairs of ``substeps`` to ``f`` in
+    order, as :func:`applied_substeps` or a :attr:`StepRule.schedule` lists them.
 
     Raises :class:`DivergenceError` from the reaction blow-up or when
     ``phi_max`` is given and ``max|phi|`` exceeds it after any substep.
@@ -289,7 +274,7 @@ def step(
     reaction whose radicand the bound certifies skips its blow-up check.
     """
     peak = float(peak)  # a numpy scalar would warn where the bound overflows
-    for kind, tau in applied_substeps(scheme, dt, carry, defer_last):
+    for kind, tau in substeps:
         f, peak = _substep(f, kind, tau, model, cutoff, peak)
         if phi_max is not None and not (peak <= phi_max and peak < math.inf):  # also NaN
             peak = _guarded(f.values, phi_max, f.grid)
@@ -300,15 +285,16 @@ def run(f0: Field, cfg: RunConfig) -> Trajectory:
     """March from t = 0 to ``t_final`` along ``cfg.plan``; divergence is
     recorded, never raised.
 
-    Every step is one :func:`step` call with the arguments of the run's
-    :class:`StepRule` and the recorded ``max|phi|`` of the state it starts
-    from.  A run that records no energy and no snapshots keeps only its
-    final state, so it merges the substeps that meet at each step boundary
-    where the rule allows; see :class:`Trajectory` for what it records of
-    the states it never forms.  Snapshots are taken at the completed step
-    nearest each requested time.  A non-finite initial field raises
-    ``ValueError``.  The run is the one-row case of the step loop that
-    :func:`run_ensemble` steps its stacks in.
+    Every step is one :func:`step` call with the substeps that the run's
+    :class:`StepRule` schedules at its position and the recorded
+    ``max|phi|`` of the state it starts from.  A run that records no
+    energy and no snapshots keeps only its final state, so it merges the
+    substeps that meet at each step boundary where the rule allows; see
+    :class:`Trajectory` for what it records of the states it never forms.
+    Each requested time gets a snapshot of its own, taken at the completed
+    step nearest it.  A non-finite initial field raises ``ValueError``.
+    The run is the one-row case of the step loop that :func:`run_ensemble`
+    steps its stacks in.
     """
     f0.check_finite()
     rule = StepRule.of(cfg.scheme, cfg.plan, merge=not (cfg.record_energy or cfg.snapshot_times))
@@ -316,9 +302,8 @@ def run(f0: Field, cfg: RunConfig) -> Trajectory:
 
     def advance(i, rows, peaks):
         nonlocal f
-        h, carry, defer_last = rule.step(i)
         try:
-            f = step(f, cfg.scheme, h, cfg.model, cfg.cutoff, cfg.phi_max, carry, defer_last, peaks[0])
+            f = step(f, rule.schedule[rule.position(i)], cfg.model, cfg.cutoff, cfg.phi_max, peaks[0])
         except DivergenceError as err:
             return rows[:0], [(0, err.flat_index)]
         return f.values[np.newaxis], ()
@@ -431,8 +416,10 @@ def _march(f0: Field, cfg: RunConfig, rules: Sequence[StepRule], advance) -> lis
     energies = np.full(plan.n_steps + 1, np.nan)
     if cfg.record_energy:
         energies[0] = energy(f0, model)
-    snap_steps = {plan.nearest_step(t_req): t_req for t_req in cfg.snapshot_times}
-    snapshots = {snap_steps[0]: f0.copy()} if 0 in snap_steps else {}
+    snap_steps: dict[int, list[float]] = {}  # step -> the requested times nearest it
+    for t_req in cfg.snapshot_times:
+        snap_steps.setdefault(plan.nearest_step(t_req), []).append(t_req)
+    snapshots = {t_req: f0.copy() for t_req in snap_steps.get(0, ())}
     finals: list[Field] = [None] * n  # type: ignore[list-item]
     failures: dict[int, tuple[int, tuple[int, ...]]] = {}  # run -> (step, cell)
     ids = np.arange(n)  # the run of each row
@@ -463,8 +450,8 @@ def _march(f0: Field, cfg: RunConfig, rules: Sequence[StepRule], advance) -> lis
             peaks = np.maximum(-row_lo, row_hi)
         if cfg.record_energy:
             energies[i] = energy(Field(grid, rows[0]), model)
-        if i in snap_steps:
-            snapshots[snap_steps[i]] = Field(grid, rows[0].copy())
+        for t_req in snap_steps.get(i, ()):
+            snapshots[t_req] = Field(grid, rows[0].copy())
     for pos, r in enumerate(ids):
         finals[r] = Field(grid, rows[pos])
     recorded = [failures[r][0] if r in failures else plan.n_steps + 1 for r in range(n)]  # states per run

@@ -554,9 +554,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 def test_empty_or_repeated_lists_exit_2(tmp_path, capsys):
     # every list flag is refused as --k-tols is: empty, or naming one entry
-    # twice (the same number, or scheme ids with the same label)
+    # twice (the same number, or scheme ids with the same label); an empty
+    # --snapshots asks for none, and two snapshot times must not share a file
     never = str(tmp_path / "never" / "out")
     wave = ["converge", "--problem", "wave", "--cells", "16", "--out", never]
+    run_wave = ["run", "--problem", "wave", "--cells", "16", "--scheme", "S1", "--dt", "1e-4", "--t-final", "2e-3"]
     for command, message in (
         (wave + ["--schemes", "S1", "--dt-list", ","], "--dt-list: no dt value given"),
         (wave + ["--schemes", "S1", "--dt-pow2", "5:3"], "--dt-pow2: no dt value given"),
@@ -572,9 +574,15 @@ def test_empty_or_repeated_lists_exit_2(tmp_path, capsys):
         (["sweep-omega", "--branch", "+", "--omegas", "0.5,0.6,0.50", "--out", never],
          "--omegas: omega 0.5 is given more than once, as entries 1, 3 of (0.5, 0.6, 0.5)"),
         (["coeffs", "--family", "S3+", "--omegas", ",", "--out", never], "--omegas: no omega value given"),
+        (run_wave + ["--snapshots", "0.001,0.0010000049", "--out-dir", never],
+         "--snapshots: snapshot time 0.001 is given more than once, as entries 1, 2 of (0.001, 0.0010000049)"),
+        (run_wave + ["--snapshots", "0,1e-3,0.0", "--out-dir", never],
+         "--snapshots: snapshot time 0 is given more than once, as entries 1, 3"),
     ):
         assert main(command) == 2, command
         assert f"acsplit: error: {message}" in capsys.readouterr().err, command
+    assert main(run_wave + ["--snapshots", ",", "--out-dir", str(tmp_path / "none")]) == 0
+    assert sorted(path.name for path in (tmp_path / "none").iterdir()) == ["diagnostics.csv"]
     config = tmp_path / "study.json"
     for cfg, command, message in (
         ({"problem": "spinodal", "schemes": ["S1"], "dt_list": []}, ["converge"], "--dt-list: no dt value given"),

@@ -53,13 +53,13 @@ def test_first_order_step_is_reaction_after_diffusion():
     f = rough_field()
     dt = 0.5 * EPS**2
     composed = free_energy_evolve(heat_evolve(f, dt), dt, MODEL)
-    stepped = step(f, first_order(), dt, MODEL)
+    stepped = step(f, applied_substeps(first_order(), dt), MODEL)
     np.testing.assert_array_equal(stepped.values, composed.values)
 
 
 def test_zero_dt_is_the_identity():
     f = rough_field()
-    out = step(f, fourth_order_v(), 0.0, MODEL)
+    out = step(f, applied_substeps(fourth_order_v(), 0.0), MODEL)
     np.testing.assert_array_equal(out.values, f.values)
 
 
@@ -83,7 +83,7 @@ def test_pure_diffusion_limit(scheme):
     f = Field(grid, np.cos(np.pi * 3 * (ll + 0.5) / 32))
     dt = 0.01
     expected = heat_evolve(f, dt)
-    out = step(f, scheme, dt, huge_eps)
+    out = step(f, applied_substeps(scheme, dt), huge_eps)
     np.testing.assert_allclose(out.values, expected.values, rtol=0, atol=1e-10)
 
 
@@ -110,11 +110,16 @@ def test_run_snapshots_nearest_step():
         dt,
         1.0,
         MODEL,
-        snapshot_times=(0.0, 0.52, 1.0),
+        snapshot_times=(0.0, 0.52, 1.0, 0.04, 0.5, 0.54, 0.98),
         record_energy=False,
     )
     traj = run(f, cfg)
-    assert set(traj.snapshots) == {0.0, 0.52, 1.0}
+    # times that round to one step each get that step's state, in a copy of their own
+    assert set(traj.snapshots) == {0.0, 0.52, 1.0, 0.04, 0.5, 0.54, 0.98}
+    for same in ((0.0, 0.04), (0.5, 0.52, 0.54), (0.98, 1.0)):
+        for t in same:
+            np.testing.assert_array_equal(traj.snapshots[t].values, traj.snapshots[same[0]].values)
+        assert len({id(traj.snapshots[t].values) for t in same}) == len(same)
     np.testing.assert_array_equal(traj.snapshots[0.0].values, f.values)
     np.testing.assert_array_equal(traj.snapshots[1.0].values, traj.final.values)
 
@@ -185,8 +190,9 @@ def test_local_order_via_step_halving(scheme, order):
     dts = [2.0**-k / WAVE.speed for k in (5, 6, 7, 8)]
     defects = []
     for dt in dts:
-        one = step(f, scheme, dt, MODEL)
-        half = step(step(f, scheme, dt / 2, MODEL), scheme, dt / 2, MODEL)
+        one = step(f, applied_substeps(scheme, dt), MODEL)
+        halves = applied_substeps(scheme, dt / 2)
+        half = step(step(f, halves, MODEL), halves, MODEL)
         defects.append(np.linalg.norm(one.values - half.values))
     slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
     assert slope == pytest.approx(order + 1, abs=0.5)
@@ -225,15 +231,17 @@ def test_step_and_energy_allocate_no_temporaries(shape):
     scheme, model = named_scheme("S4V"), ModelParams(0.015)
     # a middle step of a merged run: its first heat substep takes the
     # previous step's last one, and its own last one is deferred
-    merged = dict(carry=scheme.a[-1] * 1e-4, defer_last=True)
+    rule = StepRule.of(scheme, StepPlan.of(1e-4, 3e-4), merge=True)
+    whole, merged = applied_substeps(scheme, 1e-4), rule.schedule[rule.position(2)]
+    assert merged[0][1] > whole[0][1] and len(merged) == len(whole) - 1
     for _ in range(2):  # builds the cached factors and this thread's scratch array
-        step(f, scheme, 1e-4, model, phi_max=10.0)
-        step(f, scheme, 1e-4, model, phi_max=10.0, **merged)
+        step(f, whole, model, phi_max=10.0)
+        step(f, merged, model, phi_max=10.0)
         energy(f, model)
     grid_array = f.values.nbytes
     call_objects = 4096  # the Python objects and 0-d arrays of the calls
-    assert _traced_peak(lambda: step(f, scheme, 1e-4, model, phi_max=10.0)) <= 2 * grid_array + call_objects
-    assert _traced_peak(lambda: step(f, scheme, 1e-4, model, phi_max=10.0, **merged)) <= 2 * grid_array + call_objects
+    assert _traced_peak(lambda: step(f, whole, model, phi_max=10.0)) <= 2 * grid_array + call_objects
+    assert _traced_peak(lambda: step(f, merged, model, phi_max=10.0)) <= 2 * grid_array + call_objects
     assert _traced_peak(lambda: energy(f, model)) < 0.1 * grid_array
 
 
@@ -250,7 +258,7 @@ def test_threads_get_their_own_scratch_array():
             barrier.wait(timeout=60)
         f, energies = Field(grid, values), []
         for _ in range(10):
-            f = step(f, scheme, 1e-4, model, phi_max=10.0)
+            f = step(f, applied_substeps(scheme, 1e-4), model, phi_max=10.0)
             energies.append(energy(f, model))
         return f.values.tobytes(), energies
 
@@ -342,7 +350,7 @@ def _failure_kind(f0, cfg):
     f, plan = f0, cfg.plan
     for i in range(1, plan.n_steps + 1):
         try:
-            f = step(f, cfg.scheme, plan.step_length(i), cfg.model, cfg.cutoff, cfg.phi_max)
+            f = step(f, applied_substeps(cfg.scheme, plan.step_length(i)), cfg.model, cfg.cutoff, cfg.phi_max)
         except DivergenceError as err:
             return "guard" if "guard" in str(err) else "blowup"
     return None
@@ -511,7 +519,7 @@ def test_stack_scans_rows_only_where_the_whole_stack_trips(monkeypatch):
     assert [traj.status for traj in trajectories] == ["completed", "diverged"]
     assert n_scans >= 1
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="max.phi. = nan"):
-        step(rough, configs[1].scheme, 1e-3, MODEL, CutoffPolicy(np.inf), phi_max=10.0)
+        step(rough, applied_substeps(configs[1].scheme, 1e-3), MODEL, CutoffPolicy(np.inf), phi_max=10.0)
     assert _assert_ensemble_matches_serial_runs(rough, configs) == [None, 1]
 
 
@@ -560,19 +568,17 @@ def test_step_rule_table(label, first, middle, last):
     else:
         assert rule.deferred is None
         want = [full, full, short]
-    got = [applied_substeps(scheme, *rule.step(i)) for i in (1, 2, 3)]
+    got = [list(rule.schedule[rule.position(i)]) for i in (1, 2, 3)]
     assert got == want
-    assert [list(rule.schedule[rule.position(i)]) for i in (1, 2, 3)] == want
     assert len(rule.schedule) == (3 if merges else 2)  # the shortened last step is a position of its own
     assert ["".join(kind[0].upper() for kind, _ in subs) for subs in got] == [first, middle, last]
-    assert [rule.step(i) for i in (1, 2, 3)] == [(0.25, 0.0, merges), (0.25, carry if merges else 0.0, merges),
-                                                 (0.125, carry if merges else 0.0, False)]
+    assert [rule.position(i) for i in (1, 2, 3)] == [(0.25, False, merges), (0.25, merges, merges),
+                                                     (0.125, merges, False)]
     # a run that keeps its states, and a one-step run, apply every step whole
     for unmerged in (StepRule.of(scheme, plan, merge=False), StepRule.of(scheme, StepPlan.of(0.25, 0.25), merge=True)):
         assert unmerged.deferred is None
         steps = range(1, unmerged.plan.n_steps + 1)
-        assert [applied_substeps(scheme, *unmerged.step(i)) for i in steps] == \
-            [list(unmerged.schedule[unmerged.position(i)]) for i in steps] == [full, full, short][: len(steps)]
+        assert [list(unmerged.schedule[unmerged.position(i)]) for i in steps] == [full, full, short][: len(steps)]
 
 
 def test_backward_ends_are_not_merged():
@@ -588,7 +594,7 @@ def _replay(f0, cfg):
     returns the state and its per-step min and max."""
     f, plan, lo, hi = f0, cfg.plan, [f0.values.min()], [f0.values.max()]
     for i in range(1, plan.n_steps + 1):
-        f = step(f, cfg.scheme, plan.step_length(i), cfg.model, cfg.cutoff, cfg.phi_max)
+        f = step(f, applied_substeps(cfg.scheme, plan.step_length(i)), cfg.model, cfg.cutoff, cfg.phi_max)
         lo.append(f.values.min())
         hi.append(f.values.max())
     return f, np.array(lo), np.array(hi)
@@ -658,9 +664,10 @@ def test_diverged_merged_run_keeps_the_state_at_its_last_time():
     got = run(f0.copy(), cfg)
     assert (got.status, got.diverged_step) == ("diverged", 2)
     assert got.times.tolist() == [0.0, cfg.plan.time(1)]
-    want = step(f0, cfg.scheme, cfg.dt, cfg.model, cfg.cutoff, cfg.phi_max)
+    whole = applied_substeps(cfg.scheme, cfg.dt)
+    want = step(f0, whole, cfg.model, cfg.cutoff, cfg.phi_max)
     with pytest.raises(DivergenceError):  # whole steps diverge in the second step too
-        step(want, cfg.scheme, cfg.dt, cfg.model, cfg.cutoff, cfg.phi_max)
+        step(want, whole, cfg.model, cfg.cutoff, cfg.phi_max)
     assert got.final.values.tobytes() == want.values.tobytes()
     assert np.isnan(got.phi_min[1]) and np.isnan(got.phi_max[1])
     ensemble, = run_ensemble(f0, [cfg])
@@ -706,7 +713,7 @@ def _outcome(f0, cfg):
     f, plan, error = f0, cfg.plan, None
     for i in range(1, plan.n_steps + 1):
         try:
-            f = step(f, cfg.scheme, plan.step_length(i), cfg.model, cfg.cutoff, cfg.phi_max,
+            f = step(f, applied_substeps(cfg.scheme, plan.step_length(i)), cfg.model, cfg.cutoff, cfg.phi_max,
                      peak=float(np.abs(f.values).max()))
         except DivergenceError as err:
             error = (str(err), err.flat_index, err.cell)
@@ -831,7 +838,7 @@ def test_the_reaction_kernel_is_called_once_per_1d_reaction_substep(monkeypatch,
     cfg = RunConfig(fourth_order_v(), 0.5 * EPS**2, 4.3 * EPS**2, MODEL, record_energy=record_energy)
     rule = StepRule.of(cfg.scheme, cfg.plan, merge=not record_energy)
     reactions = sum(kind == R for i in range(1, cfg.plan.n_steps + 1)
-                    for kind, _ in applied_substeps(cfg.scheme, *rule.step(i)))
+                    for kind, _ in rule.schedule[rule.position(i)])
     assert run(f0, cfg).completed
     assert calls[0] == reactions
     if record_energy:
