@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, harness
+from . import __version__, fieldio, harness
 from .coeffs import parse_decimal, split_scheme_ids
-from .grid import GridSpec
+from .grid import Field, GridSpec
 from .operators import CutoffPolicy, ModelParams
 from .problems import SpinodalSpec, TravelingWaveSpec, spinodal_initial, traveling_wave_field
 from .solver import RunConfig
@@ -264,15 +264,15 @@ def cmd_run(args) -> int:
         phi_max=phi_max,
     )
     meta.update({"scheme": scheme.label, "dt": repr(dt), "t_final": repr(t_final), "k_tol": repr(k_tol)})
-    result = harness.single_run(f0, cfg, {k: str(v) for k, v in meta.items()})
 
-    from .fieldio import save_field
+    def write_snapshot(t_req: float, snap: Field) -> None:
+        # fieldio.save_field is looked up per call, so a wrapper put on it sees every write
+        fieldio.save_field(out_dir / f"snapshot_t{t_req:g}.acf", snap)
 
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)  # before the first step: a bad path costs no run
+        result = harness.single_run(f0, cfg, {k: str(v) for k, v in meta.items()}, on_snapshot=write_snapshot)
         (out_dir / "diagnostics.csv").write_text(result.diagnostics_csv)
-        for t_req, snap in result.trajectory.snapshots.items():
-            save_field(out_dir / f"snapshot_t{t_req:g}.acf", snap)
     except OSError as err:
         raise CliError(f"cannot write outputs: {err}", EXIT_IO)
 

@@ -34,13 +34,30 @@ def save_field(path: Union[str, os.PathLike], f: Field) -> None:
     header = (" ".join(tokens) + "\n").encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8").data)  # the array's own buffer, not a copy
 
 
 def load_field(path: Union[str, os.PathLike], allow_nonfinite: bool = False) -> Field:
+    """Read a field; the payload goes straight into the returned array, once
+    its length, checked against the file size, matches the header."""
     with open(path, "rb") as fh:
         header = fh.readline()
-        payload = fh.read()
+        grid = _parse_header(path, header)
+        expected = grid.cell_count * 8
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise FieldFormatError(f"{path}: payload is {size} bytes, expected {expected}")
+        values = np.empty(grid.shape, dtype="<f8")
+        if fh.readinto(values.data) != expected:  # the file shrank since its size was read
+            raise FieldFormatError(f"{path}: payload is shorter than {expected} bytes")
+    # min and max are NaN or infinite exactly when some value is, and allocate no mask
+    if not allow_nonfinite and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise FieldFormatError(f"{path}: non-finite values (pass allow_nonfinite=True to keep)")
+    return Field(grid, values)
+
+
+def _parse_header(path, header: bytes) -> GridSpec:
+    """The grid that the header line ``header`` of the file at ``path`` describes."""
     try:
         tokens = header.decode("ascii").split()
     except UnicodeDecodeError as err:
@@ -61,12 +78,4 @@ def load_field(path: Union[str, os.PathLike], allow_nonfinite: bool = False) -> 
         grid = GridSpec(lengths, cells)
     except ValueError as err:
         raise FieldFormatError(f"{path}: bad grid header: {err}") from err
-    expected = grid.cell_count * 8
-    if len(payload) != expected:
-        raise FieldFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(grid.shape)
-    if not allow_nonfinite and not np.all(np.isfinite(values)):
-        raise FieldFormatError(f"{path}: non-finite values (pass allow_nonfinite=True to keep)")
-    return Field(grid, values)
+    return grid

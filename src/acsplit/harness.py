@@ -29,7 +29,7 @@ from .problems import (
     traveling_wave_field,
 )
 from .report import ErrorReport, RunRow, csv_number, render_csv
-from .solver import RunConfig, Trajectory, relative_l2_error, run, run_ensemble
+from .solver import RunConfig, SnapshotSink, Trajectory, relative_l2_error, run, run_ensemble
 
 __all__ = [
     "coeffs_table",
@@ -296,9 +296,11 @@ class SingleRunResult:
     diagnostics_csv: str
 
 
-def single_run(f0: Field, cfg: RunConfig, meta: dict[str, str]) -> SingleRunResult:
-    """Run once and render the per-step diagnostics CSV."""
-    traj = run(f0, cfg)
+def single_run(f0: Field, cfg: RunConfig, meta: dict[str, str],
+               on_snapshot: SnapshotSink | None = None) -> SingleRunResult:
+    """Run once and render the per-step diagnostics CSV; ``on_snapshot``
+    takes each snapshot as it is taken (see :func:`acsplit.solver.run`)."""
+    traj = run(f0, cfg, on_snapshot=on_snapshot)
     outcome = [("status", traj.status)]
     if traj.status == "diverged":
         outcome.append(("diverged_step", traj.diverged_step))

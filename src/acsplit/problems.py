@@ -111,5 +111,6 @@ class SpinodalSpec:
 def spinodal_initial(spec: SpinodalSpec) -> Field:
     """Draw the seeded random initial field for a spinodal-decomposition run."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    values = spec.amplitude * rng.uniform(-1.0, 1.0, size=spec.grid.shape)
+    values = rng.uniform(-1.0, 1.0, size=spec.grid.shape)
+    values *= spec.amplitude  # in place: the same bits as amplitude * u, and no second grid array
     return Field(spec.grid, values)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +41,8 @@ __all__ = [
 MAX_STEPS = 10_000_000  # steps per run; a longer run is refused before it starts
 
 HEAT, REACTION = "heat", "reaction"  # the kinds of substep
+
+SnapshotSink = Callable[[float, Field], None]  # takes (requested time, read-only view of the state)
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,8 @@ class Trajectory:
     merged substep is booked to the step that applies it; and a diverged
     merged run's ``final`` is still the state at ``times[-1]``, formed by
     applying the deferred forward substep to the state the run kept.
+    ``snapshots`` holds the copies that :func:`run` keeps when it is given
+    no ``on_snapshot`` sink.
     """
 
     final: Field
@@ -281,7 +285,7 @@ def step(
     return f
 
 
-def run(f0: Field, cfg: RunConfig) -> Trajectory:
+def run(f0: Field, cfg: RunConfig, on_snapshot: SnapshotSink | None = None) -> Trajectory:
     """March from t = 0 to ``t_final`` along ``cfg.plan``; divergence is
     recorded, never raised.
 
@@ -292,11 +296,21 @@ def run(f0: Field, cfg: RunConfig) -> Trajectory:
     substeps that meet at each step boundary where the rule allows; see
     :class:`Trajectory` for what it records of the states it never forms.
     Each requested time gets a snapshot of its own, taken at the completed
-    step nearest it.  A non-finite initial field raises ``ValueError``.
-    The run is the one-row case of the step loop that :func:`run_ensemble`
-    steps its stacks in.
+    step nearest it: ``on_snapshot(t_req, field)`` is called at that step
+    with a read-only view of its state (of ``f0`` at t = 0), before the
+    next step.  By default a copy of each is kept in
+    :attr:`Trajectory.snapshots`; with a sink of its own, the run keeps
+    none, and an exception from the sink ends the run and propagates.  A
+    diverged run takes the snapshots of the steps it completed.  A
+    non-finite initial field raises ``ValueError``.  The run is the
+    one-row case of the step loop that :func:`run_ensemble` steps its
+    stacks in.
     """
     f0.check_finite()
+    snapshots: dict[float, Field] = {}
+    if on_snapshot is None:
+        def on_snapshot(t_req, snap):
+            snapshots[t_req] = snap.copy()
     rule = StepRule.of(cfg.scheme, cfg.plan, merge=not (cfg.record_energy or cfg.snapshot_times))
     f = f0  # the field whose values the loop holds as its one row
 
@@ -308,7 +322,9 @@ def run(f0: Field, cfg: RunConfig) -> Trajectory:
             return rows[:0], [(0, err.flat_index)]
         return f.values[np.newaxis], ()
 
-    return _march(f0, cfg, [rule], advance)[0]
+    traj = _march(f0, cfg, [rule], advance, on_snapshot)[0]
+    traj.snapshots = snapshots
+    return traj
 
 
 def run_ensemble(f0: Field, configs: Sequence[RunConfig]) -> list[Trajectory]:
@@ -401,13 +417,15 @@ def _stack_step(grid, cfg: RunConfig, rules: Sequence[StepRule]):
     return advance
 
 
-def _march(f0: Field, cfg: RunConfig, rules: Sequence[StepRule], advance) -> list[Trajectory]:
+def _march(f0: Field, cfg: RunConfig, rules: Sequence[StepRule], advance,
+           on_snapshot: SnapshotSink | None = None) -> list[Trajectory]:
     """Step runs from ``f0`` as rows of one array along their step ``rules``
     (all merged or none) and return their trajectories; ``cfg`` is one of
-    the runs, and only a single run records energy and snapshots.
-    ``advance(i, rows, peaks)`` takes step ``i`` of ``rows`` (read-only)
-    from their recorded ``max|phi|`` and returns the rows that took it, in
-    order, and ``(row, flat cell)`` of each row that diverged."""
+    the runs, and only a single run records energy and hands its snapshots
+    to ``on_snapshot`` (see :func:`run`).  ``advance(i, rows, peaks)``
+    takes step ``i`` of ``rows`` (read-only) from their recorded
+    ``max|phi|`` and returns the rows that took it, in order, and
+    ``(row, flat cell)`` of each row that diverged."""
     grid, model, plan = f0.grid, cfg.model, rules[0].plan
     merged = rules[0].deferred is not None
     n = len(rules)
@@ -419,12 +437,20 @@ def _march(f0: Field, cfg: RunConfig, rules: Sequence[StepRule], advance) -> lis
     snap_steps: dict[int, list[float]] = {}  # step -> the requested times nearest it
     for t_req in cfg.snapshot_times:
         snap_steps.setdefault(plan.nearest_step(t_req), []).append(t_req)
-    snapshots = {t_req: f0.copy() for t_req in snap_steps.get(0, ())}
+
+    def take_snapshots(i, state):
+        if i in snap_steps:
+            view = state.view()
+            view.flags.writeable = False  # the next step reads this state
+            for t_req in snap_steps[i]:
+                on_snapshot(t_req, Field(grid, view))
+
     finals: list[Field] = [None] * n  # type: ignore[list-item]
     failures: dict[int, tuple[int, tuple[int, ...]]] = {}  # run -> (step, cell)
     ids = np.arange(n)  # the run of each row
     rows = np.broadcast_to(f0.values, (n, *grid.shape))  # read-only; each step makes new rows
     peaks = np.maximum(-lo[:, 0], hi[:, 0])  # the recorded max|phi| of each row
+    take_snapshots(0, f0.values)
     for i in range(1, plan.n_steps + 1):
         start = rows  # the state each row begins the step with
         rows, diverged = advance(i, rows, peaks)
@@ -450,8 +476,7 @@ def _march(f0: Field, cfg: RunConfig, rules: Sequence[StepRule], advance) -> lis
             peaks = np.maximum(-row_lo, row_hi)
         if cfg.record_energy:
             energies[i] = energy(Field(grid, rows[0]), model)
-        for t_req in snap_steps.get(i, ()):
-            snapshots[t_req] = Field(grid, rows[0].copy())
+        take_snapshots(i, rows[0])
     for pos, r in enumerate(ids):
         finals[r] = Field(grid, rows[pos])
     recorded = [failures[r][0] if r in failures else plan.n_steps + 1 for r in range(n)]  # states per run
@@ -469,7 +494,6 @@ def _march(f0: Field, cfg: RunConfig, rules: Sequence[StepRule], advance) -> lis
             diverged_step=diverged_step,
             diverged_cell=diverged_cell,
             shortened_final_step=plan.shortened,
-            snapshots=dict(snapshots),
         ))
     return out
 

@@ -10,11 +10,22 @@ import numpy as np
 import pytest
 
 import acsplit
-from acsplit import TravelingWaveSpec, __version__, kernel_backend, traveling_wave_field
+from acsplit import (
+    CutoffPolicy,
+    ModelParams,
+    SpinodalSpec,
+    TravelingWaveSpec,
+    __version__,
+    kernel_backend,
+    spinodal_initial,
+    traveling_wave_field,
+)
 from acsplit.cli import main
 from acsplit.fieldio import load_field
 from acsplit.harness import omega_sweep, scheme_from_string
 from acsplit.report import ErrorReport
+from acsplit.solver import RunConfig, run
+from test_solver import _traced_peak
 
 EPS = 0.03 * np.sqrt(2.0)
 SPEED = float(3.0 / (np.sqrt(2.0) * EPS))
@@ -125,6 +136,71 @@ def test_run_reports_divergence_exit_code(tmp_path):
     )
     assert code == 3
     assert "# status=diverged" in (tmp_path / "diagnostics.csv").read_text()
+
+
+def _snapshot_files(out_dir: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out_dir.glob("snapshot_t*.acf"))}
+
+
+def _acf_bytes(field) -> bytes:
+    """The file that the ACF format gives ``field``, built here from the README's layout."""
+    grid = field.grid
+    tokens = ["ACF1", str(grid.dims), *map(str, grid.cells), *map(repr, grid.lengths)]
+    return (" ".join(tokens) + "\n").encode("ascii") + field.values.astype("<f8").tobytes()
+
+
+def test_run_writes_the_snapshots_a_run_keeps_byte_for_byte(tmp_path):
+    # a completed 3D run, with two times that round to one step, and a 1D
+    # run that diverges at step 15 of 64: the files written as the run goes
+    # are the snapshots that run() keeps in memory for the same config
+    spec = SpinodalSpec(cells=16, seed=3)
+    spinodal = (["--problem", "spinodal", "--scheme", "S4V", "--cells", "16", "--seed", "3", "--dt", "1e-4",
+                 "--t-final", "1e-3", "--snapshots", "0,0.0004,0.00041,1e-3"],
+                spinodal_initial(spec),
+                RunConfig(scheme_from_string("S4V"), 1e-4, 1e-3, ModelParams(spec.epsilon),
+                          snapshot_times=(0.0, 4e-4, 4.1e-4, 1e-3)), 0)
+    dt = 2.0**-6 / SPEED
+    wave_spec = TravelingWaveSpec(EPS)
+    times = tuple(i * dt for i in (0, 5, 14, 15, 20, 64))
+    wave = (["--problem", "wave", "--scheme", "S3Y", "--cells", "1024", "--k-tol", "inf", "--dt", repr(dt),
+             "--snapshots", ",".join(map(repr, times))],
+            traveling_wave_field(wave_spec.grid(1024), 0.0, wave_spec),
+            RunConfig(scheme_from_string("S3Y"), dt, wave_spec.t_final, ModelParams(EPS), CutoffPolicy(np.inf),
+                      snapshot_times=times), 3)
+    for argv, f0, cfg, code in (spinodal, wave):
+        out_dir = tmp_path / argv[1]
+        assert main(["run", *argv, "--out-dir", str(out_dir)]) == code
+        traj = run(f0, cfg)
+        expected = {f"snapshot_t{t:g}.acf": _acf_bytes(snap) for t, snap in traj.snapshots.items()}
+        assert _snapshot_files(out_dir) == expected
+        assert len(expected) == (4 if code == 0 else 3)  # the diverged run completed steps 0 to 14
+    assert traj.diverged_step == 15
+
+
+def test_run_memory_does_not_grow_with_the_snapshot_count(tmp_path):
+    # each snapshot is written at the step that forms it, so no grid array
+    # is held for it until the run ends
+    argv = ["run", "--problem", "spinodal", "--scheme", "S4V", "--cells", "32", "--dt", "1e-4",
+            "--t-final", "5e-4", "--out-dir", str(tmp_path)]
+    one, six = ["--snapshots", "5e-4"], ["--snapshots", "0,1e-4,2e-4,3e-4,4e-4,5e-4"]
+    for _ in range(2):  # builds the cached factors and this thread's scratch array
+        assert main(argv + six) == 0
+    peaks = [_traced_peak(lambda: main(argv + times)) for times in (one, six)]
+    assert peaks[1] - peaks[0] < 32**3 * 8
+
+
+def test_run_refuses_an_unusable_out_dir_before_stepping(tmp_path, monkeypatch, capsys):
+    from acsplit import harness
+
+    def no_run(*args, **kwargs):
+        pytest.fail("the run was computed although its outputs cannot be written")
+
+    monkeypatch.setattr(harness, "run", no_run)
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert main(["run", "--problem", "wave", "--scheme", "S1", "--dt", "1e-3", "--snapshots", "0",
+                 "--out-dir", str(not_a_dir)]) == 4
+    assert "cannot write outputs" in capsys.readouterr().err
 
 
 def test_converge_wave(tmp_path):

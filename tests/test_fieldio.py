@@ -3,6 +3,7 @@ import pytest
 
 from acsplit import Field, GridSpec
 from acsplit.fieldio import FieldFormatError, load_field, save_field
+from test_solver import _traced_peak
 
 
 def test_round_trip_is_bitwise(tmp_path):
@@ -21,9 +22,34 @@ def test_truncated_payload(tmp_path):
     path = tmp_path / "field.acf"
     save_field(path, f)
     raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(FieldFormatError, match="payload"):
-        load_field(path)
+    for damaged in (raw[:-8], raw + b"\x00"):
+        path.write_bytes(damaged)
+        with pytest.raises(FieldFormatError, match="payload"):
+            load_field(path)
+
+
+def test_io_copies_no_payload(tmp_path):
+    # load_field allocates the array it returns and nothing more of grid
+    # size, save_field writes the array's own buffer
+    f = Field(GridSpec.box(1.0, 64, 3), np.random.default_rng(1).standard_normal((64, 64, 64)))
+    path = tmp_path / "field.acf"
+    save_field(path, f)
+    load_field(path)  # a first call of each warms whatever it imports or caches
+    nbytes = f.values.nbytes
+    assert _traced_peak(lambda: save_field(path, f)) < 0.1 * nbytes
+    assert _traced_peak(lambda: load_field(path)) < 1.1 * nbytes
+    np.testing.assert_array_equal(load_field(path).values, f.values)
+
+
+def test_a_huge_header_over_a_short_payload_allocates_nothing(tmp_path):
+    path = tmp_path / "field.acf"
+    path.write_bytes(b"ACF1 3 100000 100000 100000 1.0 1.0 1.0\n" + b"\x00" * 8)
+
+    def load():
+        with pytest.raises(FieldFormatError, match="payload is 8 bytes, expected 8000000000000000"):
+            load_field(path)
+
+    assert _traced_peak(load) < 1 << 20
 
 
 def test_dims_mismatch_in_header(tmp_path):

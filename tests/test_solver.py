@@ -124,6 +124,29 @@ def test_run_snapshots_nearest_step():
     np.testing.assert_array_equal(traj.snapshots[1.0].values, traj.final.values)
 
 
+def test_a_snapshot_sink_gets_each_state_read_only_at_its_step():
+    # the sink sees the state the next step reads, so it must not be able
+    # to write into it; it is called at the step, in order, and the run
+    # keeps no copy of its own
+    f = rough_field()
+    cfg = RunConfig(first_order(), 0.1, 1.0, MODEL, snapshot_times=(0.0, 0.52, 1.0, 0.5), record_energy=False)
+    kept = run(f, cfg)
+    seen = []
+
+    def sink(t_req, snap):
+        with pytest.raises(ValueError, match="read-only"):
+            snap.values[0] = 7.0
+        seen.append((t_req, snap.values.copy()))
+
+    traj = run(f, cfg, on_snapshot=sink)
+    assert [t for t, _ in seen] == [0.0, 0.52, 0.5, 1.0]
+    for t, values in seen:
+        np.testing.assert_array_equal(values, kept.snapshots[t].values)
+    assert traj.snapshots == {}
+    np.testing.assert_array_equal(traj.final.values, kept.final.values)
+    assert f.values.flags.writeable  # the caller's initial field stays writable
+
+
 def test_big_step_stays_bounded_for_forward_schemes():
     f = rough_field(m=128, seed=5)
     cfg = RunConfig(second_order_family(1.0), 1e3 * EPS**2, 5e3 * EPS**2, MODEL)
