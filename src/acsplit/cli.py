@@ -437,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as err:
         print(f"acsplit: error: {err}", file=sys.stderr)
         return err.code
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, MemoryError) as err:
         print(f"acsplit: error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -82,10 +82,12 @@ class SplitCoefficients:
             raise ValueError("a and b must be non-empty and of equal length")
         if not 1 <= self.claimed_order <= 4:
             raise ValueError(f"claimed_order must be 1..4, got {self.claimed_order}")
-        r = order_residuals(self)
         # rejection floor scales with the squared coefficient size: near-singular
         # family parameters give large, exactly-cancelling terms
-        scale = max(1.0, max(abs(v) for v in self.a + self.b) ** 2)
+        scale = max([1.0] + [v * v for v in self.a + self.b])  # * overflows to inf, ** would raise
+        if not scale < math.inf:
+            raise InvalidOmega(f"{self.label}: coefficient {self.max_magnitude():g} squares past the float range")
+        r = order_residuals(self)
         checks = {1: r[:2], 2: r[:4], 3: r[:6], 4: r[:6]}[self.claimed_order]
         if any(not abs(v) <= CONSTRUCTION_TOL * scale for v in checks):  # NaN fails too
             raise ValueError(
@@ -180,9 +182,8 @@ def discriminant(omega: float) -> float:
     Real third-order solutions need D >= 0, which holds for w > 1/4 and for
     w <= w* ~ -1.217 (the real root of D(w)/(4w-1)).
     """
-    return (omega - 1.0) ** 2 * (4.0 * omega - 1.0) ** 2 + 12.0 * (4.0 * omega - 1.0) * (
-        omega - 1.0 / 3.0
-    ) ** 2
+    u, v, w = omega - 1.0, 4.0 * omega - 1.0, omega - 1.0 / 3.0  # squared with *, which overflows to inf
+    return (u * u) * (v * v) + 12.0 * v * (w * w)
 
 
 @dataclass(frozen=True)
@@ -242,6 +243,8 @@ def third_order_family(omega: float, branch) -> BranchSolution:
         return BranchSolution(1.0, branch, coeffs, dval)
     if dval < 0.0:
         raise InvalidOmega(f"{label}: discriminant D = {dval:g} < 0, no real solution")
+    if not dval < math.inf:
+        raise InvalidOmega(f"{label}: discriminant D = {dval:g} is not finite")
 
     sign = 1.0 if branch == "positive" else -1.0
     b1 = (1.0 - omega) / 2.0 - sign * math.sqrt(dval) / (2.0 * (4.0 * omega - 1.0))

@@ -58,6 +58,12 @@ def _error(traj: Trajectory, reference: Field) -> float:
     return relative_l2_error(traj.final, reference) if traj.completed else float("nan")
 
 
+def _study_config(t_final: float, epsilon: float, k_tol: float) -> Callable[[SplitCoefficients, float], RunConfig]:
+    """``(scheme, dt) -> RunConfig`` of a study's or sweep's runs, which keep only their final state."""
+    return partial(RunConfig, t_final=t_final, model=ModelParams(epsilon), cutoff=CutoffPolicy(k_tol),
+                   record_energy=False)
+
+
 def _convergence_report(
     schemes: list[SplitCoefficients],
     dt_list: list[float],
@@ -66,13 +72,15 @@ def _convergence_report(
     reference: Field,
     metadata: dict[str, str],
 ) -> ErrorReport:
-    """Score ``run_config(scheme, dt)`` for every pair; rows sorted by scheme
-    and descending dt, with slopes fitted."""
-    rows = []
-    for scheme in schemes:
-        for dt in dt_list:
-            traj = run(f0, run_config(scheme, dt))
-            rows.append(RunRow(scheme.label, dt, len(traj.times) - 1, _error(traj, reference), traj.status))
+    """Score ``run_config(scheme, dt)`` for every pair; rows sorted by
+    scheme and descending dt, with slopes fitted.  A 1D study is one
+    :func:`run_ensemble` call.  A 2D/3D study calls this module's ``run``
+    per config, scheme by scheme, where perfbench counts and segments 3D
+    runs, and scores each run as it ends, holding one final state at a time."""
+    configs = [run_config(scheme, dt) for scheme in schemes for dt in dt_list]
+    trajectories = run_ensemble(f0, configs) if f0.grid.dims == 1 else (run(f0, cfg) for cfg in configs)
+    rows = [RunRow(cfg.scheme.label, cfg.dt, len(traj.times) - 1, _error(traj, reference), traj.status)
+            for cfg, traj in zip(configs, trajectories)]
     report = ErrorReport(sorted(rows, key=lambda r: (r.scheme, -r.dt)), metadata)
     report.fit_slopes()
     return report
@@ -86,20 +94,15 @@ def wave_convergence(
     length: float = 4.0,
     k_tol: float = 1e9,
 ) -> ErrorReport:
-    """Error at t_final = 1/s against the exact traveling front, per (scheme, dt)."""
+    """Error at t_final = 1/s against the exact traveling front, per
+    (scheme, dt): one :func:`run_ensemble` call, which steps the runs whose
+    steps apply the same kinds of substep as rows of one stack."""
     spec = TravelingWaveSpec(epsilon, length)
     grid = spec.grid(cells)
-    run_config = partial(
-        RunConfig,
-        t_final=spec.t_final,
-        model=ModelParams(epsilon),
-        cutoff=CutoffPolicy(k_tol),
-        record_energy=False,
-    )
     return _convergence_report(
         schemes,
         dt_list,
-        run_config,
+        _study_config(spec.t_final, epsilon, k_tol),
         traveling_wave_field(grid, 0.0, spec),
         traveling_wave_field(grid, spec.t_final, spec),
         _base_metadata(
@@ -122,18 +125,13 @@ def spinodal_convergence(
     ref_dt: float | None = None,
 ) -> ErrorReport:
     """Self-convergence against a reference computed with the six-stage
-    fourth-order scheme at ``ref_dt`` (default: a quarter of the finest dt)."""
+    fourth-order scheme at ``ref_dt`` (default: a quarter of the finest dt).
+    The reference is one serial ``run``, as is every run on a 2D/3D grid."""
     if ref_dt is None:
         ref_dt = min(dt_list) / 4.0
     if ref_dt > min(dt_list) / 2.0:
         raise ValueError("reference dt must be at least 2x finer than the finest run")
-    run_config = partial(
-        RunConfig,
-        t_final=t_final,
-        model=ModelParams(spec.epsilon),
-        cutoff=CutoffPolicy(k_tol),
-        record_energy=False,
-    )
+    run_config = _study_config(t_final, spec.epsilon, k_tol)
     f0 = spinodal_initial(spec)
     ref = run(f0, run_config(fourth_order_v(), ref_dt))
     if not ref.completed:
@@ -201,7 +199,7 @@ def omega_sweep(
     keys = _clamp_keys(k_tols)
     spec = TravelingWaveSpec(epsilon, length)
     grid = spec.grid(cells)
-    model = ModelParams(epsilon)
+    run_configs = [_study_config(spec.t_final, epsilon, k_tol) for k_tol in k_tols]
     f0 = traveling_wave_field(grid, 0.0, spec)
     reference = traveling_wave_field(grid, spec.t_final, spec)
     records, scored, configs = [], [], []
@@ -214,12 +212,9 @@ def omega_sweep(
             rec["marker"] = str(err)
             continue
         rec["max_coeff"] = sol.coefficients.max_magnitude()
-        for k_tol, key in zip(k_tols, keys):
+        for run_config, key in zip(run_configs, keys):
             scored.append((rec, key))
-            configs.append(RunConfig(
-                sol.coefficients, dt, spec.t_final, model, CutoffPolicy(k_tol),
-                record_energy=False,
-            ))
+            configs.append(run_config(sol.coefficients, dt))
     for (rec, key), traj in zip(scored, run_ensemble(f0, configs)):
         rec[f"err_{key}"] = _error(traj, reference)
         rec[f"status_{key}"] = traj.status

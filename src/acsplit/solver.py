@@ -331,37 +331,39 @@ def run_ensemble(f0: Field, configs: Sequence[RunConfig]) -> list[Trajectory]:
     """Run every config from ``f0``; each trajectory is the one :func:`run`
     gives for its config.
 
-    The configs may differ in scheme and clamp only: they share ``dt``,
-    ``t_final``, the model and ``phi_max``, and record no energy and no
-    snapshots, so every run merges its step boundaries where its
-    :class:`StepRule` allows.  On a 1D grid, runs under one clamp whose
-    steps apply the same kinds of substep advance together, one row each of
-    a :class:`FieldStack`: per substep, one :func:`heat_evolve` or one
-    reaction kernel call, then one guard check.  A run leaves its stack
-    when it diverges.  On a 2D/3D grid each config is one :func:`run`.
+    The configs record no energy and no snapshots, so every run merges its
+    step boundaries where its :class:`StepRule` allows; they may differ in
+    anything else.  On a 1D grid, runs that share ``dt``, ``t_final``, the
+    model, ``phi_max`` and the clamp, and whose steps apply the same kinds of
+    substep at each position, advance together, one row each of a
+    :class:`FieldStack`: per substep, one :func:`heat_evolve` or one
+    reaction kernel call, then one guard check.  A run leaves its stack when
+    it diverges.  A stack of one run, and each config on a 2D/3D grid, is
+    one :func:`run`, which costs less than a stack of one row.
     """
     if not configs:
         return []
     f0.check_finite()
-    shared = {(cfg.dt, cfg.t_final, cfg.model, cfg.phi_max) for cfg in configs}
-    if len(shared) > 1 or any(cfg.record_energy or cfg.snapshot_times for cfg in configs):
-        raise ValueError("ensemble runs share dt, t_final, model and phi_max, and record no energy or snapshots")
+    if any(cfg.record_energy or cfg.snapshot_times for cfg in configs):
+        raise ValueError("ensemble runs record no energy or snapshots")
     if f0.grid.dims > 1:
         return [run(f0, cfg) for cfg in configs]
-    plan = configs[0].plan
-    rules: dict[SplitCoefficients, StepRule] = {}
-    kinds: dict[SplitCoefficients, tuple] = {}  # (deferred kind, kinds at each position) per scheme
-    stacks: dict[tuple, list[int]] = {}
+    step_rules: dict[tuple, tuple[StepRule, tuple]] = {}  # (scheme, dt, t_final) -> its rule, the kinds it schedules
+    stacks: dict[tuple, list[tuple[int, StepRule]]] = {}  # what a stack shares -> (config index, rule) per row
     for r, cfg in enumerate(configs):
-        if cfg.scheme not in rules:
-            rule = rules[cfg.scheme] = StepRule.of(cfg.scheme, plan, merge=True)
-            kinds[cfg.scheme] = rule.deferred and rule.deferred[0], tuple(
-                (pos, tuple(kind for kind, _ in subs)) for pos, subs in rule.schedule.items())
-        stacks.setdefault((cfg.cutoff, kinds[cfg.scheme]), []).append(r)
+        key = cfg.scheme, cfg.dt, cfg.t_final
+        if key not in step_rules:
+            rule = StepRule.of(cfg.scheme, cfg.plan, merge=True)
+            step_rules[key] = rule, (rule.deferred and rule.deferred[0], tuple(
+                (pos, tuple(kind for kind, _ in subs)) for pos, subs in rule.schedule.items()))
+        rule, kinds = step_rules[key]
+        stacks.setdefault((cfg.dt, cfg.t_final, cfg.model, cfg.phi_max, cfg.cutoff, kinds), []).append((r, rule))
     trajectories: list[Trajectory] = [None] * len(configs)  # type: ignore[list-item]
-    for runs in stacks.values():
-        cfg, stack_rules = configs[runs[0]], [rules[configs[r].scheme] for r in runs]
-        for r, traj in zip(runs, _march(f0, cfg, stack_rules, _stack_step(f0.grid, cfg, stack_rules))):
+    for rows in stacks.values():
+        runs, rules = zip(*rows)
+        cfg = configs[runs[0]]
+        done = [run(f0, cfg)] if len(runs) == 1 else _march(f0, cfg, rules, _stack_step(f0.grid, cfg, rules))
+        for r, traj in zip(runs, done):
             trajectories[r] = traj
     return trajectories
 

@@ -497,6 +497,25 @@ def test_non_finite_omegas_get_markers_in_both_sweeps(tmp_path):
     assert main(["coeffs", "--scheme", "S3(inf,+)"]) == 2
 
 
+def test_an_omega_whose_discriminant_overflows_gets_a_marker(tmp_path):
+    out = tmp_path / "family.csv"
+    assert main(["coeffs", "--family", "S3-", "--omegas", "1e200,0.5", "--out", str(out)]) == 0
+    rows = read_csv_rows(out)
+    assert rows[0]["marker"] == "S3(1e+200,-): discriminant D = inf is not finite" and rows[0]["a1"] == ""
+    assert rows[1]["marker"] == ""
+
+
+def test_a_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 7 PiB of float64 cells: the allocator refuses at once, in the initial
+    # field of a 3D run and in the cell centers of a 1D one
+    never = str(tmp_path / "never")
+    for problem, cells in (("spinodal", "100000"), ("wave", "1000000000000000")):
+        assert main(["run", "--problem", problem, "--scheme", "S1", "--cells", cells, "--dt", "1e-4",
+                     "--t-final", "1e-4", "--out-dir", never]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("acsplit: error: ") and "allocate" in err and err.count("\n") == 1, err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = {
         "problem": "wave",
@@ -526,9 +545,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                          ({"schemes": ["S1", 1]}, ["converge", "--out", never])):
         bad.write_text(json.dumps({"problem": "wave", "dt": 1e-3, "dt_list": [1e-3], **cfg}))
         assert main(command + ["--config", str(bad)]) == 2
-    # non-finite family parameters must not give NaN coefficients
+    # non-finite family parameters must not give NaN coefficients, nor
+    # parameters whose discriminant or squared coefficients overflow
     assert main(["coeffs", "--scheme", "S3(inf,+)"]) == 2
     assert main(["coeffs", "--scheme", "S2(nan)"]) == 2
+    capsys.readouterr()
+    for command in (["coeffs", "--scheme", "S3(1e308,+)"],
+                    ["run", "--problem", "wave", "--scheme", "S2(1e-300)", "--dt", "0.001", "--cells", "8",
+                     "--out-dir", never],
+                    ["converge", "--problem", "wave", "--schemes", "S2(1e-300)", "--dt-list",
+                     "0.001,0.0005,0.00025", "--cells", "8", "--out", never]):
+        assert main(command) == 2, command
+        assert capsys.readouterr().err.startswith("acsplit: error: S"), command
     # a malformed omega is a grammar error that names the id
     capsys.readouterr()
     assert main(["coeffs", "--scheme", "S2(abc)"]) == 2

@@ -120,6 +120,22 @@ def test_non_finite_omega_is_invalid_without_warnings(omega):
             second_order_family(omega)
 
 
+def test_parameters_that_overflow_are_invalid_without_warnings():
+    # D squares terms of omega's size, and the residual check squares the
+    # largest coefficient: past about 1.3e154 each overflows to inf, which
+    # names the scheme instead of raising OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert discriminant(1e200) == np.inf
+        for omega, branch in ((1e308, "+"), (-1e308, "-"), (1e200, "-"), (1e100, "+")):
+            with pytest.raises(InvalidOmega, match=r"S3\(.*: discriminant D = (inf|nan) is not finite"):
+                third_order_family(omega, branch)
+        with pytest.raises(InvalidOmega, match=r"S2\(1e-300\): coefficient 5e\+299 squares past"):
+            second_order_family(1e-300)
+        with pytest.raises(InvalidOmega, match="squares past"):
+            SplitCoefficients((2e154, 1.0 - 2e154), (1.0, 0.0), 1, "big")
+
+
 def test_positive_branch_rejects_omega_one():
     with pytest.raises(InvalidOmega):
         third_order_family(1.0, "+")

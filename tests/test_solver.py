@@ -501,12 +501,14 @@ def _count_calls(monkeypatch, owner, name: str) -> list[int]:
 def test_stack_builds_its_multipliers_once_per_position_and_heat_substep(monkeypatch):
     # 9 full steps and a shortened tenth: the third-order stack has two
     # positions of three heat substeps each; S4V merges its boundaries, so
-    # its first, middle and last steps are three positions with 5, 5 and 6
+    # its first, middle and last steps are three positions with 5, 5 and 6;
+    # S4V takes two rows, since a stack of one run is a run(), and a stack
+    # builds one table per position and heat substep whatever its rows
     from acsplit import _kernels
 
     f0 = traveling_wave_field(WAVE.grid(64), 0.0, WAVE)
     dt = 0.11 / WAVE.speed
-    schemes = [named_scheme("S3(0.5,+)"), named_scheme("S3(0.7,-)"), fourth_order_v()]
+    schemes = [named_scheme("S3(0.5,+)"), named_scheme("S3(0.7,-)"), fourth_order_v(), fourth_order_v()]
     configs = [RunConfig(s, dt, WAVE.t_final, MODEL, CutoffPolicy(1e4), record_energy=False) for s in schemes]
     assert configs[0].plan.n_steps == 10 and configs[0].plan.shortened
     builds = _count_calls(monkeypatch, _kernels, "heat_multiplier_apply")
@@ -547,15 +549,17 @@ def test_stack_scans_rows_only_where_the_whole_stack_trips(monkeypatch):
 
 
 def test_ensemble_rejects_configs_it_cannot_share():
+    # a run that records energy has no place in an ensemble; runs that
+    # differ in dt or phi_max share one call, in stacks of their own
     f0 = rough_field()
     base = RunConfig(first_order(), 0.1 * EPS**2, EPS**2, MODEL, record_energy=False)
-    for other in (
-        RunConfig(first_order(), 0.2 * EPS**2, EPS**2, MODEL, record_energy=False),
-        RunConfig(first_order(), 0.1 * EPS**2, EPS**2, MODEL),  # records energy
-        RunConfig(first_order(), 0.1 * EPS**2, EPS**2, MODEL, phi_max=5.0, record_energy=False),
-    ):
-        with pytest.raises(ValueError, match="share"):
-            run_ensemble(f0, [base, other])
+    with pytest.raises(ValueError, match="record no energy"):
+        run_ensemble(f0, [base, RunConfig(first_order(), 0.1 * EPS**2, EPS**2, MODEL)])
+    _assert_ensemble_matches_serial_runs(f0, [
+        RunConfig(named_scheme(label), dt * EPS**2, EPS**2, MODEL, phi_max=phi_max, record_energy=False)
+        for dt, phi_max in ((0.1, 10.0), (0.2, 10.0), (0.1, 5.0))
+        for label in ("S1", "S3X", "S3Y")
+    ])
     assert run_ensemble(f0, []) == []
 
 
@@ -837,11 +841,12 @@ def test_run_calls_the_module_step_once_per_step(monkeypatch):
 
 
 def test_1d_ensemble_makes_no_step_call(monkeypatch):
-    # the tracer does not wrap run_ensemble, and a stack never calls step
+    # the tracer does not wrap run_ensemble, and a stack never calls step;
+    # S4V takes two rows, since a stack of one run is a run()
     calls = _count_calls(monkeypatch, solver, "step")
     f0 = rough_field(m=64, seed=2)
     configs = [RunConfig(named_scheme(label), 2 * EPS**2, 12.3 * EPS**2, MODEL, phi_max=1.02, record_energy=False)
-               for label in ("S3(0.3,+)", "S3(0.9,-)", "S4V")]
+               for label in ("S3(0.3,+)", "S3(0.9,-)", "S4V", "S4V")]
     trajectories = run_ensemble(f0, configs)
     assert "diverged" in [traj.status for traj in trajectories]
     assert calls[0] == 0
@@ -881,6 +886,33 @@ def test_spinodal_convergence_runs_each_run_through_harness_run(monkeypatch):
                                           SpinodalSpec(cells=8, seed=1), t_final=4e-4)
     assert len(report.rows) == 4
     assert calls[0] == 4 + 1  # and one for the reference
+
+
+def test_wave_study_is_one_ensemble_with_the_rows_of_serial_runs(monkeypatch):
+    # S3X, S3Y and S3Z share a stack at each dt, and S1, S2(1) and S4V are
+    # stacks of one run; runs diverge in and out of stacks, and each row
+    # keeps the steps, status and error bits of its own run()
+    from acsplit import harness
+
+    ensembles = _count_calls(monkeypatch, harness, "run_ensemble")
+    serial = _count_calls(monkeypatch, solver, "run")
+    schemes = [named_scheme(label) for label in ("S1", "S2(1)", "S3X", "S3Y", "S3Z", "S4V")]
+    dts = [2.0**-k / WAVE.speed for k in range(4)]
+    report = harness.wave_convergence(schemes, dts, cells=128)
+    assert ensembles[0] == 1
+    assert serial[0] == 3 * len(dts)
+    grid = WAVE.grid(128)
+    f0, exact = traveling_wave_field(grid, 0.0, WAVE), traveling_wave_field(grid, WAVE.t_final, WAVE)
+    want = []
+    for scheme in schemes:
+        for dt in dts:
+            traj = run(f0, RunConfig(scheme, dt, WAVE.t_final, MODEL, CutoffPolicy(1e9), record_energy=False))
+            error = relative_l2_error(traj.final, exact) if traj.completed else np.nan
+            want.append((scheme.label, dt, len(traj.times) - 1, traj.status, np.float64(error).tobytes()))
+    got = [(row.scheme, row.dt, row.steps, row.status, np.float64(row.error).tobytes()) for row in report.rows]
+    assert sorted(got) == sorted(want)
+    diverged = {label for label, _, _, status, _ in got if status == "diverged"}
+    assert {"S3X", "S3Y", "S4V"} <= diverged and "S3Z" not in diverged
 
 
 @pytest.mark.parametrize("record_energy", [True, False], ids=["energy", "merged"])

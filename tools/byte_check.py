@@ -6,7 +6,8 @@ runs the `acsplit` of this checkout (its `src/`) with one BLAS thread: the
 six criterion-08 omega sweeps (383 omegas at 128 cells, both branches, three
 step sizes) and a reference set of `run`, `converge` and `coeffs` commands
 that covers the 3D factor path, a clamped 3D run, snapshots, both studies,
-a diverging 1D run and a run whose field overflows a square.  It prints one
+a wave study whose stacked S3Y run diverges, a diverging 1D run and a run
+whose field overflows a square.  It prints one
 `name sha256[:8]` line per output file, per stdout, and per command's exit
 code with its stderr.  Output is deterministic, so
 
@@ -56,6 +57,8 @@ COMMANDS: dict[str, list[str]] = {
                           "--ref-dt", "3.125e-5", "--out", "{out}/spinodal"],
     "converge-wave": ["converge", "--problem", "wave", "--schemes", "S1,S2(1),S3X,S3Y,S3Z,S4U,S4V",
                       "--dt-pow2", "3:6", "--out", "{out}/wave"],
+    "converge-wave-1024": ["converge", "--problem", "wave", "--schemes", "S1,S3X,S3Y,S3Z", "--cells", "1024",
+                           "--dt-pow2", "2:4", "--out", "{out}/wave"],
     "run-wave-S3Y-1024": ["run", "--problem", "wave", "--scheme", "S3Y", "--cells", "1024", "--k-tol", "inf",
                           "--dt", WAVE_DT[2], "--out-dir", "{out}"],
     "run-wave-S4V-256": ["run", "--problem", "wave", "--scheme", "S4V", "--cells", "256", "--dt", WAVE_DT[5],
