@@ -392,6 +392,7 @@ def test_ensemble_matches_serial_runs():
         second_order_family(0.5),  # a_1 = 0: as many substeps, other ones skipped
         fourth_order_v(),  # b_6 = 0
     ]
+    schemes += schemes[-3:]  # the merged ones take two rows, since a stack of one run is a run()
     dt = 0.22 / WAVE.speed  # 4 full steps and a shortened fifth
     configs = [
         RunConfig(s, dt, WAVE.t_final, MODEL, CutoffPolicy(k), record_energy=False)
@@ -403,6 +404,8 @@ def test_ensemble_matches_serial_runs():
     assert len(skips) == 4
     kinds = [_failure_kind(f0, cfg) for cfg in configs]
     assert {"guard", "blowup", None} <= set(kinds)
+    merged = [StepRule.of(c.scheme, c.plan, merge=True).deferred is not None for c in configs]
+    assert {kind for kind, m in zip(kinds, merged) if m} == {"guard", None}  # merged stacks diverge and complete
 
     steps = _assert_ensemble_matches_serial_runs(f0, configs)
     assert {1, 5} <= set(steps)  # a failure in the first and in the shortened last step
@@ -461,7 +464,8 @@ def test_runs_leave_a_read_only_f0_as_it_is(dims):
     # run() and run_ensemble() step from a read-only view of f0 and return no
     # array that shares its memory, so a study starts every run from one f0:
     # whole steps with a t = 0 snapshot, merged steps, and stacks or serial
-    # ensembles whose runs complete or diverge in their first step
+    # ensembles whose runs complete or diverge in their first step; S2(1)
+    # and S4V take two rows, since a stack of one run is a run()
     grid = GridSpec.line(1.0, 64) if dims == 1 else GridSpec((1.0, 1.0, 1.0), (8, 8, 8))
     f0 = Field(grid, np.random.default_rng(1).uniform(-1.0, 1.0, grid.shape))
     f0.values.flags.writeable = False
@@ -475,7 +479,7 @@ def test_runs_leave_a_read_only_f0_as_it_is(dims):
         run(f0, config("S4V", snapshot_times=(0.0, 3.5 * dt))),
         run(f0, config("S4V", record_energy=False)),
         *run_ensemble(f0, [config(label, cutoff=CutoffPolicy(np.inf), phi_max=1.02, record_energy=False)
-                           for label in ("S2(1)", "S4V", "S3Y", "S3(0.3,+)")]),
+                           for label in ("S2(1)", "S2(1)", "S4V", "S4V", "S3Y", "S3(0.3,+)")]),
     ]
     statuses = {(traj.status, traj.diverged_step) for traj in trajectories}
     assert {("completed", None), ("diverged", 1)} <= statuses
@@ -697,8 +701,10 @@ def test_diverged_merged_run_keeps_the_state_at_its_last_time():
         step(want, whole, cfg.model, cfg.cutoff, cfg.phi_max)
     assert got.final.values.tobytes() == want.values.tobytes()
     assert np.isnan(got.phi_min[1]) and np.isnan(got.phi_max[1])
-    ensemble, = run_ensemble(f0, [cfg])
-    assert ensemble.final.values.tobytes() == want.values.tobytes()
+    # two rows, so the run diverges out of a merged stack: a stack of one run is a run()
+    for ensemble in run_ensemble(f0, [cfg, cfg]):
+        assert (ensemble.status, ensemble.diverged_step) == ("diverged", 2)
+        assert ensemble.final.values.tobytes() == want.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
