@@ -32,6 +32,7 @@ EXIT_IO = 4
 
 DEFAULT_WAVE_EPSILON = 0.03 * np.sqrt(2.0)
 MAX_OMEGAS = 1_000_000  # a range/step grid longer than this is refused before it is built
+REQUIRED = object()  # the default of an option that must be given
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
@@ -79,79 +80,57 @@ def _float_list(value, flag: str) -> list[float]:
     raise CliError(f"{flag}: {value!r} is not a list of decimal numbers")
 
 
-def _distinct(flag: str, what: str, given: list, labels: list[str] | None = None) -> list:
-    """``given``, the list of ``flag``, refused if it is empty or names one
-    entry twice, as the sweep refuses its clamps (``labels`` as there)."""
+def _flagged(flag: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, whose ValueError is a usage error naming ``flag``."""
     try:
-        harness._refuse_repeats(what, given, labels)
+        return check(*args, **kwargs)
     except ValueError as err:
         raise CliError(f"{flag}: {err}") from None
-    return given
 
 
-def _k_tols(args) -> tuple[float, ...]:
-    """The clamps of ``--k-tols``, default 1e4 and 1e9."""
-    value = _merge(args, "k_tols")
+def _distinct_floats(what: str):
+    """The ``parse`` of a list of numbers, each one ``what``, refused as the
+    sweep's clamps are when it is empty or gives an entry twice."""
+    return lambda value, flag: _flagged(flag, harness._refuse_repeats, what, _float_list(value, flag))
+
+
+def _get(args: argparse.Namespace, key: str, parse=None, default=None):
+    """Option ``key``: its flag if given, else its config value (see
+    :func:`_load_config`), else ``default``, where ``REQUIRED`` refuses the
+    missing option.  A given value is read by ``parse(value, flag)``."""
+    value = getattr(args, key, None)
+    flag = "--" + key.replace("_", "-")
     if value is None:
-        return (1e4, 1e9)
-    return tuple(_distinct("--k-tols", "clamp", _float_list(value, "--k-tols")))
-
-
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
-def _merge(args: argparse.Namespace, key: str, default=None):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config", {})
-    if key in config:
-        return config[key]
-    return default
-
-
-def _require(args, key: str):
-    value = _merge(args, key)
-    if value is None:
-        raise CliError(f"missing required option {_flag(key)} (or config key {key!r})")
-    return value
-
-
-def _number(args, key: str, default: float | None = None) -> float | None:
-    """The decimal number of ``key`` (flag, else config value), or ``default``."""
-    value = _merge(args, key)
-    return default if value is None else _decimal(value, _flag(key))
-
-
-def _whole_number(args, key: str, default: int) -> int:
-    """The integer of ``key`` (flag, else config value), or ``default``."""
-    value = _merge(args, key)
-    return default if value is None else _integer(value, _flag(key))
+        if default is REQUIRED:
+            raise CliError(f"missing required option {flag} (or config key {key!r})")
+        return default
+    return value if parse is None else parse(value, flag)
 
 
 def _load_config(args: argparse.Namespace) -> None:
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            config = json.loads(Path(args.config).read_text())
-        except OSError as err:
-            raise CliError(f"cannot read config: {err}", EXIT_IO)
-        except json.JSONDecodeError as err:
-            raise CliError(f"config is not valid JSON: {err}")
-        if not isinstance(config, dict):
-            raise CliError("config must be a JSON object")
-    args._config = config
+    """Give each option that no flag gives its config value; refuse a key that names no option."""
+    if not args.config:
+        return
+    try:
+        config = json.loads(Path(args.config).read_text())
+    except OSError as err:
+        raise CliError(f"cannot read config: {err}", EXIT_IO)
+    except json.JSONDecodeError as err:
+        raise CliError(f"config is not valid JSON: {err}")
+    if not isinstance(config, dict):
+        raise CliError("config must be a JSON object")
+    for key, value in config.items():
+        if key not in CONFIG_KEYS:
+            raise CliError(f"config key {key!r} is no option of any subcommand")
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
 def _omega_grid(args) -> list[float]:
-    explicit = _merge(args, "omegas")
+    explicit = _get(args, "omegas", _distinct_floats("omega"))
     if explicit is not None:
-        return _distinct("--omegas", "omega", _float_list(explicit, "--omegas"))
-    lo = _number(args, "omega_min")
-    hi = _number(args, "omega_max")
-    step = _number(args, "omega_step")
+        return explicit
+    lo, hi, step = (_get(args, key, _decimal) for key in ("omega_min", "omega_max", "omega_step"))
     if lo is None or hi is None or step is None:
         raise CliError("need --omegas or --omega-min/--omega-max/--omega-step")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -177,15 +156,15 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    scheme = _merge(args, "scheme")
-    family = _merge(args, "family")
+    scheme = _get(args, "scheme")
+    family = _get(args, "family")
     if scheme is not None:
         text = harness.coeffs_table(scheme=scheme)
     elif family is not None:
         text = harness.coeffs_table(family=family, omegas=_omega_grid(args))
     else:
         raise CliError("coeffs needs --scheme or --family")
-    _write(_merge(args, "out"), text)
+    _write(_get(args, "out"), text)
     return EXIT_OK
 
 
@@ -194,55 +173,49 @@ def _check_model_and_grid(epsilon: float, length: float, cells: int, dims: int) 
     model or the grid would refuse."""
     if cells < 2:
         raise CliError(f"--cells: need at least 2 cells per axis, got {cells}")
-    for flag, build in (("--epsilon", lambda: ModelParams(epsilon)),
-                        ("--length", lambda: GridSpec.box(length, cells, dims))):
-        try:
-            build()
-        except ValueError as err:
-            raise CliError(f"{flag}: {err}") from None
+    _flagged("--epsilon", ModelParams, epsilon)
+    _flagged("--length", GridSpec.box, length, cells, dims)
 
 
 def _wave_setup(args):
-    epsilon = _number(args, "epsilon", float(DEFAULT_WAVE_EPSILON))
-    cells = _whole_number(args, "cells", 128)
-    length = _number(args, "length", 4.0)
+    epsilon = _get(args, "epsilon", _decimal, float(DEFAULT_WAVE_EPSILON))
+    cells = _get(args, "cells", _integer, 128)
+    length = _get(args, "length", _decimal, 4.0)
     _check_model_and_grid(epsilon, length, cells, 1)
     return TravelingWaveSpec(epsilon, length), cells
 
 
 def _spinodal_setup(args, default_cells: int) -> SpinodalSpec:
-    spec = SpinodalSpec(
-        epsilon=_number(args, "epsilon", 0.015),
-        amplitude=_number(args, "amplitude", 0.005),
-        seed=_whole_number(args, "seed", 0),
-        cells=_whole_number(args, "cells", default_cells),
-        length=_number(args, "length", 1.0),
-    )
-    _check_model_and_grid(spec.epsilon, spec.length, spec.cells, spec.dims)
+    epsilon = _get(args, "epsilon", _decimal, 0.015)
+    amplitude = _get(args, "amplitude", _decimal, 0.005)
+    seed = _get(args, "seed", _integer, 0)
+    cells = _get(args, "cells", _integer, default_cells)
+    length = _get(args, "length", _decimal, 1.0)
+    _flagged("--amplitude", SpinodalSpec, amplitude=amplitude)
+    spec = _flagged("--seed", SpinodalSpec, epsilon, amplitude, seed, cells, length)  # only the seed is left to refuse
+    _check_model_and_grid(epsilon, length, cells, spec.dims)
     return spec
 
 
 def cmd_run(args) -> int:
-    problem = _require(args, "problem")
-    scheme = harness.scheme_from_string(str(_require(args, "scheme")))
-    k_tol = _number(args, "k_tol", 1e9)
-    out_dir = Path(_merge(args, "out_dir", "."))
-    snapshots = _float_list(_merge(args, "snapshots", []), "--snapshots")
+    problem = _get(args, "problem", default=REQUIRED)
+    scheme = harness.scheme_from_string(str(_get(args, "scheme", default=REQUIRED)))
+    k_tol = _get(args, "k_tol", _decimal, 1e9)
+    out_dir = Path(_get(args, "out_dir", default="."))
+    snapshots = _get(args, "snapshots", _float_list, [])
     if snapshots:  # each is saved as snapshot_t{t:g}.acf
-        _distinct("--snapshots", "snapshot time", snapshots, [f"{t:g}" for t in snapshots])
-    phi_max = _number(args, "phi_max", 10.0)
+        _flagged("--snapshots", harness._refuse_repeats, "snapshot time", snapshots, [f"{t:g}" for t in snapshots])
+    phi_max = _get(args, "phi_max", _decimal, 10.0)
 
     if problem == "wave":
         spec, cells = _wave_setup(args)
         f0 = traveling_wave_field(spec.grid(cells), 0.0, spec)
-        model = ModelParams(spec.epsilon)
-        t_final = _number(args, "t_final", spec.t_final)
+        t_final = _get(args, "t_final", _decimal, spec.t_final)
         meta = {"problem": "wave", "epsilon": repr(spec.epsilon), "cells": cells}
     elif problem == "spinodal":
         spec = _spinodal_setup(args, default_cells=64)
         f0 = spinodal_initial(spec)
-        model = ModelParams(spec.epsilon)
-        t_final = _decimal(_require(args, "t_final"), "--t-final")
+        t_final = _get(args, "t_final", _decimal, REQUIRED)
         meta = {
             "problem": "spinodal",
             "epsilon": repr(spec.epsilon),
@@ -253,12 +226,12 @@ def cmd_run(args) -> int:
     else:
         raise CliError(f"unknown problem {problem!r}")
 
-    dt = _decimal(_require(args, "dt"), "--dt")
+    dt = _get(args, "dt", _decimal, REQUIRED)
     cfg = RunConfig(
         scheme,
         dt,
         t_final,
-        model,
+        ModelParams(spec.epsilon),
         CutoffPolicy(k_tol),
         snapshot_times=tuple(snapshots),
         phi_max=phi_max,
@@ -287,27 +260,35 @@ def cmd_run(args) -> int:
 
 
 def _dt_list(args, speed: float | None) -> list[float]:
-    dts = _merge(args, "dt_list")
+    dts = _get(args, "dt_list", _distinct_floats("dt"))
     if dts is not None:
-        return _distinct("--dt-list", "dt", _float_list(dts, "--dt-list"))
-    pow2 = _merge(args, "dt_pow2")
+        return dts
+    pow2 = _get(args, "dt_pow2")
     if pow2 is not None and speed is not None:
         lo, colon, hi = str(pow2).partition(":")
         if not colon:
             raise CliError(f"--dt-pow2: {pow2!r} is not K1:K2")
         ks = range(_integer(lo, "--dt-pow2"), _integer(hi, "--dt-pow2") + 1)
-        return _distinct("--dt-pow2", "dt", [2.0 ** (-k) / speed for k in ks])
+        # dt falls with k, so two good ends bound the list to about 2,100 steps
+        for end, k in (("K1", ks[0]), ("K2", ks[-1])) if ks else ():
+            try:
+                dt = 2.0 ** (-k) / speed
+            except OverflowError:
+                dt = math.inf
+            if not sys.float_info.min <= dt < math.inf:
+                raise CliError(f"--dt-pow2: {end} = {k} gives dt = 2^{-k} / s, not a positive normal finite float")
+        return _flagged("--dt-pow2", harness._refuse_repeats, "dt", [2.0 ** (-k) / speed for k in ks])
     raise CliError("need --dt-list (or --dt-pow2 for the wave problem)")
 
 
 def cmd_converge(args) -> int:
-    problem = _require(args, "problem")
-    ids = _require(args, "schemes")
+    problem = _get(args, "problem", default=REQUIRED)
+    ids = _get(args, "schemes", default=REQUIRED)
     ids = [str(s) for s in ids] if isinstance(ids, list) else split_scheme_ids(str(ids))
     schemes = [harness.scheme_from_string(s) for s in ids]
-    _distinct("--schemes", "scheme", ids, [scheme.label for scheme in schemes])
-    k_tol = _number(args, "k_tol", 1e9)
-    out = _merge(args, "out", "converge")
+    _flagged("--schemes", harness._refuse_repeats, "scheme", ids, [scheme.label for scheme in schemes])
+    k_tol = _get(args, "k_tol", _decimal, 1e9)
+    out = _get(args, "out", default="converge")
 
     if problem == "wave":
         spec, cells = _wave_setup(args)
@@ -325,9 +306,9 @@ def cmd_converge(args) -> int:
             schemes,
             _dt_list(args, None),
             spec,
-            t_final=_number(args, "t_final", 0.01),
+            t_final=_get(args, "t_final", _decimal, 0.01),
             k_tol=k_tol,
-            ref_dt=_number(args, "ref_dt"),
+            ref_dt=_get(args, "ref_dt", lambda v, flag: _flagged(flag, harness._check_ref_dt, _decimal(v, flag))),
         )
     else:
         raise CliError(f"unknown problem {problem!r}")
@@ -338,12 +319,12 @@ def cmd_converge(args) -> int:
 
 
 def cmd_sweep_omega(args) -> int:
-    branch = _require(args, "branch")
+    branch = _get(args, "branch", default=REQUIRED)
     spec, cells = _wave_setup(args)
-    dt = _number(args, "dt")
+    dt = _get(args, "dt", _decimal)
     if dt is None:
-        dt = _number(args, "dt_factor", 2.0**-4) / spec.speed
-    k_tols = _k_tols(args)
+        dt = _get(args, "dt_factor", _decimal, 2.0**-4) / spec.speed
+    k_tols = tuple(_get(args, "k_tols", _distinct_floats("clamp"), (1e4, 1e9)))
     records, meta = harness.omega_sweep(
         branch,
         _omega_grid(args),
@@ -353,8 +334,44 @@ def cmd_sweep_omega(args) -> int:
         length=spec.length,
         k_tols=k_tols,
     )
-    _write(_merge(args, "out"), harness.omega_sweep_csv(records, meta, k_tols))
+    _write(_get(args, "out"), harness.omega_sweep_csv(records, meta, k_tols))
     return EXIT_OK
+
+
+# Option groups that several subcommands share
+_OMEGA_GRID = ("--omega-min", "--omega-max", "--omega-step", ("--omegas", "comma-separated omega list"))
+_MODEL = ("--epsilon", "--cells", "--length")
+_NOISE = ("--amplitude", "--seed")
+_PROBLEM = ("--problem", None, ["wave", "spinodal"])
+_OUT = ("--out", "output path (default stdout)")
+
+# subcommand -> (handler, help, options); an option is a flag or (flag, help[, choices]),
+# and every subcommand also takes --config
+COMMANDS = {
+    "coeffs": (cmd_coeffs, "print splitting coefficients as CSV", (
+        ("--scheme", "named scheme, e.g. S3X or S2(1) or S3(0.62,-)"),
+        ("--family", "sweep a third-order branch", ["S3+", "S3-"]),
+        *_OMEGA_GRID, _OUT)),
+    "run": (cmd_run, "run one experiment, write snapshots + diagnostics", (
+        _PROBLEM, "--scheme", "--dt", "--t-final", *_MODEL, *_NOISE, "--k-tol", "--phi-max",
+        ("--snapshots", "comma-separated times"), "--out-dir")),
+    "converge": (cmd_converge, "convergence study, write error/slope CSVs", (
+        _PROBLEM,
+        ("--schemes", "comma-separated scheme ids, e.g. S1,S3(0.62,-)"),
+        ("--dt-list", "comma-separated step sizes"),
+        ("--dt-pow2", "K1:K2 meaning dt = 2^-k / s for k = K1..K2 (wave only)"),
+        *_MODEL, *_NOISE, "--t-final", "--k-tol",
+        ("--ref-dt", "spinodal reference step (default min(dt)/4)"),
+        ("--out", "output prefix"))),
+    "sweep-omega": (cmd_sweep_omega, "error vs omega for a third-order branch", (
+        ("--branch", None, ["+", "-"]), *_OMEGA_GRID, "--dt",
+        ("--dt-factor", "dt = factor / s (default 2^-4)"),
+        ("--k-tols", "comma-separated clamp values (default 1e4,1e9)"), *_MODEL, _OUT)),
+}
+
+# the keys a config file may give: every option of any subcommand
+CONFIG_KEYS = frozenset((option if isinstance(option, str) else option[0])[2:].replace("-", "_")
+                        for _, _, options in COMMANDS.values() for option in options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,67 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"acsplit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its keys")
-
-    p = sub.add_parser("coeffs", parents=[common], help="print splitting coefficients as CSV")
-    p.add_argument("--scheme", help="named scheme, e.g. S3X or S2(1) or S3(0.62,-)")
-    p.add_argument("--family", choices=["S3+", "S3-"], help="sweep a third-order branch")
-    p.add_argument("--omega-min")
-    p.add_argument("--omega-max")
-    p.add_argument("--omega-step")
-    p.add_argument("--omegas", help="comma-separated omega list")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("run", parents=[common], help="run one experiment, write snapshots + diagnostics")
-    p.add_argument("--problem", choices=["wave", "spinodal"])
-    p.add_argument("--scheme")
-    p.add_argument("--dt")
-    p.add_argument("--t-final")
-    p.add_argument("--epsilon")
-    p.add_argument("--cells")
-    p.add_argument("--length")
-    p.add_argument("--amplitude")
-    p.add_argument("--seed")
-    p.add_argument("--k-tol")
-    p.add_argument("--phi-max")
-    p.add_argument("--snapshots", help="comma-separated times")
-    p.add_argument("--out-dir")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("converge", parents=[common], help="convergence study, write error/slope CSVs")
-    p.add_argument("--problem", choices=["wave", "spinodal"])
-    p.add_argument("--schemes", help="comma-separated scheme ids, e.g. S1,S3(0.62,-)")
-    p.add_argument("--dt-list", help="comma-separated step sizes")
-    p.add_argument("--dt-pow2", help="K1:K2 meaning dt = 2^-k / s for k = K1..K2 (wave only)")
-    p.add_argument("--epsilon")
-    p.add_argument("--cells")
-    p.add_argument("--length")
-    p.add_argument("--amplitude")
-    p.add_argument("--seed")
-    p.add_argument("--t-final")
-    p.add_argument("--k-tol")
-    p.add_argument("--ref-dt", help="spinodal reference step (default min(dt)/4)")
-    p.add_argument("--out", help="output prefix")
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("sweep-omega", parents=[common], help="error vs omega for a third-order branch")
-    p.add_argument("--branch", choices=["+", "-"])
-    p.add_argument("--omega-min")
-    p.add_argument("--omega-max")
-    p.add_argument("--omega-step")
-    p.add_argument("--omegas", help="comma-separated omega list")
-    p.add_argument("--dt")
-    p.add_argument("--dt-factor", help="dt = factor / s (default 2^-4)")
-    p.add_argument("--k-tols", help="comma-separated clamp values (default 1e4,1e9)")
-    p.add_argument("--epsilon")
-    p.add_argument("--cells")
-    p.add_argument("--length")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_sweep_omega)
-
+    for name, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        for option in options:
+            flag, *rest = (option,) if isinstance(option, str) else option
+            p.add_argument(flag, **dict(zip(("help", "choices"), rest)))
+        p.set_defaults(func=func)
     return parser
 
 
@@ -434,12 +397,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _load_config(args)
         return args.func(args)
-    except CliError as err:
+    except (CliError, ValueError, RuntimeError, MemoryError) as err:
         print(f"acsplit: error: {err}", file=sys.stderr)
-        return err.code
-    except (ValueError, RuntimeError, MemoryError) as err:
-        print(f"acsplit: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return err.code if isinstance(err, CliError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

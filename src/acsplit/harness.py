@@ -116,6 +116,13 @@ def wave_convergence(
     )
 
 
+def _check_ref_dt(ref_dt: float) -> float:
+    """``ref_dt``, refused unless it is a positive finite reference step."""
+    if not 0.0 < ref_dt < np.inf:
+        raise ValueError(f"reference dt must be positive and finite, got {ref_dt!r}")
+    return ref_dt
+
+
 def spinodal_convergence(
     schemes: list[SplitCoefficients],
     dt_list: list[float],
@@ -127,8 +134,7 @@ def spinodal_convergence(
     """Self-convergence against a reference computed with the six-stage
     fourth-order scheme at ``ref_dt`` (default: a quarter of the finest dt).
     The reference is one serial ``run``, as is every run on a 2D/3D grid."""
-    if ref_dt is None:
-        ref_dt = min(dt_list) / 4.0
+    ref_dt = min(dt_list) / 4.0 if ref_dt is None else _check_ref_dt(ref_dt)
     if ref_dt > min(dt_list) / 2.0:
         raise ValueError("reference dt must be at least 2x finer than the finest run")
     run_config = _study_config(t_final, spec.epsilon, k_tol)
@@ -158,9 +164,9 @@ def spinodal_convergence(
     )
 
 
-def _refuse_repeats(what: str, given, labels: list[str] | None = None) -> None:
-    """Raise ``ValueError`` if the list ``given`` is empty or names one entry
-    twice, naming ``what`` and the entries; entries are compared by
+def _refuse_repeats(what: str, given, labels: list[str] | None = None):
+    """The list ``given``; raise ``ValueError`` if it is empty or names one
+    entry twice, naming ``what`` and the entries.  Entries are compared by
     ``labels``, by default each number as scheme labels write omega."""
     labels = [_omega_text(v) for v in given] if labels is None else labels
     if not labels:
@@ -169,6 +175,7 @@ def _refuse_repeats(what: str, given, labels: list[str] | None = None) -> None:
         if count > 1:
             places = ", ".join(str(pos) for pos, other in enumerate(labels, start=1) if other == label)
             raise ValueError(f"{what} {label} is given more than once, as entries {places} of {tuple(given)!r}")
+    return given
 
 
 def _clamp_keys(k_tols) -> list[str]:

@@ -102,6 +102,8 @@ class SpinodalSpec:
     def __post_init__(self):
         if not 0 < self.amplitude < 1.0 / np.sqrt(3.0):
             raise ValueError("amplitude must sit inside the spinodal interval")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @cached_property
     def grid(self) -> GridSpec:

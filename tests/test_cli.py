@@ -532,6 +532,18 @@ def test_config_file_with_flag_override(tmp_path):
     assert not (tmp_path / "from_config").exists()
 
 
+def test_config_null_means_not_given(tmp_path, monkeypatch):
+    # a JSON null is an option left out: its default applies, here no
+    # snapshots and the current directory
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": "wave", "scheme": "S1", "dt": 1e-4, "t_final": 2e-3, "cells": 16,
+                                "k_tol": None, "snapshots": None, "out_dir": None}))
+    assert main(["run", "--config", str(path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "diagnostics.csv"]
+    assert "# k_tol=1000000000.0" in (tmp_path / "diagnostics.csv").read_text()
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["coeffs"]) == 2
     assert main(["run", "--problem", "wave", "--scheme", "S9", "--dt", "1e-3"]) == 2
@@ -650,10 +662,34 @@ def test_usage_errors_exit_2(tmp_path, capsys):
           "--out", str(tmp_path / "never" / "c")], "--epsilon"),
         (["sweep-omega", "--branch", "+", "--omegas", "0.5", "--length", "inf",
           "--out", str(tmp_path / "never" / "sweep.csv")], "--length"),
+        (spinodal + ["--seed", "-1"], "--seed"),
+        (spinodal + ["--amplitude", "0.9"], "--amplitude"),
+        *((["converge", "--problem", "spinodal", "--schemes", "S1", "--dt-list", "1e-3", "--cells", "8",
+            "--ref-dt", ref_dt, "--out", str(tmp_path / "never" / "c")], "--ref-dt") for ref_dt in ("nan", "0", "-1")),
     ):
         assert main(command) == 2, command
         assert f"acsplit: error: {flag}: " in capsys.readouterr().err, command
+    # each end of --dt-pow2 must give a positive, normal, finite dt; both are
+    # checked before the list is built, so an end out of range costs nothing
+    for ends, end in (("-2000:-1998", "K1 = -2000"), ("3:2000000", "K2 = 2000000"), ("1100:1102", "K1 = 1100")):
+        assert main(["converge", "--problem", "wave", "--schemes", "S1", "--cells", "8", f"--dt-pow2={ends}",
+                     "--out", str(tmp_path / "never" / "c")]) == 2, ends
+        err = capsys.readouterr().err
+        assert err.startswith(f"acsplit: error: --dt-pow2: {end} gives dt = ") and err.count("\n") == 1, err
+        assert len(err.encode()) < 1000, ends
+    # a config key that names no option of any subcommand is refused, not ignored
+    bad.write_text(json.dumps({"problem": "wave", "scheme": "S1", "dt": 1e-3, "k_tl": 1e4, "cells": 16}))
+    assert main(["run", "--config", str(bad), "--out-dir", never]) == 2
+    assert capsys.readouterr().err == "acsplit: error: config key 'k_tl' is no option of any subcommand\n"
     assert not (tmp_path / "never").exists()
+
+
+def test_spinodal_study_refuses_a_reference_step_that_is_not_positive_and_finite():
+    from acsplit import harness
+
+    for ref_dt in (float("nan"), 0.0, -1e-4, float("inf")):
+        with pytest.raises(ValueError, match="reference dt must be positive and finite"):
+            harness.spinodal_convergence([scheme_from_string("S1")], [1e-3], SpinodalSpec(cells=8), ref_dt=ref_dt)
 
 
 def test_empty_or_repeated_lists_exit_2(tmp_path, capsys):

@@ -126,6 +126,12 @@ def test_spinodal_dynamics_do_not_conserve_the_mean():
     assert abs(traj.final.values.mean()) > 2.0 * abs(f0.values.mean())
 
 
+def test_spinodal_seed_must_be_non_negative():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SpinodalSpec(seed=-1)
+    assert SpinodalSpec(seed=2**70).seed == 2**70
+
+
 def test_amplitude_must_sit_in_the_spinodal_interval():
     with pytest.raises(ValueError):
         SpinodalSpec(amplitude=0.6)

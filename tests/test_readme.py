@@ -58,3 +58,12 @@ def test_readme_passes_only_keywords_the_functions_take():
     # a keyword that a signature has lost is found
     stale = "defers its last substep (`step(..., defer_last=True)`) and adds (`solver.step(f, carry=tau)`)"
     assert _keyword_references(stale) == [("step", "defer_last", False), ("step", "carry", False)]
+
+
+def test_readme_lists_every_config_key():
+    from acsplit.cli import CONFIG_KEYS
+
+    listed = re.search(r"The keys are (.*?): every option", README.read_text(), re.DOTALL)[1]
+    keys = re.findall(r"`(\w+)`", listed)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == CONFIG_KEYS

@@ -6,10 +6,12 @@ runs the `acsplit` of this checkout (its `src/`) with one BLAS thread: the
 six criterion-08 omega sweeps (383 omegas at 128 cells, both branches, three
 step sizes) and a reference set of `run`, `converge` and `coeffs` commands
 that covers the 3D factor path, a clamped 3D run, snapshots, both studies,
-a wave study whose stacked S3Y run diverges, a diverging 1D run and a run
-whose field overflows a square.  It prints one
-`name sha256[:8]` line per output file, per stdout, and per command's exit
-code with its stderr.  Output is deterministic, so
+a wave study whose stacked S3Y run diverges, a diverging 1D run, a run
+whose field overflows a square.  It also pins the messages of six usage
+errors: a bad list entry, a repeated dt, an empty clamp list, a missing
+--dt, a digit group in --cells, and flags that override their config keys.
+It prints one `name sha256[:8]` line per output file, per stdout, and per
+command's exit code with its stderr.  Output is deterministic, so
 
     diff <(python old/tools/byte_check.py) <(python new/tools/byte_check.py)
 
@@ -35,7 +37,7 @@ OMEGAS = ",".join(repr(w) for w in [0.2505, 0.2510, 0.2515] + [0.2525 + 0.0025 *
 # the wave steps 2^-2/s (criterion 07's) and 2^-5/s, for the front's speed s at the default epsilon
 WAVE_DT = {2: "0.005000000000000001", 5: "0.0006250000000000001"}
 
-# name -> arguments; "{out}" is the command's own output directory
+# name -> arguments; "{out}" is the command's own output directory, "{config}" its config file
 COMMANDS: dict[str, list[str]] = {
     **{
         f"sweep{branch}{factor}": ["sweep-omega", "--branch", branch, "--omegas", OMEGAS, "--cells", "128",
@@ -69,7 +71,20 @@ COMMANDS: dict[str, list[str]] = {
     "coeffs-S3X": ["coeffs", "--scheme", "S3X"],
     "coeffs-S3-": ["coeffs", "--family", "S3-", "--omega-min", "0.2505", "--omega-max", "1.2",
                    "--omega-step", "0.0025"],
+    "usage-omegas-entry": ["coeffs", "--family", "S3+", "--omegas", "0.3,abc"],
+    "usage-dt-list-repeat": ["converge", "--problem", "wave", "--schemes", "S1", "--dt-list", "1e-3,1e-3",
+                             "--out", "{out}/wave"],
+    "usage-k-tols-empty": ["sweep-omega", "--branch", "+", "--omegas", "0.5", "--k-tols", ",",
+                           "--out", "{out}/sweep.csv"],
+    "usage-run-no-dt": ["run", "--problem", "wave", "--scheme", "S1", "--out-dir", "{out}"],
+    "usage-cells-digit-group": ["run", "--problem", "wave", "--scheme", "S1", "--dt", "1e-3", "--cells", "1_28",
+                                "--out-dir", "{out}"],
+    "usage-flag-over-config": ["run", "--config", "{config}", "--problem", "wave", "--cells", "2_56",
+                               "--out-dir", "{out}"],
 }
+
+# name -> the config file of a command that takes "{config}"
+CONFIGS = {"usage-flag-over-config": '{"problem": "spinodal", "scheme": "S1", "dt": 1e-3, "cells": "1_28"}'}
 
 
 def _prefix(data: bytes) -> str:
@@ -83,7 +98,10 @@ def check(root: Path) -> list[str]:
     for name, args in COMMANDS.items():
         out = root / name
         out.mkdir(parents=True)
-        argv = [arg.replace("{out}", str(out)) for arg in args]
+        config = root / f"{name}.json"
+        if name in CONFIGS:
+            config.write_text(CONFIGS[name])
+        argv = [arg.replace("{out}", str(out)).replace("{config}", str(config)) for arg in args]
         done = subprocess.run([sys.executable, "-m", "acsplit.cli", *argv], env=env, capture_output=True)
         status = f"{done.returncode}\n".encode() + done.stderr
         lines.append(f"{name}:exit+stderr {_prefix(status)}")
