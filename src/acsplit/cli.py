@@ -108,7 +108,8 @@ def _get(args: argparse.Namespace, key: str, parse=None, default=None):
 
 
 def _load_config(args: argparse.Namespace) -> None:
-    """Give each option that no flag gives its config value; refuse a key that names no option."""
+    """Give each option that no flag gives its config value; refuse a key
+    that names no option, and a value that is none of its option's choices."""
     if not args.config:
         return
     try:
@@ -123,6 +124,10 @@ def _load_config(args: argparse.Namespace) -> None:
         if key not in CONFIG_KEYS:
             raise CliError(f"config key {key!r} is no option of any subcommand")
         if getattr(args, key, None) is None:
+            choices = CHOICES[args.command].get(key)
+            if choices and value is not None and value not in choices:
+                raise CliError(f"--{key.replace('_', '-')}: invalid choice {value!r} "
+                               f"(choose from {', '.join(map(repr, choices))})")
             setattr(args, key, value)
 
 
@@ -140,8 +145,16 @@ def _omega_grid(args) -> list[float]:
     span = (hi - lo) / step  # inf when hi - lo overflows
     if not span < MAX_OMEGAS:
         raise CliError(f"--omega-min/--omega-max/--omega-step give more than {MAX_OMEGAS:,} omegas")
-    n = round(span)
+    # every lo + i*step up to hi, with a slack for the rounding of the three decimals to binary
+    n = math.floor(span + 4 * sys.float_info.epsilon * (span + (abs(lo) + abs(hi)) / step))
     return [lo + i * step for i in range(n + 1)]
+
+
+def _path(value, flag: str) -> str:
+    """``value`` of ``flag`` as a path: text only."""
+    if not isinstance(value, str):
+        raise CliError(f"{flag}: {value!r} is not a path")
+    return value
 
 
 def _write(path: str | None, text: str) -> None:
@@ -164,7 +177,7 @@ def cmd_coeffs(args) -> int:
         text = harness.coeffs_table(family=family, omegas=_omega_grid(args))
     else:
         raise CliError("coeffs needs --scheme or --family")
-    _write(_get(args, "out"), text)
+    _write(_get(args, "out", _path), text)
     return EXIT_OK
 
 
@@ -201,7 +214,7 @@ def cmd_run(args) -> int:
     problem = _get(args, "problem", default=REQUIRED)
     scheme = harness.scheme_from_string(str(_get(args, "scheme", default=REQUIRED)))
     k_tol = _get(args, "k_tol", _decimal, 1e9)
-    out_dir = Path(_get(args, "out_dir", default="."))
+    out_dir = Path(_get(args, "out_dir", _path, "."))
     snapshots = _get(args, "snapshots", _float_list, [])
     if snapshots:  # each is saved as snapshot_t{t:g}.acf
         _flagged("--snapshots", harness._refuse_repeats, "snapshot time", snapshots, [f"{t:g}" for t in snapshots])
@@ -211,20 +224,10 @@ def cmd_run(args) -> int:
         spec, cells = _wave_setup(args)
         f0 = traveling_wave_field(spec.grid(cells), 0.0, spec)
         t_final = _get(args, "t_final", _decimal, spec.t_final)
-        meta = {"problem": "wave", "epsilon": repr(spec.epsilon), "cells": cells}
-    elif problem == "spinodal":
+    else:
         spec = _spinodal_setup(args, default_cells=64)
         f0 = spinodal_initial(spec)
         t_final = _get(args, "t_final", _decimal, REQUIRED)
-        meta = {
-            "problem": "spinodal",
-            "epsilon": repr(spec.epsilon),
-            "seed": spec.seed,
-            "cells": spec.cells,
-            "amplitude": repr(spec.amplitude),
-        }
-    else:
-        raise CliError(f"unknown problem {problem!r}")
 
     dt = _get(args, "dt", _decimal, REQUIRED)
     cfg = RunConfig(
@@ -236,7 +239,6 @@ def cmd_run(args) -> int:
         snapshot_times=tuple(snapshots),
         phi_max=phi_max,
     )
-    meta.update({"scheme": scheme.label, "dt": repr(dt), "t_final": repr(t_final), "k_tol": repr(k_tol)})
 
     def write_snapshot(t_req: float, snap: Field) -> None:
         # fieldio.save_field is looked up per call, so a wrapper put on it sees every write
@@ -244,7 +246,7 @@ def cmd_run(args) -> int:
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)  # before the first step: a bad path costs no run
-        result = harness.single_run(f0, cfg, {k: str(v) for k, v in meta.items()}, on_snapshot=write_snapshot)
+        result = harness.single_run(f0, cfg, spec, on_snapshot=write_snapshot)
         (out_dir / "diagnostics.csv").write_text(result.diagnostics_csv)
     except OSError as err:
         raise CliError(f"cannot write outputs: {err}", EXIT_IO)
@@ -288,7 +290,7 @@ def cmd_converge(args) -> int:
     schemes = [harness.scheme_from_string(s) for s in ids]
     _flagged("--schemes", harness._refuse_repeats, "scheme", ids, [scheme.label for scheme in schemes])
     k_tol = _get(args, "k_tol", _decimal, 1e9)
-    out = _get(args, "out", default="converge")
+    out = _get(args, "out", _path, "converge")
 
     if problem == "wave":
         spec, cells = _wave_setup(args)
@@ -300,7 +302,7 @@ def cmd_converge(args) -> int:
             length=spec.length,
             k_tol=k_tol,
         )
-    elif problem == "spinodal":
+    else:
         spec = _spinodal_setup(args, default_cells=32)
         report = harness.spinodal_convergence(
             schemes,
@@ -310,8 +312,6 @@ def cmd_converge(args) -> int:
             k_tol=k_tol,
             ref_dt=_get(args, "ref_dt", lambda v, flag: _flagged(flag, harness._check_ref_dt, _decimal(v, flag))),
         )
-    else:
-        raise CliError(f"unknown problem {problem!r}")
 
     _write(f"{out}.errors.csv", report.to_csv())
     _write(f"{out}.slopes.csv", report.slopes_to_csv())
@@ -334,7 +334,7 @@ def cmd_sweep_omega(args) -> int:
         length=spec.length,
         k_tols=k_tols,
     )
-    _write(_get(args, "out"), harness.omega_sweep_csv(records, meta, k_tols))
+    _write(_get(args, "out", _path), harness.omega_sweep_csv(records, meta, k_tols))
     return EXIT_OK
 
 
@@ -372,6 +372,11 @@ COMMANDS = {
 # the keys a config file may give: every option of any subcommand
 CONFIG_KEYS = frozenset((option if isinstance(option, str) else option[0])[2:].replace("-", "_")
                         for _, _, options in COMMANDS.values() for option in options)
+# subcommand -> {key: choices} of its options that take one of a few values; argparse checks the flags,
+# _load_config the config values
+CHOICES = {name: {option[0][2:].replace("-", "_"): option[2] for option in options
+                  if isinstance(option, tuple) and len(option) == 3}
+           for name, (_, _, options) in COMMANDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:

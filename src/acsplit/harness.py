@@ -20,7 +20,7 @@ from .coeffs import (
     named_scheme,
     third_order_family,
 )
-from .grid import Field
+from .grid import Field, GridSpec
 from .operators import CutoffPolicy, ModelParams
 from .problems import (
     SpinodalSpec,
@@ -46,10 +46,18 @@ def scheme_from_string(text: str) -> SplitCoefficients:
     return named_scheme(text)
 
 
-def _base_metadata(**extra) -> dict[str, str]:
-    meta = {"version": __version__, "backend": BACKEND}
-    meta.update({k: str(v) for k, v in extra.items()})
-    return meta
+def _provenance(spec: TravelingWaveSpec | SpinodalSpec, grid: GridSpec, **inputs) -> dict[str, str]:
+    """The ``# key=value`` lines of every experiment CSV: the version and
+    backend, the problem's lines (its name, epsilon, cells and length, and
+    for the spinodal problem its amplitude, seed and dims), then ``inputs``,
+    which may rename the problem.  A number is written as its float's
+    ``repr``, which reads back exactly; cells, seed and dims as integers."""
+    lines = {"problem": "traveling-wave", "epsilon": spec.epsilon, "cells": str(grid.cells[0]),
+             "length": spec.length}
+    if isinstance(spec, SpinodalSpec):
+        lines |= {"problem": "spinodal", "amplitude": spec.amplitude, "seed": str(spec.seed), "dims": str(grid.dims)}
+    lines = {"version": __version__, "backend": BACKEND, **lines, **inputs}
+    return {key: value if isinstance(value, str) else repr(float(value)) for key, value in lines.items()}
 
 
 def _error(traj: Trajectory, reference: Field) -> float:
@@ -105,14 +113,7 @@ def wave_convergence(
         _study_config(spec.t_final, epsilon, k_tol),
         traveling_wave_field(grid, 0.0, spec),
         traveling_wave_field(grid, spec.t_final, spec),
-        _base_metadata(
-            problem="traveling-wave",
-            epsilon=repr(float(epsilon)),
-            cells=cells,
-            length=repr(float(length)),
-            k_tol=repr(float(k_tol)),
-            t_final=repr(float(spec.t_final)),
-        ),
+        _provenance(spec, grid, k_tol=k_tol, t_final=spec.t_final),
     )
 
 
@@ -148,19 +149,7 @@ def spinodal_convergence(
         run_config,
         f0,
         ref.final,
-        _base_metadata(
-            problem="spinodal",
-            epsilon=repr(float(spec.epsilon)),
-            amplitude=repr(float(spec.amplitude)),
-            seed=spec.seed,
-            cells=spec.cells,
-            dims=spec.dims,
-            length=repr(float(spec.length)),
-            k_tol=repr(float(k_tol)),
-            t_final=repr(float(t_final)),
-            ref_dt=repr(float(ref_dt)),
-            ref_scheme="S4V",
-        ),
+        _provenance(spec, f0.grid, k_tol=k_tol, t_final=t_final, ref_dt=ref_dt, ref_scheme="S4V"),
     )
 
 
@@ -225,17 +214,8 @@ def omega_sweep(
     for (rec, key), traj in zip(scored, run_ensemble(f0, configs)):
         rec[f"err_{key}"] = _error(traj, reference)
         rec[f"status_{key}"] = traj.status
-    meta = _base_metadata(
-        problem="omega-sweep",
-        branch=branch,
-        epsilon=repr(float(epsilon)),
-        cells=cells,
-        length=repr(float(length)),
-        dt=repr(float(dt)),
-        k_tols=",".join(_omega_text(k) for k in k_tols),
-        t_final=repr(float(spec.t_final)),
-    )
-    return records, meta
+    return records, _provenance(spec, grid, problem="omega-sweep", branch=branch, dt=dt,
+                                k_tols=",".join(_omega_text(k) for k in k_tols), t_final=spec.t_final)
 
 
 def omega_sweep_csv(records: list[dict], meta: dict[str, str], k_tols=(1e4, 1e9)) -> str:
@@ -298,10 +278,12 @@ class SingleRunResult:
     diagnostics_csv: str
 
 
-def single_run(f0: Field, cfg: RunConfig, meta: dict[str, str],
+def single_run(f0: Field, cfg: RunConfig, spec: TravelingWaveSpec | SpinodalSpec,
                on_snapshot: SnapshotSink | None = None) -> SingleRunResult:
-    """Run once and render the per-step diagnostics CSV; ``on_snapshot``
-    takes each snapshot as it is taken (see :func:`acsplit.solver.run`)."""
+    """Run once from ``f0``, drawn for the problem ``spec``, and render the
+    per-step diagnostics CSV, whose header names the problem and ``cfg``;
+    ``on_snapshot`` takes each snapshot as it is taken (see
+    :func:`acsplit.solver.run`)."""
     traj = run(f0, cfg, on_snapshot=on_snapshot)
     outcome = [("status", traj.status)]
     if traj.status == "diverged":
@@ -313,7 +295,7 @@ def single_run(f0: Field, cfg: RunConfig, meta: dict[str, str],
         [repr(float(t)), repr(float(lo)), repr(float(hi)), csv_number(en)]
         for t, lo, hi, en in zip(traj.times, traj.phi_min, traj.phi_max, traj.energies)
     )
+    meta = _provenance(spec, f0.grid, scheme=cfg.scheme.label, dt=cfg.dt, t_final=cfg.t_final,
+                       k_tol=cfg.cutoff.k_tol, phi_max=cfg.phi_max)
     columns = ["t", "phi_min", "phi_max", "energy"]
-    return SingleRunResult(
-        traj, render_csv("diagnostics", {**_base_metadata(), **meta}, columns, rows, outcome)
-    )
+    return SingleRunResult(traj, render_csv("diagnostics", meta, columns, rows, outcome))

@@ -350,7 +350,9 @@ def test_csv_headers_are_pinned(tmp_path, capsys):
             "# dt=0.001",
             "# epsilon=0.042426406871192854",
             "# k_tol=1000000000.0",
-            "# problem=wave",
+            "# length=4.0",
+            "# phi_max=10.0",
+            "# problem=traveling-wave",
             "# scheme=S2(1)",
             "# t_final=0.0025",
         ]
@@ -369,7 +371,9 @@ def test_csv_headers_are_pinned(tmp_path, capsys):
             "# dt=0.005",
             "# epsilon=0.042426406871192854",
             "# k_tol=inf",
-            "# problem=wave",
+            "# length=4.0",
+            "# phi_max=10.0",
+            "# problem=traveling-wave",
             "# scheme=S3Y",
             "# t_final=0.0123",
         ]
@@ -390,6 +394,41 @@ def test_csv_headers_are_pinned(tmp_path, capsys):
         "# acsplit-coeffs v1",
         "omega,a1,b1,a2,b2,a3,b3,D,min,max,bounded,marker",
     ]
+
+
+def _header_lines(path) -> dict[str, str]:
+    """The ``# key=value`` lines of a CSV file, as a dict."""
+    lines = [line[2:] for line in Path(path).read_text().splitlines() if line.startswith("# ") and "=" in line]
+    return dict(line.split("=", 1) for line in lines)
+
+
+def test_run_headers_name_every_input_and_the_problem_as_a_study_does(tmp_path):
+    # a run's header names every input the run depends on: two runs that
+    # differ only in --length, or only in --phi-max, write different headers
+    wave = ["run", "--problem", "wave", "--scheme", "S2(1)", "--dt", "1e-3", "--t-final", "3e-3", "--cells", "32"]
+    headers = {}
+    for name, extra in (("base", ["--length", "4"]), ("length", ["--length", "8"]),
+                        ("phi_max", ["--length", "4", "--phi-max", "1.5"])):
+        assert main(wave + extra + ["--out-dir", str(tmp_path / name)]) == 0
+        headers[name] = _header_lines(tmp_path / name / "diagnostics.csv")
+    for name, value in (("length", "8.0"), ("phi_max", "1.5")):
+        changed = {key for key in headers["base"] if headers[name][key] != headers["base"][key]}
+        assert changed == {name} and headers[name][name] == value, name
+    # a run and a study of the same problem write the same problem lines
+    assert main(["converge", "--problem", "wave", "--schemes", "S1", "--dt-list", "1e-3,5e-4", "--cells", "32",
+                 "--length", "4", "--out", str(tmp_path / "wave")]) == 0
+    study = _header_lines(tmp_path / "wave.errors.csv")
+    lines = ("problem", "epsilon", "cells", "length")
+    assert {key: headers["base"][key] for key in lines} == {key: study[key] for key in lines}
+    assert study["problem"] == "traveling-wave"
+    spinodal = ["--problem", "spinodal", "--cells", "8", "--seed", "4", "--amplitude", "0.01", "--t-final", "2e-3"]
+    assert main(["run", *spinodal, "--scheme", "S1", "--dt", "1e-3", "--out-dir", str(tmp_path / "sp")]) == 0
+    assert main(["converge", *spinodal, "--schemes", "S1", "--dt-list", "1e-3,5e-4",
+                 "--out", str(tmp_path / "sp")]) == 0
+    run_lines, study = _header_lines(tmp_path / "sp" / "diagnostics.csv"), _header_lines(tmp_path / "sp.errors.csv")
+    lines = ("problem", "epsilon", "amplitude", "seed", "cells", "dims", "length")
+    assert {key: run_lines[key] for key in lines} == {key: study[key] for key in lines}
+    assert (run_lines["seed"], run_lines["dims"], run_lines["amplitude"]) == ("4", "3", "0.01")
 
 
 def test_converge_spinodal_small(tmp_path):
@@ -681,7 +720,51 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps({"problem": "wave", "scheme": "S1", "dt": 1e-3, "k_tl": 1e4, "cells": 16}))
     assert main(["run", "--config", str(bad), "--out-dir", never]) == 2
     assert capsys.readouterr().err == "acsplit: error: config key 'k_tl' is no option of any subcommand\n"
+    # a path option's config value must be text, and a choice option's one of
+    # the choices its flag takes; each is refused naming the flag
+    for cfg, command, message in (
+        ({"family": "S3+", "omegas": [0.5], "out": 5}, ["coeffs"], "--out: 5 is not a path"),
+        ({"branch": "+", "omegas": [0.5], "out": 5}, ["sweep-omega"], "--out: 5 is not a path"),
+        ({"problem": "wave", "schemes": ["S1"], "dt_list": [1e-3], "out": 5}, ["converge"], "--out: 5 is not a path"),
+        ({"problem": "wave", "scheme": "S1", "dt": 1e-3, "out_dir": 5}, ["run"], "--out-dir: 5 is not a path"),
+        ({"problem": "foo", "scheme": "S1", "dt": 1e-3}, ["run", "--out-dir", never],
+         "--problem: invalid choice 'foo' (choose from 'wave', 'spinodal')"),
+        ({"problem": "foo", "schemes": ["S1"], "dt_list": [1e-3]}, ["converge", "--out", never],
+         "--problem: invalid choice 'foo'"),
+        ({"family": "S3", "omegas": [0.5]}, ["coeffs"], "--family: invalid choice 'S3' (choose from 'S3+', 'S3-')"),
+        ({"branch": "positive", "omegas": [0.5]}, ["sweep-omega", "--out", never],
+         "--branch: invalid choice 'positive' (choose from '+', '-')"),
+    ):
+        bad.write_text(json.dumps(cfg))
+        assert main(command + ["--config", str(bad)]) == 2, cfg
+        assert message in capsys.readouterr().err, cfg
     assert not (tmp_path / "never").exists()
+
+
+def test_unusable_config_and_out_paths_exit_4_and_a_config_not_an_object_exits_2(tmp_path, capsys):
+    for config in (tmp_path, tmp_path / "missing.json"):
+        assert main(["coeffs", "--scheme", "S1", "--config", str(config)]) == 4
+        assert capsys.readouterr().err.startswith("acsplit: error: cannot read config: ")
+    listed = tmp_path / "list.json"
+    listed.write_text('["S1"]')
+    assert main(["coeffs", "--scheme", "S1", "--config", str(listed)]) == 2
+    assert capsys.readouterr().err == "acsplit: error: config must be a JSON object\n"
+    assert main(["coeffs", "--scheme", "S1", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith(f"acsplit: error: cannot write {tmp_path}: ")
+
+
+def test_an_omega_range_ends_at_omega_max(tmp_path):
+    # every omega-min + i * omega-step up to omega-max, where omega-max is met
+    # within the rounding of the three decimals
+    for lo, hi, step, count, last in (("0.3", "0.4", "0.01", 11, 0.4), ("0.1", "0.7", "0.1", 7, 0.7),
+                                      ("0.2505", "1.2", "0.0025", 380, 1.198)):
+        out = tmp_path / f"{lo}-{hi}.csv"
+        assert main(["coeffs", "--family", "S3+", "--omega-min", lo, "--omega-max", hi, "--omega-step", step,
+                     "--out", str(out)]) == 0
+        omegas = [float(row["omega"]) for row in read_csv_rows(out)]
+        assert len(omegas) == count and omegas[-1] == pytest.approx(last, abs=1e-12), (lo, hi, step)
+        assert omegas == [float(lo) + i * float(step) for i in range(count)]
+    assert (0.7 - 0.1) / 0.1 == 5.999999999999999  # the span that rounding alone would end one omega short
 
 
 def test_spinodal_study_refuses_a_reference_step_that_is_not_positive_and_finite():

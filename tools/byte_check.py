@@ -7,9 +7,11 @@ six criterion-08 omega sweeps (383 omegas at 128 cells, both branches, three
 step sizes) and a reference set of `run`, `converge` and `coeffs` commands
 that covers the 3D factor path, a clamped 3D run, snapshots, both studies,
 a wave study whose stacked S3Y run diverges, a diverging 1D run, a run
-whose field overflows a square.  It also pins the messages of six usage
-errors: a bad list entry, a repeated dt, an empty clamp list, a missing
---dt, a digit group in --cells, and flags that override their config keys.
+whose field overflows a square, and a wave run on a longer domain under a
+tighter guard (`--length 8 --phi-max 1.5`), whose header names both.  It
+also pins the messages of six usage errors: a bad list entry, a repeated
+dt, an empty clamp list, a missing --dt, a digit group in --cells, and
+flags that override their config keys.
 It prints one `name sha256[:8]` line per output file, per stdout, and per
 command's exit code with its stderr.  Output is deterministic, so
 
@@ -68,6 +70,9 @@ COMMANDS: dict[str, list[str]] = {
     "run-wave-S3(0.333,+)-phi-max-inf": ["run", "--problem", "wave", "--scheme", "S3(0.333,+)", "--cells", "64",
                                          "--k-tol", "inf", "--phi-max", "inf", "--dt", "0.002946278254943948",
                                          "--out-dir", "{out}"],
+    "run-wave-S2(1)-length-8-phi-max-1.5": ["run", "--problem", "wave", "--scheme", "S2(1)", "--dt", "1e-3",
+                                            "--t-final", "3e-3", "--cells", "32", "--length", "8",
+                                            "--phi-max", "1.5", "--out-dir", "{out}"],
     "coeffs-S3X": ["coeffs", "--scheme", "S3X"],
     "coeffs-S3-": ["coeffs", "--family", "S3-", "--omega-min", "0.2505", "--omega-max", "1.2",
                    "--omega-step", "0.0025"],
