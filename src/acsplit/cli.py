@@ -142,12 +142,16 @@ def _omega_grid(args) -> list[float]:
         raise CliError(f"--omega-min/--omega-max must be finite with min <= max, got {lo!r}, {hi!r}")
     if not (math.isfinite(step) and step > 0):
         raise CliError(f"--omega-step must be finite and positive, got {step!r}")
+    # every lo + i*step up to hi, with a slack for the rounding of the three
+    # decimals to binary; a step at or below that rounding would let the
+    # slack add whole steps past hi
     span = (hi - lo) / step  # inf when hi - lo overflows
-    if not span < MAX_OMEGAS:
+    slack = 4 * sys.float_info.epsilon * (span + (abs(lo) + abs(hi)) / step)
+    if span < MAX_OMEGAS and not slack < 0.5:
+        raise CliError(f"--omega-step: {step!r} is finer than the rounding of --omega-min/--omega-max")
+    if not span + slack < MAX_OMEGAS:
         raise CliError(f"--omega-min/--omega-max/--omega-step give more than {MAX_OMEGAS:,} omegas")
-    # every lo + i*step up to hi, with a slack for the rounding of the three decimals to binary
-    n = math.floor(span + 4 * sys.float_info.epsilon * (span + (abs(lo) + abs(hi)) / step))
-    return [lo + i * step for i in range(n + 1)]
+    return [lo + i * step for i in range(math.floor(span + slack) + 1)]
 
 
 def _path(value, flag: str) -> str:

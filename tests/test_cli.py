@@ -669,6 +669,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             assert main(command + [f"--omega-min={lo}", f"--omega-max={hi}", f"--omega-step={step}",
                                    "--out", str(tmp_path / "never" / "grid.csv")]) == 2
             assert "--omega-" in capsys.readouterr().err
+        # a step at or below the rounding of min and max, which the end
+        # slack could otherwise turn into whole extra steps
+        for lo, hi, step in (("0.5", "0.5", "1e-25"), ("1e300", "1e300", "1e-300"), ("1", "1", "1e-16")):
+            assert main(command + [f"--omega-min={lo}", f"--omega-max={hi}", f"--omega-step={step}",
+                                   "--out", str(tmp_path / "never" / "grid.csv")]) == 2
+            assert "--omega-step: " in capsys.readouterr().err
     wave = ["run", "--problem", "wave", "--out-dir", str(tmp_path / "never")]
     assert main(wave + ["--scheme", "S2(nan)", "--dt", "1e-4"]) == 2
     # impossible horizons and snapshot times outside [0, t_final]
@@ -755,15 +761,16 @@ def test_unusable_config_and_out_paths_exit_4_and_a_config_not_an_object_exits_2
 
 def test_an_omega_range_ends_at_omega_max(tmp_path):
     # every omega-min + i * omega-step up to omega-max, where omega-max is met
-    # within the rounding of the three decimals
-    for lo, hi, step, count, last in (("0.3", "0.4", "0.01", 11, 0.4), ("0.1", "0.7", "0.1", 7, 0.7),
+    # within the rounding of the three decimals: the last omega is
+    # min + (count-1)*step unclamped, so it may pass max by that rounding
+    for lo, hi, step, count, last in (("0.3", "0.4", "0.01", 11, 0.4), ("0.1", "0.7", "0.1", 7, 0.7000000000000001),
                                       ("0.2505", "1.2", "0.0025", 380, 1.198)):
         out = tmp_path / f"{lo}-{hi}.csv"
         assert main(["coeffs", "--family", "S3+", "--omega-min", lo, "--omega-max", hi, "--omega-step", step,
                      "--out", str(out)]) == 0
         omegas = [float(row["omega"]) for row in read_csv_rows(out)]
-        assert len(omegas) == count and omegas[-1] == pytest.approx(last, abs=1e-12), (lo, hi, step)
-        assert omegas == [float(lo) + i * float(step) for i in range(count)]
+        assert omegas == [float(lo) + i * float(step) for i in range(count)], (lo, hi, step)
+        assert omegas[-1] == last, (lo, hi, step)
     assert (0.7 - 0.1) / 0.1 == 5.999999999999999  # the span that rounding alone would end one omega short
 
 
