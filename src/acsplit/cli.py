@@ -14,9 +14,8 @@ import json
 import math
 import re
 import sys
+from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, fieldio, harness
 from .coeffs import parse_decimal, split_scheme_ids
@@ -30,7 +29,6 @@ EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
 
-DEFAULT_WAVE_EPSILON = 0.03 * np.sqrt(2.0)
 MAX_OMEGAS = 1_000_000  # a range/step grid longer than this is refused before it is built
 REQUIRED = object()  # the default of an option that must be given
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -195,19 +193,19 @@ def _check_model_and_grid(epsilon: float, length: float, cells: int, dims: int) 
 
 
 def _wave_setup(args):
-    epsilon = _get(args, "epsilon", _decimal, float(DEFAULT_WAVE_EPSILON))
-    cells = _get(args, "cells", _integer, 128)
-    length = _get(args, "length", _decimal, 4.0)
+    epsilon = _get(args, "epsilon", _decimal, harness.WAVE_EPSILON)
+    cells = _get(args, "cells", _integer, harness.WAVE_CELLS)
+    length = _get(args, "length", _decimal, TravelingWaveSpec.length)
     _check_model_and_grid(epsilon, length, cells, 1)
     return TravelingWaveSpec(epsilon, length), cells
 
 
-def _spinodal_setup(args, default_cells: int) -> SpinodalSpec:
-    epsilon = _get(args, "epsilon", _decimal, 0.015)
-    amplitude = _get(args, "amplitude", _decimal, 0.005)
-    seed = _get(args, "seed", _integer, 0)
+def _spinodal_setup(args, default_cells: int = SpinodalSpec.cells) -> SpinodalSpec:
+    epsilon = _get(args, "epsilon", _decimal, SpinodalSpec.epsilon)
+    amplitude = _get(args, "amplitude", _decimal, SpinodalSpec.amplitude)
+    seed = _get(args, "seed", _integer, SpinodalSpec.seed)
     cells = _get(args, "cells", _integer, default_cells)
-    length = _get(args, "length", _decimal, 1.0)
+    length = _get(args, "length", _decimal, SpinodalSpec.length)
     _flagged("--amplitude", SpinodalSpec, amplitude=amplitude)
     spec = _flagged("--seed", SpinodalSpec, epsilon, amplitude, seed, cells, length)  # only the seed is left to refuse
     _check_model_and_grid(epsilon, length, cells, spec.dims)
@@ -217,19 +215,19 @@ def _spinodal_setup(args, default_cells: int) -> SpinodalSpec:
 def cmd_run(args) -> int:
     problem = _get(args, "problem", default=REQUIRED)
     scheme = harness.scheme_from_string(str(_get(args, "scheme", default=REQUIRED)))
-    k_tol = _get(args, "k_tol", _decimal, 1e9)
+    k_tol = _get(args, "k_tol", _decimal, CutoffPolicy.k_tol)
     out_dir = Path(_get(args, "out_dir", _path, "."))
     snapshots = _get(args, "snapshots", _float_list, [])
     if snapshots:  # each is saved as snapshot_t{t:g}.acf
         _flagged("--snapshots", harness._refuse_repeats, "snapshot time", snapshots, [f"{t:g}" for t in snapshots])
-    phi_max = _get(args, "phi_max", _decimal, 10.0)
+    phi_max = _get(args, "phi_max", _decimal, RunConfig.phi_max)
 
     if problem == "wave":
         spec, cells = _wave_setup(args)
         f0 = traveling_wave_field(spec.grid(cells), 0.0, spec)
         t_final = _get(args, "t_final", _decimal, spec.t_final)
     else:
-        spec = _spinodal_setup(args, default_cells=64)
+        spec = _spinodal_setup(args)
         f0 = spinodal_initial(spec)
         t_final = _get(args, "t_final", _decimal, REQUIRED)
 
@@ -239,7 +237,7 @@ def cmd_run(args) -> int:
         dt,
         t_final,
         ModelParams(spec.epsilon),
-        CutoffPolicy(k_tol),
+        _flagged("--k-tol", CutoffPolicy, k_tol),
         snapshot_times=tuple(snapshots),
         phi_max=phi_max,
     )
@@ -293,29 +291,22 @@ def cmd_converge(args) -> int:
     ids = [str(s) for s in ids] if isinstance(ids, list) else split_scheme_ids(str(ids))
     schemes = [harness.scheme_from_string(s) for s in ids]
     _flagged("--schemes", harness._refuse_repeats, "scheme", ids, [scheme.label for scheme in schemes])
-    k_tol = _get(args, "k_tol", _decimal, 1e9)
+    k_tol = _get(args, "k_tol", _decimal, CutoffPolicy.k_tol)
     out = _get(args, "out", _path, "converge")
 
     if problem == "wave":
         spec, cells = _wave_setup(args)
-        report = harness.wave_convergence(
-            schemes,
-            _dt_list(args, spec.speed),
-            cells=cells,
-            epsilon=spec.epsilon,
-            length=spec.length,
-            k_tol=k_tol,
-        )
+        dts = _dt_list(args, spec.speed)
+        study = partial(harness.wave_convergence, cells=cells, epsilon=spec.epsilon, length=spec.length)
     else:
         spec = _spinodal_setup(args, default_cells=32)
-        report = harness.spinodal_convergence(
-            schemes,
-            _dt_list(args, None),
-            spec,
-            t_final=_get(args, "t_final", _decimal, 0.01),
-            k_tol=k_tol,
-            ref_dt=_get(args, "ref_dt", lambda v, flag: _flagged(flag, harness._check_ref_dt, _decimal(v, flag))),
-        )
+        dts = _dt_list(args, None)
+        t_final = _get(args, "t_final", _decimal, harness.SPINODAL_T_FINAL)
+        ref_dt = _get(args, "ref_dt", lambda v, flag: _flagged(flag, harness._check_ref_dt, _decimal(v, flag)))
+        ref_dt = harness._reference_dt(dts, ref_dt)  # refused before the clamp, as the study refuses it
+        study = partial(harness.spinodal_convergence, spec=spec, t_final=t_final, ref_dt=ref_dt)
+    _flagged("--k-tol", CutoffPolicy, k_tol)
+    report = study(schemes, dts, k_tol=k_tol)
 
     _write(f"{out}.errors.csv", report.to_csv())
     _write(f"{out}.slopes.csv", report.slopes_to_csv())
@@ -328,10 +319,13 @@ def cmd_sweep_omega(args) -> int:
     dt = _get(args, "dt", _decimal)
     if dt is None:
         dt = _get(args, "dt_factor", _decimal, 2.0**-4) / spec.speed
-    k_tols = tuple(_get(args, "k_tols", _distinct_floats("clamp"), (1e4, 1e9)))
+    k_tols = tuple(_get(args, "k_tols", _distinct_floats("clamp"), harness.SWEEP_K_TOLS))
+    omegas = _omega_grid(args)
+    for k_tol in k_tols:
+        _flagged("--k-tols", CutoffPolicy, k_tol)
     records, meta = harness.omega_sweep(
         branch,
-        _omega_grid(args),
+        omegas,
         dt,
         cells=cells,
         epsilon=spec.epsilon,

@@ -3,12 +3,11 @@ convergence studies, omega sweeps, and single runs with snapshots."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 from . import __version__
 from ._kernels import BACKEND
@@ -40,20 +39,32 @@ __all__ = [
     "wave_convergence",
 ]
 
+# The defaults of the paper's experiments that no library object declares:
+# the wave study's epsilon and cells, the omega sweep's two clamps, and the
+# spinodal study's horizon.
+WAVE_EPSILON = 0.03 * math.sqrt(2.0)
+WAVE_CELLS = 128
+SWEEP_K_TOLS = (1e4, 1e9)
+SPINODAL_T_FINAL = 0.01
+
+
 def scheme_from_string(text: str) -> SplitCoefficients:
     """Parse a scheme id with :func:`acsplit.coeffs.named_scheme`, looked up
     here so that a wrapper on ``harness.named_scheme`` sees every CLI parse."""
     return named_scheme(text)
 
 
-def _provenance(spec: TravelingWaveSpec | SpinodalSpec, grid: GridSpec, **inputs) -> dict[str, str]:
-    """The ``# key=value`` lines of every experiment CSV: the version and
-    backend, the problem's lines (its name, epsilon, cells and length, and
-    for the spinodal problem its amplitude, seed and dims), then ``inputs``,
-    which may rename the problem.  A number is written as its float's
-    ``repr``, which reads back exactly; cells, seed and dims as integers."""
-    lines = {"problem": "traveling-wave", "epsilon": spec.epsilon, "cells": str(grid.cells[0]),
-             "length": spec.length}
+def _provenance(spec: TravelingWaveSpec | SpinodalSpec | None, grid: GridSpec | None, **inputs) -> dict[str, str]:
+    """The ``# key=value`` lines of every CSV: the version and backend, the
+    problem's lines where ``spec`` on ``grid`` gives one (its name, epsilon,
+    cells and length, and for the spinodal problem its amplitude, seed and
+    dims), then ``inputs``, which may rename the problem.  A number is
+    written as its float's ``repr``, which reads back exactly; cells, seed
+    and dims as integers."""
+    lines = {}
+    if spec is not None:
+        lines = {"problem": "traveling-wave", "epsilon": spec.epsilon, "cells": str(grid.cells[0]),
+                 "length": spec.length}
     if isinstance(spec, SpinodalSpec):
         lines |= {"problem": "spinodal", "amplitude": spec.amplitude, "seed": str(spec.seed), "dims": str(grid.dims)}
     lines = {"version": __version__, "backend": BACKEND, **lines, **inputs}
@@ -66,7 +77,10 @@ def _error(traj: Trajectory, reference: Field) -> float:
     return relative_l2_error(traj.final, reference) if traj.completed else float("nan")
 
 
-def _study_config(t_final: float, epsilon: float, k_tol: float) -> Callable[[SplitCoefficients, float], RunConfig]:
+StudyConfig = Callable[[SplitCoefficients, float], RunConfig]
+
+
+def _study_config(t_final: float, epsilon: float, k_tol: float) -> StudyConfig:
     """``(scheme, dt) -> RunConfig`` of a study's or sweep's runs, which keep only their final state."""
     return partial(RunConfig, t_final=t_final, model=ModelParams(epsilon), cutoff=CutoffPolicy(k_tol),
                    record_energy=False)
@@ -75,7 +89,7 @@ def _study_config(t_final: float, epsilon: float, k_tol: float) -> Callable[[Spl
 def _convergence_report(
     schemes: list[SplitCoefficients],
     dt_list: list[float],
-    run_config: Callable[[SplitCoefficients, float], RunConfig],
+    run_config: StudyConfig,
     f0: Field,
     reference: Field,
     metadata: dict[str, str],
@@ -94,33 +108,48 @@ def _convergence_report(
     return report
 
 
+def _wave_problem(cells: int, epsilon: float, length: float,
+                  k_tols) -> tuple[TravelingWaveSpec, GridSpec, list[StudyConfig], Field, Field]:
+    """A wave study's or sweep's spec, grid and :func:`_study_config` per
+    clamp of ``k_tols``, which refuse a bad model or clamp before any front
+    is drawn, then this module's ``traveling_wave_field`` at t = 0 and at
+    t_final = 1/s."""
+    spec = TravelingWaveSpec(epsilon, length)
+    grid = spec.grid(cells)
+    run_configs = [_study_config(spec.t_final, epsilon, k_tol) for k_tol in k_tols]
+    return spec, grid, run_configs, traveling_wave_field(grid, 0.0, spec), traveling_wave_field(grid, spec.t_final, spec)
+
+
 def wave_convergence(
     schemes: list[SplitCoefficients],
     dt_list: list[float],
-    cells: int = 128,
-    epsilon: float = 0.03 * np.sqrt(2.0),
-    length: float = 4.0,
-    k_tol: float = 1e9,
+    cells: int = WAVE_CELLS,
+    epsilon: float = WAVE_EPSILON,
+    length: float = TravelingWaveSpec.length,
+    k_tol: float = CutoffPolicy.k_tol,
 ) -> ErrorReport:
     """Error at t_final = 1/s against the exact traveling front, per
     (scheme, dt): one :func:`run_ensemble` call, which steps the runs whose
     steps apply the same kinds of substep as rows of one stack."""
-    spec = TravelingWaveSpec(epsilon, length)
-    grid = spec.grid(cells)
-    return _convergence_report(
-        schemes,
-        dt_list,
-        _study_config(spec.t_final, epsilon, k_tol),
-        traveling_wave_field(grid, 0.0, spec),
-        traveling_wave_field(grid, spec.t_final, spec),
-        _provenance(spec, grid, k_tol=k_tol, t_final=spec.t_final),
-    )
+    spec, grid, (run_config,), f0, exact = _wave_problem(cells, epsilon, length, (k_tol,))
+    return _convergence_report(schemes, dt_list, run_config, f0, exact,
+                               _provenance(spec, grid, k_tol=k_tol, t_final=spec.t_final))
 
 
 def _check_ref_dt(ref_dt: float) -> float:
     """``ref_dt``, refused unless it is a positive finite reference step."""
-    if not 0.0 < ref_dt < np.inf:
+    if not 0.0 < ref_dt < math.inf:
         raise ValueError(f"reference dt must be positive and finite, got {ref_dt!r}")
+    return ref_dt
+
+
+def _reference_dt(dt_list: list[float], ref_dt: float | None) -> float:
+    """The reference step of a spinodal study over ``dt_list``: ``ref_dt``,
+    by default a quarter of the finest dt, refused unless it is a positive
+    finite step at least 2x finer than the finest dt."""
+    ref_dt = min(dt_list) / 4.0 if ref_dt is None else _check_ref_dt(ref_dt)
+    if ref_dt > min(dt_list) / 2.0:
+        raise ValueError("reference dt must be at least 2x finer than the finest run")
     return ref_dt
 
 
@@ -128,16 +157,14 @@ def spinodal_convergence(
     schemes: list[SplitCoefficients],
     dt_list: list[float],
     spec: SpinodalSpec,
-    t_final: float = 0.01,
-    k_tol: float = 1e9,
+    t_final: float = SPINODAL_T_FINAL,
+    k_tol: float = CutoffPolicy.k_tol,
     ref_dt: float | None = None,
 ) -> ErrorReport:
     """Self-convergence against a reference computed with the six-stage
-    fourth-order scheme at ``ref_dt`` (default: a quarter of the finest dt).
+    fourth-order scheme at ``ref_dt`` (see :func:`_reference_dt`).
     The reference is one serial ``run``, as is every run on a 2D/3D grid."""
-    ref_dt = min(dt_list) / 4.0 if ref_dt is None else _check_ref_dt(ref_dt)
-    if ref_dt > min(dt_list) / 2.0:
-        raise ValueError("reference dt must be at least 2x finer than the finest run")
+    ref_dt = _reference_dt(dt_list, ref_dt)
     run_config = _study_config(t_final, spec.epsilon, k_tol)
     f0 = spinodal_initial(spec)
     ref = run(f0, run_config(fourth_order_v(), ref_dt))
@@ -180,10 +207,10 @@ def omega_sweep(
     branch: str,
     omegas: list[float],
     dt: float,
-    cells: int = 128,
-    epsilon: float = 0.03 * np.sqrt(2.0),
-    length: float = 4.0,
-    k_tols: tuple[float, ...] = (1e4, 1e9),
+    cells: int = WAVE_CELLS,
+    epsilon: float = WAVE_EPSILON,
+    length: float = TravelingWaveSpec.length,
+    k_tols: tuple[float, ...] = SWEEP_K_TOLS,
 ) -> tuple[list[dict], dict[str, str]]:
     """Traveling-wave error as a function of the third-order free parameter.
 
@@ -193,11 +220,7 @@ def omega_sweep(
     An empty or repeated clamp list raises ``ValueError``.
     """
     keys = _clamp_keys(k_tols)
-    spec = TravelingWaveSpec(epsilon, length)
-    grid = spec.grid(cells)
-    run_configs = [_study_config(spec.t_final, epsilon, k_tol) for k_tol in k_tols]
-    f0 = traveling_wave_field(grid, 0.0, spec)
-    reference = traveling_wave_field(grid, spec.t_final, spec)
+    spec, grid, run_configs, f0, reference = _wave_problem(cells, epsilon, length, k_tols)
     records, scored, configs = [], [], []
     for omega in omegas:
         rec: dict = {"omega": float(omega)}
@@ -218,7 +241,7 @@ def omega_sweep(
                                 k_tols=",".join(_omega_text(k) for k in k_tols), t_final=spec.t_final)
 
 
-def omega_sweep_csv(records: list[dict], meta: dict[str, str], k_tols=(1e4, 1e9)) -> str:
+def omega_sweep_csv(records: list[dict], meta: dict[str, str], k_tols=SWEEP_K_TOLS) -> str:
     keys = _clamp_keys(k_tols)
     rows = []
     for rec in records:
@@ -250,7 +273,7 @@ def coeffs_table(
         c = named_scheme(scheme)
         columns = ["label", "order"] + [f"{x}{j + 1}" for x in "ab" for j in range(c.p)]
         row = [c.label, c.claimed_order] + [repr(v) for v in c.a + c.b]
-        return render_csv("coeffs", {}, columns, [row])
+        return render_csv("coeffs", _provenance(None, None, scheme=c.label), columns, [row])
     if family not in ("S3+", "S3-") or omegas is None:
         raise ValueError("sweeps support family='S3+' or 'S3-' with an omega grid")
     rows = []
@@ -269,7 +292,7 @@ def coeffs_table(
             + [repr(sol.discriminant), repr(lo), repr(hi), str(bool(max(abs(lo), abs(hi)) <= 1.0)), ""]
         )
     header = ["omega", "a1", "b1", "a2", "b2", "a3", "b3", "D", "min", "max", "bounded", "marker"]
-    return render_csv("coeffs", {}, header, rows)
+    return render_csv("coeffs", _provenance(None, None, family=family), header, rows)
 
 
 @dataclass

@@ -8,7 +8,8 @@ The forward transform along one axis of length ``M`` is
 i.e. the orthonormal DCT-II; multiple axes are transformed in turn (tensor
 product).  The basis functions satisfy the discrete zero-Neumann condition,
 and mode ``k`` diagonalises the Laplacian with eigenvalue
-``A_k = -sum_i (pi k_i / L_i)^2``.
+``A_k = -sum_i (pi k_i / L_i)^2``.  Both transforms are those of
+:mod:`acsplit.operators`, ``operators.dctn`` and ``operators.idctn``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
+from . import operators  # read only when a transform is called: operators imports this module
 from .grid import Field, GridSpec, SpectralField
 
 __all__ = ["dct_forward", "dct_inverse", "laplacian_eigenvalues"]
@@ -27,12 +28,12 @@ def dct_forward(f: Field) -> SpectralField:
     """Forward orthonormal cosine transform; an isometry in the discrete l2 norm."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("refusing to transform non-finite field values")
-    return SpectralField(f.grid, dctn(f.values, type=2, norm="ortho"))
+    return SpectralField(f.grid, operators.dctn(f.values, type=2, norm="ortho"))
 
 
 def dct_inverse(s: SpectralField) -> Field:
     """Exact inverse of :func:`dct_forward` up to rounding."""
-    return Field(s.grid, idctn(s.coefficients, type=2, norm="ortho"))
+    return Field(s.grid, operators.idctn(s.coefficients, type=2, norm="ortho"))
 
 
 def axis_eigenvalues(length: float, cells: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from acsplit import (
 )
 from acsplit.cli import main
 from acsplit.fieldio import load_field
+from acsplit import harness
 from acsplit.harness import omega_sweep, scheme_from_string
 from acsplit.report import ErrorReport
 from acsplit.solver import RunConfig, run
@@ -79,6 +80,10 @@ def test_coeffs_family_sweep_with_singular_markers(tmp_path):
     assert rows[2]["bounded"] == "True"
     # the distinguished Z point satisfies a2 = omega
     assert float(rows[2]["a2"]) == pytest.approx(float(rows[2]["omega"]), abs=1e-12)
+    assert main(["coeffs", "--family", "S3+", "--out", str(tmp_path / "never.csv")]) == 2
+    assert not (tmp_path / "never.csv").exists()
+    with pytest.raises(ValueError, match="sweeps support family='S3\\+' or 'S3-'"):
+        harness.coeffs_table(family="S3x", omegas=[0.5])
 
 
 def test_run_wave_writes_snapshots_and_diagnostics(tmp_path):
@@ -383,17 +388,18 @@ def test_csv_headers_are_pinned(tmp_path, capsys):
         + diag_columns
     )
 
+    # a coeffs table names what it was asked for; its omegas are its rows
     capsys.readouterr()
     assert main(["coeffs", "--scheme", "S3X"]) == 0
-    assert csv_header(capsys.readouterr().out) == [
-        "# acsplit-coeffs v1",
-        "label,order,a1,a2,a3,b1,b2,b3",
-    ]
+    assert csv_header(capsys.readouterr().out) == (
+        ["# acsplit-coeffs v1"] + base + ["# scheme=S3X"] + version
+        + ["label,order,a1,a2,a3,b1,b2,b3"]
+    )
     assert main(["coeffs", "--family", "S3+", "--omegas", "0.5"]) == 0
-    assert csv_header(capsys.readouterr().out) == [
-        "# acsplit-coeffs v1",
-        "omega,a1,b1,a2,b2,a3,b3,D,min,max,bounded,marker",
-    ]
+    assert csv_header(capsys.readouterr().out) == (
+        ["# acsplit-coeffs v1"] + base + ["# family=S3+"] + version
+        + ["omega,a1,b1,a2,b2,a3,b3,D,min,max,bounded,marker"]
+    )
 
 
 def _header_lines(path) -> dict[str, str]:
@@ -585,12 +591,37 @@ def test_config_null_means_not_given(tmp_path, monkeypatch):
 
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["coeffs"]) == 2
+    never = str(tmp_path / "never")
+    for command, message in (
+        (["run", "--problem", "wave", "--scheme", "S1", "--out-dir", never],
+         "missing required option --dt (or config key 'dt')"),
+        (["coeffs", "--family", "S3+"], "need --omegas or --omega-min/--omega-max/--omega-step"),
+        (["converge", "--problem", "spinodal", "--schemes", "S1", "--out", never],
+         "need --dt-list (or --dt-pow2 for the wave problem)"),
+        # a clamp below 1, refused where the library refuses it: after a
+        # reference step that the study refuses, before the reference run
+        *((command, f"{flag}: k_tol must be >= 1 (or inf), got 0.5") for command, flag in (
+            (["run", "--problem", "spinodal", "--scheme", "S1", "--cells", "8", "--dt", "1e-3", "--t-final", "2e-3",
+              "--k-tol", "0.5", "--out-dir", never], "--k-tol"),
+            (["converge", "--problem", "wave", "--schemes", "S1", "--cells", "8", "--dt-list", "1e-3", "--k-tol", "0.5",
+              "--out", never], "--k-tol"),
+            (["converge", "--problem", "spinodal", "--schemes", "S1", "--cells", "8", "--dt-list", "1e-3",
+              "--k-tol", "0.5", "--t-final", "inf", "--out", never], "--k-tol"),
+            (["sweep-omega", "--branch", "+", "--omegas", "0.5", "--k-tols", "1e4,0.5", "--dt", "nan",
+              "--out", never], "--k-tols"))),
+        (["converge", "--problem", "spinodal", "--schemes", "S1", "--cells", "8", "--dt-list", "1e-3",
+          "--ref-dt", "1e-3", "--k-tol", "0.5", "--out", never],
+         "reference dt must be at least 2x finer than the finest run"),
+    ):
+        capsys.readouterr()
+        assert main(command) == 2, command
+        assert capsys.readouterr().err == f"acsplit: error: {message}\n", command
+    assert not Path(never).exists()
     assert main(["run", "--problem", "wave", "--scheme", "S9", "--dt", "1e-3"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", "--config", str(bad)]) == 2
     # config values that are not scheme ids
-    never = str(tmp_path / "never")
     for cfg, command in (({"scheme": 1}, ["run", "--out-dir", never]),
                          ({"schemes": 5}, ["converge", "--out", never]),
                          ({"schemes": ["S1", 1]}, ["converge", "--out", never])):
@@ -775,10 +806,10 @@ def test_an_omega_range_ends_at_omega_max(tmp_path):
 
 
 def test_spinodal_study_refuses_a_reference_step_that_is_not_positive_and_finite():
-    from acsplit import harness
-
-    for ref_dt in (float("nan"), 0.0, -1e-4, float("inf")):
-        with pytest.raises(ValueError, match="reference dt must be positive and finite"):
+    for ref_dt, message in ((float("nan"), "positive and finite"), (0.0, "positive and finite"),
+                            (-1e-4, "positive and finite"), (float("inf"), "positive and finite"),
+                            (6e-4, "at least 2x finer than the finest run")):
+        with pytest.raises(ValueError, match=f"reference dt must be {message}"):
             harness.spinodal_convergence([scheme_from_string("S1")], [1e-3], SpinodalSpec(cells=8), ref_dt=ref_dt)
 
 

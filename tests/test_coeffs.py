@@ -52,6 +52,10 @@ def test_claimed_order_is_validated():
         SplitCoefficients((0.5, 0.5), (1.0, 0.0), 3, "bogus")
     with pytest.raises(ValueError):
         SplitCoefficients((0.7, 0.4), (1.0, 0.0), 1, "sums off")
+    with pytest.raises(ValueError, match="of equal length"):
+        SplitCoefficients((0.5, 0.5), (1.0,), 2, "ragged")
+    with pytest.raises(ValueError, match="claimed_order must be 1..4, got 5"):
+        SplitCoefficients((0.5, 0.5), (1.0, 0.0), 5, "fifth")
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +390,8 @@ def test_named_scheme_dispatch():
         named_scheme("S2")
     with pytest.raises(ValueError):
         named_scheme("S9")
+    with pytest.raises(ValueError, match="branch must be positive/negative"):
+        third_order_family(0.5, "sideways")
 
 
 ACCEPTED_IDS = [

@@ -54,9 +54,13 @@ def test_a_huge_header_over_a_short_payload_allocates_nothing(tmp_path):
 
 def test_dims_mismatch_in_header(tmp_path):
     path = tmp_path / "field.acf"
-    path.write_bytes(b"ACF1 2 4 4 4 1.0 1.0 1.0\n" + b"\x00" * (64 * 8))
-    with pytest.raises(FieldFormatError, match="header"):
-        load_field(path)
+    for header, message in ((b"ACF1 2 4 4 4 1.0 1.0 1.0\n", "header"),
+                            (b"ACF1 1 4 1.0 \xe2\x80\x94\n", "header is not ASCII"),
+                            (b"ACF1 one 4 1.0\n", "unreadable dims"),
+                            (b"ACF1 1 1 1.0\n", "bad grid header: need at least 2 cells per axis")):
+        path.write_bytes(header + b"\x00" * (64 * 8))
+        with pytest.raises(FieldFormatError, match=message):
+            load_field(path)
 
 
 def test_wrong_magic(tmp_path):

@@ -65,6 +65,8 @@ def test_rejects_non_1d_grids():
 
     with pytest.raises(ValueError):
         traveling_wave_field(GridSpec.box(1.0, 8, 2), 0.0, WAVE)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        TravelingWaveSpec(0.0)
 
 
 def test_boundary_flux_defect_is_negligible_for_default_domain():

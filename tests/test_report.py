@@ -66,6 +66,8 @@ def test_fit_loglog_residual():
     assert slope == pytest.approx(2.0, abs=1e-12)
     assert 10.0**intercept == pytest.approx(3.0, rel=1e-10)
     assert resid < 1e-14
+    with pytest.raises(ValueError, match="need at least two points"):
+        fit_loglog(dts[:1], dts[:1])
 
 
 def test_csv_round_trip():

@@ -123,6 +123,8 @@ def test_grid_validation():
         GridSpec((0.0,), (4,))
     with pytest.raises(ValueError):
         GridSpec((1.0, 1.0, 1.0, 1.0), (4, 4, 4, 4))
+    with pytest.raises(ValueError, match="one entry per axis"):
+        GridSpec((1.0, 1.0), (8,))
     with pytest.raises(ValueError):
         Field(GridSpec.line(1.0, 4), np.zeros(5))
 

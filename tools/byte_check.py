@@ -1,6 +1,7 @@
 """Print the sha256 prefix of every output of a fixed set of acsplit commands.
 
     python tools/byte_check.py [OUT_DIR]
+    python tools/byte_check.py --against TREE
 
 runs the `acsplit` of this checkout (its `src/`) with one BLAS thread: the
 six criterion-08 omega sweeps (383 omegas at 128 cells, both branches, three
@@ -13,17 +14,24 @@ also pins the messages of six usage errors: a bad list entry, a repeated
 dt, an empty clamp list, a missing --dt, a digit group in --cells, and
 flags that override their config keys.
 It prints one `name sha256[:8]` line per output file, per stdout, and per
-command's exit code with its stderr.  Output is deterministic, so
+command's exit code with its stderr.  Output is deterministic.  The files are
+written to OUT_DIR when it is given, otherwise to a temporary directory that
+is removed.  A full pass takes about 15 s on one core of a 2-vCPU Xeon.
 
-    diff <(python old/tools/byte_check.py) <(python new/tools/byte_check.py)
+With `--against TREE`, the same commands also run the `acsplit` of the
+checkout TREE (from TREE's own `src/`), and only the lines that differ are
+printed: `- line` as TREE gives it, `+ line` as this checkout gives it.
+Nothing is printed when every byte is kept, so
 
-is the byte check of a change.  The files are written to OUT_DIR when it is
-given, otherwise to a temporary directory that is removed.  A full pass takes
-about 15 s on one core of a 2-vCPU Xeon.
+    python tools/byte_check.py --against ../parent
+
+is the byte check of a change against a checkout of its parent commit.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import os
 import subprocess
@@ -96,9 +104,10 @@ def _prefix(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:8]
 
 
-def check(root: Path) -> list[str]:
-    """Run every command with its outputs under ``root``; one line per output."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
+def check(root: Path, src: Path = SRC) -> list[str]:
+    """Run every command with the package under ``src``, its outputs under
+    ``root``; one line per output."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(src)}
     lines = []
     for name, args in COMMANDS.items():
         out = root / name
@@ -117,15 +126,25 @@ def check(root: Path) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) > 1:
-        print("usage: python tools/byte_check.py [OUT_DIR]", file=sys.stderr)
-        return 2
-    if argv:
-        lines = check(Path(argv[0]))
+    parser = argparse.ArgumentParser(prog="byte_check.py", description=__doc__.split("\n", 1)[0])
+    given = parser.add_mutually_exclusive_group()
+    given.add_argument("out_dir", nargs="?", metavar="OUT_DIR", help="keep the output files here")
+    given.add_argument("--against", metavar="TREE", help="print only the lines that differ from TREE's")
+    args = parser.parse_args(argv)
+    if args.out_dir:
+        lines = check(Path(args.out_dir))
+    elif args.against:
+        other = Path(args.against).resolve() / "src"
+        if not (other / "acsplit").is_dir():
+            parser.error(f"{other / 'acsplit'} is not a directory")
+        with tempfile.TemporaryDirectory() as tmp:
+            theirs, ours = check(Path(tmp, "against"), other), check(Path(tmp, "this"))
+        lines = [line for line in difflib.ndiff(theirs, ours) if line[:2] in ("- ", "+ ")]
     else:
         with tempfile.TemporaryDirectory() as tmp:
             lines = check(Path(tmp))
-    print("\n".join(lines))
+    if lines:
+        print("\n".join(lines))
     return 0
 
 
