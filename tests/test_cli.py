@@ -16,13 +16,13 @@ from acsplit import (
     SpinodalSpec,
     TravelingWaveSpec,
     __version__,
+    harness,
     kernel_backend,
     spinodal_initial,
     traveling_wave_field,
 )
 from acsplit.cli import main
 from acsplit.fieldio import load_field
-from acsplit import harness
 from acsplit.harness import omega_sweep, scheme_from_string
 from acsplit.report import ErrorReport
 from acsplit.solver import RunConfig, run
