@@ -107,7 +107,9 @@ def _get(args: argparse.Namespace, key: str, parse=None, default=None):
 
 def _load_config(args: argparse.Namespace) -> None:
     """Give each option that no flag gives its config value; refuse a key
-    that names no option, and a value that is none of its option's choices."""
+    that names no option, and a value that is none of its option's choices.
+    ``args.flags`` keeps the keys that flags gave."""
+    args.flags = frozenset(key for key, value in vars(args).items() if value is not None)
     if not args.config:
         return
     try:
@@ -200,6 +202,15 @@ def _wave_setup(args):
     return TravelingWaveSpec(epsilon, length), cells
 
 
+def _refuse_for_wave(args, *keys: str) -> None:
+    """Refuse the flag of each option among ``keys``, none of which the wave
+    problem reads.  Their config keys are allowed and not read, as keys of
+    another subcommand are, so one file can serve both problems."""
+    for key in keys:
+        if key in args.flags:
+            raise CliError(f"--{key.replace('_', '-')}: not an option of --problem wave")
+
+
 def _spinodal_setup(args, default_cells: int = SpinodalSpec.cells) -> SpinodalSpec:
     epsilon = _get(args, "epsilon", _decimal, SpinodalSpec.epsilon)
     amplitude = _get(args, "amplitude", _decimal, SpinodalSpec.amplitude)
@@ -223,6 +234,7 @@ def cmd_run(args) -> int:
     phi_max = _get(args, "phi_max", _decimal, RunConfig.phi_max)
 
     if problem == "wave":
+        _refuse_for_wave(args, "amplitude", "seed")
         spec, cells = _wave_setup(args)
         f0 = traveling_wave_field(spec.grid(cells), 0.0, spec)
         t_final = _get(args, "t_final", _decimal, spec.t_final)
@@ -232,15 +244,13 @@ def cmd_run(args) -> int:
         t_final = _get(args, "t_final", _decimal, REQUIRED)
 
     dt = _get(args, "dt", _decimal, REQUIRED)
-    cfg = RunConfig(
-        scheme,
-        dt,
-        t_final,
-        ModelParams(spec.epsilon),
-        _flagged("--k-tol", CutoffPolicy, k_tol),
-        snapshot_times=tuple(snapshots),
-        phi_max=phi_max,
-    )
+    config = partial(RunConfig, scheme, dt, model=ModelParams(spec.epsilon),
+                     cutoff=_flagged("--k-tol", CutoffPolicy, k_tol))
+    # RunConfig's checks, in its own order, each refusal naming its flag
+    _flagged("--dt", config, t_final=dt)
+    _flagged("--t-final", config, t_final=t_final)
+    _flagged("--snapshots", config, t_final=t_final, snapshot_times=tuple(snapshots))
+    cfg = _flagged("--phi-max", config, t_final=t_final, snapshot_times=tuple(snapshots), phi_max=phi_max)
 
     def write_snapshot(t_req: float, snap: Field) -> None:
         # fieldio.save_field is looked up per call, so a wrapper put on it sees every write
@@ -295,6 +305,7 @@ def cmd_converge(args) -> int:
     out = _get(args, "out", _path, "converge")
 
     if problem == "wave":
+        _refuse_for_wave(args, "t_final", "ref_dt", "amplitude", "seed")
         spec, cells = _wave_setup(args)
         dts = _dt_list(args, spec.speed)
         study = partial(harness.wave_convergence, cells=cells, epsilon=spec.epsilon, length=spec.length)

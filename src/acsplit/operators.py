@@ -9,7 +9,10 @@ backward (tau < 0) substeps.  Where that clamp binds nowhere, the flow on a
 :func:`heat_evolve` applies those instead of a transform pair.  Which of
 the two a substep takes, with the factors or the clamped multiplier it
 needs, is planned once per ``(grid, tau, k_tol)`` and cached
-(:func:`_heat_plan`).
+(:func:`_heat_plan`).  On those grids the transform pair itself is one
+product per axis with the DCT-II matrix, built here in numpy, so only 1D
+grids and axes over ``FACTOR_MAX_CELLS`` cells call :func:`dctn` and
+:func:`idctn`, which load ``scipy.fft`` on their first call.
 
 :func:`heat_gain` and :func:`reaction_peak` carry an upper bound on
 ``max|phi|`` through a substep wherever it can be certified, so that the
@@ -25,7 +28,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dct, dctn, idctn
 
 from . import _kernels
 from .grid import Field, FieldStack, GridSpec
@@ -234,10 +236,35 @@ def _uses_factors(grid: GridSpec, tau: float, k_tol: float) -> bool:
     return peak <= k_tol
 
 
+def dctn(x, **kwargs) -> np.ndarray:
+    """``scipy.fft.dctn(x, **kwargs)``.  scipy is imported on the first call,
+    so a process that makes no transform never loads it."""
+    import scipy.fft
+
+    return scipy.fft.dctn(x, **kwargs)
+
+
+def idctn(x, **kwargs) -> np.ndarray:
+    """``scipy.fft.idctn(x, **kwargs)``, imported as :func:`dctn` imports it."""
+    import scipy.fft
+
+    return scipy.fft.idctn(x, **kwargs)
+
+
 @lru_cache(maxsize=8)
 def _dct_matrix(cells: int) -> np.ndarray:
-    """Cached, read-only orthonormal DCT-II matrix ``C`` of size ``cells``."""
-    c = dct(np.eye(cells), type=2, norm="ortho", axis=0)
+    """Cached, read-only orthonormal DCT-II matrix ``C`` of size ``cells``:
+    ``C[k, j] = sqrt(2/n) cos(pi k (2j + 1) / 2n)``, row 0 ``sqrt(1/n)``.
+
+    The argument is reduced exactly in integers, ``m = k (2j + 1) mod 4n``,
+    so the cosine is taken of ``pi m / 2n`` in ``[0, 2 pi)``.  Up to
+    ``FACTOR_MAX_CELLS`` cells, ``C`` is within 1e-15 of scipy's
+    ``dct(eye(n))`` and ``C C^T`` within 2e-15 of the identity.
+    """
+    k = np.arange(cells)[:, np.newaxis]
+    m = (k * (2 * np.arange(cells) + 1)) % (4 * cells)
+    c = math.sqrt(2.0 / cells) * np.cos(np.pi * m / (2 * cells))
+    c[0] = math.sqrt(1.0 / cells)
     c.setflags(write=False)
     return c
 
@@ -315,6 +342,15 @@ def _apply_factors(values: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.nd
     return np.matmul(mid, factors[-1].T, out=out)
 
 
+@lru_cache(maxsize=4)
+def _cosine_factors(cells: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Cached read-only per-axis factors of the transform pair on a
+    :func:`_factor_grid`, in the layout :func:`_apply_factors` takes: the
+    matrices ``C_i`` (forward) and their transposes (inverse)."""
+    inverse = tuple(_dct_matrix(n).T for n in cells)  # the last one's .T is C_i itself, C-contiguous
+    return _read_only([_dct_matrix(n) for n in cells]), inverse
+
+
 def heat_evolve(
     f: Field | FieldStack, tau, policy: CutoffPolicy = CutoffPolicy(), multipliers: np.ndarray | None = None
 ) -> Field | FieldStack:
@@ -330,7 +366,10 @@ def heat_evolve(
     nowhere, so nothing is lost), and its result matches the transform pair
     to rounding, not to the bit.  Otherwise it is one transform pair with
     the clamped multiplier; every 1D substep takes that path.  Either is
-    looked up once, in the cached :func:`_heat_plan`.
+    looked up once, in the cached :func:`_heat_plan`.  On a
+    :func:`_factor_grid` the pair is one product per axis with the DCT-II
+    matrices (:func:`_cosine_factors`), which also matches :func:`dctn` and
+    :func:`idctn` to rounding; elsewhere it is those two.
 
     A :class:`FieldStack` of 1D fields takes an ``(R, 1)`` column ``tau``,
     one entry per row.  It is advanced by one transform pair over the grid
@@ -352,6 +391,14 @@ def heat_evolve(
         multipliers = plan.multiplier
     elif multipliers is None:
         multipliers = clamped_multipliers(f.grid, tau, policy.k_tol)
+    if _factor_grid(f.grid):  # the clamp binds: the transform pair, as per-axis products
+        forward, inverse = _cosine_factors(f.grid.cells)
+        # an unbounded clamp may overflow the coefficients to inf, and the
+        # inverse products then to NaN; the solver guard catches either
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = _apply_factors(f.values, forward)
+            np.multiply(coeffs, multipliers, out=coeffs)
+            return Field(f.grid, _apply_factors(coeffs, inverse))
     axes = (1,) if stacked else None  # every axis of a field; faster than naming them
     coeffs = dctn(f.values, type=2, norm="ortho", axes=axes)
     # an unbounded clamp may overflow the product to inf; the solver guard

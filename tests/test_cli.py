@@ -302,6 +302,39 @@ def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_scipy_fft_is_loaded_by_a_1d_run_only(tmp_path):
+    # a 2D/3D process on at most FACTOR_MAX_CELLS cells per axis builds its
+    # DCT-II matrices in numpy, clamped substeps included; only a 1D grid
+    # (or a longer axis) imports scipy.fft, on its first transform
+    script = f"""
+import sys
+import numpy as np
+from acsplit import CutoffPolicy, Field, GridSpec, heat_evolve
+from acsplit.cli import main
+from acsplit.harness import scheme_from_string, spinodal_convergence
+from acsplit.operators import _uses_factors
+from acsplit.problems import SpinodalSpec
+
+assert main(["run", "--problem", "spinodal", "--scheme", "S4V", "--cells", "8", "--dt", "1e-4",
+             "--t-final", "5e-4", "--snapshots", "0,5e-4", "--out-dir", {str(tmp_path / "3d")!r}]) == 0
+schemes = [scheme_from_string(s) for s in ("S1", "S3X")]
+for dims in (2, 3):
+    spinodal_convergence(schemes, [2e-4, 1e-4], SpinodalSpec(cells=8, dims=dims), t_final=4e-4)
+grid = GridSpec.box(1.0, 16, 3)
+assert not _uses_factors(grid, -1e-3, 10.0)
+heat_evolve(Field(grid, np.random.default_rng(1).standard_normal(grid.shape)), -1e-3, CutoffPolicy(10.0))
+print("scipy.fft" in sys.modules)
+assert main(["run", "--problem", "wave", "--scheme", "S1", "--cells", "16", "--dt", "1e-3",
+             "--out-dir", {str(tmp_path / "1d")!r}]) == 0
+print("scipy.fft" in sys.modules)
+"""
+    src = str(Path(acsplit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+    assert done.stdout.split() == ["False", "True"]
+    assert (tmp_path / "3d" / "snapshot_t0.0005.acf").exists()
+
+
 def test_csv_headers_are_pinned(tmp_path, capsys):
     base = [f"# backend={kernel_backend}"]
     version = [f"# version={__version__}"]
@@ -775,6 +808,46 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         bad.write_text(json.dumps(cfg))
         assert main(command + ["--config", str(bad)]) == 2, cfg
         assert message in capsys.readouterr().err, cfg
+    assert not (tmp_path / "never").exists()
+
+
+def test_wave_problem_refuses_the_options_it_does_not_read(tmp_path, capsys):
+    never = str(tmp_path / "never")
+    converge = ["converge", "--problem", "wave", "--schemes", "S1", "--dt-list", "1e-3,5e-4", "--cells", "16",
+                "--out", never]
+    run = ["run", "--problem", "wave", "--scheme", "S1", "--dt", "1e-3", "--cells", "16", "--out-dir", never]
+    for command, flag, value in (
+        *((converge, flag, value) for flag, value in
+          (("--t-final", "5"), ("--ref-dt", "1"), ("--seed", "3"), ("--amplitude", "0.01"))),
+        (run, "--seed", "3"),
+        (run, "--amplitude", "0.01"),
+    ):
+        assert main(command + [flag, value]) == 2, (command[0], flag)
+        assert capsys.readouterr().err == f"acsplit: error: {flag}: not an option of --problem wave\n"
+    assert not Path(never).exists()
+    # a wave run takes --t-final; config keys that only the spinodal problem
+    # reads are allowed and not read, so one file can serve both problems
+    config = tmp_path / "both.json"
+    config.write_text(json.dumps({"seed": 3, "amplitude": 0.01}))
+    assert main(run[:-1] + [str(tmp_path / "run"), "--t-final", "2e-3", "--config", str(config)]) == 0
+
+
+def test_run_refusals_name_the_flag_in_the_order_run_config_checks(tmp_path, capsys):
+    run = ["run", "--problem", "wave", "--scheme", "S1", "--cells", "16", "--out-dir", str(tmp_path / "never")]
+    for extra, message in (
+        (["--dt", "nan"], "--dt: dt must be positive and finite, got nan"),
+        (["--dt", "1e-3", "--t-final", "inf"], "--t-final: t_final must be finite and at least one step, got inf"),
+        (["--dt", "1e-300"], "--t-final: t_final/dt = "),
+        (["--dt", "1e-3", "--t-final", "1e-2", "--snapshots", "0,1"],
+         "--snapshots: snapshot time 1.0 lies outside [0, t_final=0.01]"),
+        (["--dt", "1e-3", "--phi-max", "0.5"], "--phi-max: phi_max must exceed 1"),
+        # several bad options: the first RunConfig checks is the one named
+        (["--dt", "nan", "--t-final", "inf", "--snapshots", "-1", "--phi-max", "0.5"], "--dt: "),
+        (["--dt", "1e-3", "--t-final", "inf", "--snapshots", "-1", "--phi-max", "0.5"], "--t-final: "),
+        (["--dt", "1e-3", "--snapshots", "-1", "--phi-max", "0.5"], "--snapshots: "),
+    ):
+        assert main(run + extra) == 2, extra
+        assert capsys.readouterr().err.startswith(f"acsplit: error: {message}"), extra
     assert not (tmp_path / "never").exists()
 
 

@@ -248,13 +248,11 @@ def test_heat_factor_path_matches_the_transform_formula(grid, tau, k_tol):
 @pytest.mark.parametrize(
     "grid, tau, k_tol",
     [
-        (GridSpec.box(1.0, 64, 2), -1e-3, 1e4),  # the clamp binds
         (GridSpec.line(1.0, 64), 0.003, 1e9),  # 1D
         (GridSpec.line(1.0, 64), -1e-3, np.inf),
         (GridSpec((1.0, 1.0), (130, 4)), 0.003, 1e9),  # an axis past FACTOR_MAX_CELLS
-        (GridSpec((1.0, 1.5), (8, 6)), -5.0, np.inf),  # exp(min(A) tau) overflows
     ],
-    ids=["binding", "1d", "1d-unclamped", "long-axis", "overflow"],
+    ids=["1d", "1d-unclamped", "long-axis"],
 )
 def test_heat_transform_path_keeps_the_formula_bytes(grid, tau, k_tol):
     from acsplit.operators import _heat_plan, _uses_factors
@@ -269,6 +267,69 @@ def test_heat_transform_path_keeps_the_formula_bytes(grid, tau, k_tol):
     # zeros stay zeros, not inf * 0, and no factor was built on the way
     np.testing.assert_array_equal(got, 0.0)
     assert _heat_plan.cache_info().currsize == 1 and _heat_plan(grid, tau, k_tol).factors is None
+
+
+@pytest.mark.parametrize(
+    "grid, tau, k_tol",
+    [
+        (GridSpec.box(1.0, 64, 2), -1e-3, 1e4),
+        (GridSpec((1.0, 0.8, 1.3), (16, 12, 10)), -2e-3, 1e2),
+        (GridSpec((1.0, 1.5), (8, 6)), -5.0, np.inf),  # exp(min(A) tau) overflows
+    ],
+    ids=["2d", "3d", "overflow"],
+)
+def test_clamped_heat_on_a_factor_grid_matches_the_transform_formula(grid, tau, k_tol, monkeypatch):
+    # where the clamp binds on a factor grid, the transform pair is applied
+    # as per-axis DCT-II products, never through operators.dctn/idctn
+    from acsplit import operators
+
+    assert operators._factor_grid(grid) and not operators._uses_factors(grid, tau, k_tol)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor grid made a scipy transform")
+
+    monkeypatch.setattr(operators, "dctn", refuse)
+    monkeypatch.setattr(operators, "idctn", refuse)
+    rng = np.random.default_rng(22)
+    operators._heat_plan.cache_clear()
+    f = Field(grid, rng.standard_normal(grid.shape))
+    got = heat_evolve(f, tau, CutoffPolicy(k_tol)).values
+    with np.errstate(invalid="ignore"):  # the reference calls scipy.fft itself
+        want = explicit_heat(f, tau, k_tol)
+    if np.isfinite(want).all():
+        np.testing.assert_allclose(got, want, rtol=0, atol=4e-15 * np.abs(want).max())
+    else:  # an unbounded clamp overflows both to NaN, for the guard to catch
+        assert np.isnan(want).all() and np.isnan(got).all()
+    # zeros stay zeros, not inf * 0, and no factor was built on the way
+    zeros = heat_evolve(Field(grid, np.zeros(grid.shape)), tau, CutoffPolicy(k_tol)).values
+    assert zeros.tobytes() == np.zeros(grid.shape).tobytes()
+    assert operators._heat_plan.cache_info().currsize == 1
+    assert operators._heat_plan(grid, tau, k_tol).factors is None
+
+
+def test_dct_matrix_is_orthonormal_and_matches_scipy():
+    from scipy.fft import dct
+
+    from acsplit.operators import FACTOR_MAX_CELLS, _dct_matrix
+
+    for n in range(1, FACTOR_MAX_CELLS + 1):
+        c = _dct_matrix(n)
+        assert not c.flags.writeable
+        wide = c.astype(np.longdouble)  # the product in extended precision shows C's own error, not the GEMM's
+        assert np.abs(wide @ wide.T - np.eye(n)).max() <= 2e-15, n
+        assert np.abs(c - dct(np.eye(n), type=2, norm="ortho", axis=0)).max() <= 1e-15, n
+
+
+@pytest.mark.parametrize("shape, axes", [((12,), None), ((5, 12), (1,)), ((6, 5, 4), None)])
+def test_operators_transforms_are_scipys(shape, axes):
+    import scipy.fft
+
+    from acsplit import operators
+
+    x = np.random.default_rng(23).standard_normal(shape)
+    for ours, theirs in ((operators.dctn, scipy.fft.dctn), (operators.idctn, scipy.fft.idctn)):
+        got = ours(x, type=2, norm="ortho", axes=axes)
+        assert got.tobytes() == theirs(x, type=2, norm="ortho", axes=axes).tobytes()
 
 
 # on the last two, summing the axes' minima in another order moves min(A) by an ulp

@@ -10,9 +10,10 @@ that covers the 3D factor path, a clamped 3D run, snapshots, both studies,
 a wave study whose stacked S3Y run diverges, a diverging 1D run, a run
 whose field overflows a square, and a wave run on a longer domain under a
 tighter guard (`--length 8 --phi-max 1.5`), whose header names both.  It
-also pins the messages of six usage errors: a bad list entry, a repeated
-dt, an empty clamp list, a missing --dt, a digit group in --cells, and
-flags that override their config keys.
+also pins the messages of seven usage errors: a bad list entry, a repeated
+dt, an empty clamp list, a missing --dt, a guard at or below 1 (named by
+its flag, --phi-max), a digit group in --cells, and flags that override
+their config keys.
 It prints one `name sha256[:8]` line per output file, per stdout, and per
 command's exit code with its stderr.  Output is deterministic.  The files are
 written to OUT_DIR when it is given, otherwise to a temporary directory that
@@ -90,6 +91,8 @@ COMMANDS: dict[str, list[str]] = {
     "usage-k-tols-empty": ["sweep-omega", "--branch", "+", "--omegas", "0.5", "--k-tols", ",",
                            "--out", "{out}/sweep.csv"],
     "usage-run-no-dt": ["run", "--problem", "wave", "--scheme", "S1", "--out-dir", "{out}"],
+    "usage-run-phi-max": ["run", "--problem", "wave", "--scheme", "S1", "--dt", "1e-3", "--phi-max", "0.5",
+                          "--out-dir", "{out}"],
     "usage-cells-digit-group": ["run", "--problem", "wave", "--scheme", "S1", "--dt", "1e-3", "--cells", "1_28",
                                 "--out-dir", "{out}"],
     "usage-flag-over-config": ["run", "--config", "{config}", "--problem", "wave", "--cells", "2_56",
