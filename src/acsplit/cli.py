@@ -22,7 +22,7 @@ from .coeffs import parse_decimal, split_scheme_ids
 from .grid import Field, GridSpec
 from .operators import CutoffPolicy, ModelParams
 from .problems import SpinodalSpec, TravelingWaveSpec, spinodal_initial, traveling_wave_field
-from .solver import RunConfig
+from .solver import RunConfig, StepPlan
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -84,6 +84,14 @@ def _flagged(flag: str, check, *args, **kwargs):
         return check(*args, **kwargs)
     except ValueError as err:
         raise CliError(f"{flag}: {err}") from None
+
+
+def _check_steps(flag: str, dts: list[float], t_final: float | None = None) -> None:
+    """The step checks of :class:`RunConfig` (:meth:`StepPlan.of`), in its
+    order, of a run at each of ``dts`` over ``t_final``, by default over one
+    step, which checks the dt alone; a refusal names ``flag``."""
+    for dt in dts:
+        _flagged(flag, StepPlan.of, dt, dt if t_final is None else t_final)
 
 
 def _distinct_floats(what: str):
@@ -247,8 +255,8 @@ def cmd_run(args) -> int:
     config = partial(RunConfig, scheme, dt, model=ModelParams(spec.epsilon),
                      cutoff=_flagged("--k-tol", CutoffPolicy, k_tol))
     # RunConfig's checks, in its own order, each refusal naming its flag
-    _flagged("--dt", config, t_final=dt)
-    _flagged("--t-final", config, t_final=t_final)
+    _check_steps("--dt", [dt])
+    _check_steps("--t-final", [dt], t_final)
     _flagged("--snapshots", config, t_final=t_final, snapshot_times=tuple(snapshots))
     cfg = _flagged("--phi-max", config, t_final=t_final, snapshot_times=tuple(snapshots), phi_max=phi_max)
 
@@ -276,6 +284,7 @@ def cmd_run(args) -> int:
 def _dt_list(args, speed: float | None) -> list[float]:
     dts = _get(args, "dt_list", _distinct_floats("dt"))
     if dts is not None:
+        _check_steps("--dt-list", dts)
         return dts
     pow2 = _get(args, "dt_pow2")
     if pow2 is not None and speed is not None:
@@ -308,15 +317,21 @@ def cmd_converge(args) -> int:
         _refuse_for_wave(args, "t_final", "ref_dt", "amplitude", "seed")
         spec, cells = _wave_setup(args)
         dts = _dt_list(args, spec.speed)
+        # the horizon 1/s is no option, so the flag of the steps names its refusals
+        t_final, ref_dt = spec.t_final, None
+        t_final_flag = "--dt-list" if _get(args, "dt_list") is not None else "--dt-pow2"
         study = partial(harness.wave_convergence, cells=cells, epsilon=spec.epsilon, length=spec.length)
     else:
         spec = _spinodal_setup(args, default_cells=32)
         dts = _dt_list(args, None)
-        t_final = _get(args, "t_final", _decimal, harness.SPINODAL_T_FINAL)
+        t_final, t_final_flag = _get(args, "t_final", _decimal, harness.SPINODAL_T_FINAL), "--t-final"
         ref_dt = _get(args, "ref_dt", lambda v, flag: _flagged(flag, harness._check_ref_dt, _decimal(v, flag)))
         ref_dt = harness._reference_dt(dts, ref_dt)  # refused before the clamp, as the study refuses it
         study = partial(harness.spinodal_convergence, spec=spec, t_final=t_final, ref_dt=ref_dt)
     _flagged("--k-tol", CutoffPolicy, k_tol)
+    _check_steps(t_final_flag, dts, t_final)
+    if ref_dt is not None:
+        _check_steps("--ref-dt", [ref_dt], t_final)
     report = study(schemes, dts, k_tol=k_tol)
 
     _write(f"{out}.errors.csv", report.to_csv())
@@ -327,13 +342,14 @@ def cmd_converge(args) -> int:
 def cmd_sweep_omega(args) -> int:
     branch = _get(args, "branch", default=REQUIRED)
     spec, cells = _wave_setup(args)
-    dt = _get(args, "dt", _decimal)
+    dt, dt_flag = _get(args, "dt", _decimal), "--dt"
     if dt is None:
-        dt = _get(args, "dt_factor", _decimal, 2.0**-4) / spec.speed
+        dt, dt_flag = _get(args, "dt_factor", _decimal, 2.0**-4) / spec.speed, "--dt-factor"
     k_tols = tuple(_get(args, "k_tols", _distinct_floats("clamp"), harness.SWEEP_K_TOLS))
     omegas = _omega_grid(args)
     for k_tol in k_tols:
         _flagged("--k-tols", CutoffPolicy, k_tol)
+    _check_steps(dt_flag, [dt], spec.t_final)  # the horizon 1/s is no option
     records, meta = harness.omega_sweep(
         branch,
         omegas,

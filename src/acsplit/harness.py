@@ -20,7 +20,7 @@ from .coeffs import (
     third_order_family,
 )
 from .grid import Field, GridSpec
-from .operators import CutoffPolicy, ModelParams
+from .operators import CutoffPolicy, ModelParams, clamp_binds
 from .problems import (
     SpinodalSpec,
     TravelingWaveSpec,
@@ -28,7 +28,17 @@ from .problems import (
     traveling_wave_field,
 )
 from .report import ErrorReport, RunRow, csv_number, render_csv
-from .solver import RunConfig, SnapshotSink, Trajectory, relative_l2_error, run, run_ensemble
+from .solver import (
+    HEAT,
+    RunConfig,
+    SnapshotSink,
+    StepPlan,
+    Trajectory,
+    applied_substeps,
+    relative_l2_error,
+    run,
+    run_ensemble,
+)
 
 __all__ = [
     "coeffs_table",
@@ -203,6 +213,15 @@ def _clamp_keys(k_tols) -> list[str]:
     return [f"ktol_{_omega_text(k)}" for k in k_tols]
 
 
+def _heat_taus(scheme: SplitCoefficients, plan: StepPlan) -> list[float]:
+    """The taus of the heat substeps of ``scheme`` along ``plan``: those of
+    its full steps, and of its shortened last step if it has one.  Merging
+    step boundaries adds no backward substep, so these are all the taus a
+    clamp can bind on (:func:`acsplit.operators.clamp_binds`)."""
+    lengths = (plan.dt, plan.step_length(plan.n_steps)) if plan.shortened else (plan.dt,)
+    return [tau for h in lengths for kind, tau in applied_substeps(scheme, h) if kind == HEAT]
+
+
 def omega_sweep(
     branch: str,
     omegas: list[float],
@@ -214,14 +233,19 @@ def omega_sweep(
 ) -> tuple[list[dict], dict[str, str]]:
     """Traveling-wave error as a function of the third-order free parameter.
 
-    Returns one record per omega with the error under each clamp value;
-    singular omegas carry an error marker instead of numbers.  All runs
-    advance together as one ensemble (:func:`acsplit.solver.run_ensemble`).
-    An empty or repeated clamp list raises ``ValueError``.
+    Returns one record per omega with the error and status under each clamp
+    value; singular omegas carry an error marker instead of numbers.  Each
+    clamp that binds on some heat substep of an omega's run
+    (:func:`acsplit.operators.clamp_binds` of its :func:`_heat_taus`) gets
+    a run of its own; the clamps that bind on none would build the same
+    multiplier tables, so they share one run, scored under each of their
+    keys.  All runs advance together as one ensemble
+    (:func:`acsplit.solver.run_ensemble`).  An empty or repeated clamp list
+    raises ``ValueError``.
     """
     keys = _clamp_keys(k_tols)
     spec, grid, run_configs, f0, reference = _wave_problem(cells, epsilon, length, k_tols)
-    records, scored, configs = [], [], []
+    records, scored, configs = [], [], []  # scored: the (record, key) pairs of each config's run
     for omega in omegas:
         rec: dict = {"omega": float(omega)}
         records.append(rec)
@@ -231,12 +255,23 @@ def omega_sweep(
             rec["marker"] = str(err)
             continue
         rec["max_coeff"] = sol.coefficients.max_magnitude()
-        for run_config, key in zip(run_configs, keys):
-            scored.append((rec, key))
-            configs.append(run_config(sol.coefficients, dt))
-    for (rec, key), traj in zip(scored, run_ensemble(f0, configs)):
-        rec[f"err_{key}"] = _error(traj, reference)
-        rec[f"status_{key}"] = traj.status
+        omega_configs = [run_config(sol.coefficients, dt) for run_config in run_configs]
+        taus = _heat_taus(sol.coefficients, omega_configs[0].plan)
+        shared = None  # the (record, key) pairs of the run that the clamps binding nowhere share
+        for cfg, key in zip(omega_configs, keys):
+            binds = clamp_binds(grid, taus, cfg.cutoff.k_tol)
+            if not binds and shared is not None:
+                shared.append((rec, key))
+                continue
+            scored.append([(rec, key)])
+            configs.append(cfg)
+            if not binds:
+                shared = scored[-1]
+    for pairs, traj in zip(scored, run_ensemble(f0, configs)):
+        error = _error(traj, reference)
+        for rec, key in pairs:
+            rec[f"err_{key}"] = error
+            rec[f"status_{key}"] = traj.status
     return records, _provenance(spec, grid, problem="omega-sweep", branch=branch, dt=dt,
                                 k_tols=",".join(_omega_text(k) for k in k_tols), t_final=spec.t_final)
 

@@ -13,6 +13,8 @@ needs, is planned once per ``(grid, tau, k_tol)`` and cached
 product per axis with the DCT-II matrix, built here in numpy, so only 1D
 grids and axes over ``FACTOR_MAX_CELLS`` cells call :func:`dctn` and
 :func:`idctn`, which load ``scipy.fft`` on their first call.
+:func:`clamp_binds` tells, from the same largest multiplier, whether a
+clamp changes any multiplier of a run's heat substeps at all.
 
 :func:`heat_gain` and :func:`reaction_peak` carry an upper bound on
 ``max|phi|`` through a substep wherever it can be certified, so that the
@@ -37,6 +39,7 @@ __all__ = [
     "CutoffPolicy",
     "DivergenceError",
     "ModelParams",
+    "clamp_binds",
     "clamped_multipliers",
     "decay_factor",
     "energy",
@@ -214,26 +217,55 @@ def _factor_grid(grid: GridSpec) -> bool:
     return grid.dims >= 2 and max(grid.cells) <= FACTOR_MAX_CELLS
 
 
+@lru_cache(maxsize=8)
+def _least_eigenvalue(grid: GridSpec) -> float:
+    """``min(A)`` on ``grid``: the highest mode on every axis, summed from
+    0.0 in axis order as :func:`spectral.eigenvalue_table` sums it, so it
+    has the table's bits, without building the table."""
+    least = 0.0
+    for length, n in zip(grid.lengths, grid.cells):
+        least += float(axis_eigenvalues(length, n)[-1])
+    return least
+
+
+def _largest_multiplier(grid: GridSpec, tau: float) -> float:
+    """``exp(min(A) * tau)``, the unclamped multiplier of the highest mode,
+    which is the largest one of a backward (``tau < 0``) heat substep on
+    ``grid``; inf where it overflows.  In plain floats: ``math.exp`` raises
+    on overflow where numpy would warn."""
+    try:
+        return math.exp(_least_eigenvalue(grid) * float(tau))
+    except OverflowError:
+        return math.inf
+
+
 def _uses_factors(grid: GridSpec, tau: float, k_tol: float) -> bool:
     """Whether a heat substep on ``grid`` is applied as per-axis factors.
 
     True on a :func:`_factor_grid` when the clamp binds on no mode, i.e. the
-    largest multiplier ``exp(min(A) * tau)`` is finite and at most
-    ``k_tol``; that always holds for ``tau >= 0``.  Everything else takes
-    the transform pair.
+    :func:`_largest_multiplier` is finite and at most ``k_tol``; that always
+    holds for ``tau >= 0``.  Everything else takes the transform pair.
     """
-    if not _factor_grid(grid):
+    return _factor_grid(grid) and _largest_multiplier(grid, tau) <= min(k_tol, _F64_MAX)
+
+
+def clamp_binds(grid: GridSpec, taus, k_tol: float) -> bool:
+    """Whether the clamp ``k_tol`` may change a bit of the
+    :func:`clamped_multipliers` of a heat substep on ``grid`` over some tau
+    of ``taus``, against the same table under ``k_tol = inf``.
+
+    Clamps that bind on none of a run's heat substeps build the same tables,
+    so they give the same run.  A forward substep never binds (its
+    multipliers are at most 1, and ``k_tol >= 1``), nor does ``k_tol = inf``.
+    A backward one binds unless its :func:`_largest_multiplier` times
+    ``1 + BOUND_MARGIN`` is at most ``k_tol``: the margin is far above the
+    ulp by which the kernel's ``np.exp`` may differ from ``math.exp``, so
+    a clamp called unbound leaves every multiplier as it is, and one within
+    the margin of the largest multiplier counts as binding.
+    """
+    if k_tol == math.inf:
         return False
-    # min(A) is the highest mode on every axis, summed from 0.0 in axis
-    # order as spectral.eigenvalue_table sums it, so it has the table's bits
-    least = 0.0
-    for length, n in zip(grid.lengths, grid.cells):
-        least += float(axis_eigenvalues(length, n)[-1])
-    try:
-        peak = math.exp(least * float(tau))
-    except OverflowError:
-        return False
-    return peak <= k_tol
+    return any(tau < 0 and not _largest_multiplier(grid, tau) * (1.0 + BOUND_MARGIN) <= k_tol for tau in taus)
 
 
 def dctn(x, **kwargs) -> np.ndarray:

@@ -52,8 +52,10 @@ class StepPlan:
 
     The horizon takes ``round(t_final/dt)`` full steps when that is exact to
     relative 1e-12, otherwise ``floor`` full steps plus the shortened one.
-    No array of step times is built, so a step count above
-    :data:`MAX_STEPS` is refused before anything is allocated.
+    :meth:`of` refuses, in this order, a ``dt`` that is not positive and
+    finite, a ``t_final`` that is not finite and at least one step, and a
+    step count above :data:`MAX_STEPS`; no array of step times is built, so
+    that count is refused before anything is allocated.
     """
 
     dt: float
@@ -63,6 +65,10 @@ class StepPlan:
 
     @classmethod
     def of(cls, dt: float, t_final: float) -> "StepPlan":
+        if not 0 < dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        if not dt <= t_final < np.inf:
+            raise ValueError(f"t_final must be finite and at least one step, got {t_final}")
         ratio = t_final / dt
         too_many = ValueError(
             f"t_final/dt = {ratio:.6g} asks for more than MAX_STEPS = {MAX_STEPS:,} steps"
@@ -105,7 +111,12 @@ class StepPlan:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment: scheme, step size, horizon, model and safeguards."""
+    """One experiment: scheme, step size, horizon, model and safeguards.
+
+    ``plan``, the :class:`StepPlan` of ``dt`` over ``t_final``, is built
+    once, when the config is checked; it is no field, so it takes no part
+    in equality, hashing or ``repr``.
+    """
 
     scheme: SplitCoefficients
     dt: float
@@ -117,21 +128,14 @@ class RunConfig:
     record_energy: bool = True
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not self.dt <= self.t_final < np.inf:
-            raise ValueError(f"t_final must be finite and at least one step, got {self.t_final}")
-        StepPlan.of(self.dt, self.t_final)  # refuses a step count above MAX_STEPS
+        # refuses a bad dt, t_final or step count; set past the frozen __setattr__
+        object.__setattr__(self, "plan", StepPlan.of(self.dt, self.t_final))
         slack = 1e-12 * self.t_final  # the tolerance run() allows on the horizon
         for t in self.snapshot_times:
             if not -slack <= t <= self.t_final + slack:
                 raise ValueError(f"snapshot time {t} lies outside [0, t_final={self.t_final}]")
         if not self.phi_max > 1:
             raise ValueError("phi_max must exceed 1")
-
-    @property
-    def plan(self) -> StepPlan:
-        return StepPlan.of(self.dt, self.t_final)
 
 
 @dataclass

@@ -851,6 +851,35 @@ def test_run_refusals_name_the_flag_in_the_order_run_config_checks(tmp_path, cap
     assert not (tmp_path / "never").exists()
 
 
+def test_sweep_and_study_step_refusals_name_the_flag(tmp_path, capsys):
+    # a sweep's horizon is 1/s, so --dt (or --dt-factor) is named for every
+    # step check; a study's steps are named as run's are, each dt first
+    never = str(tmp_path / "never")
+    sweep = ["sweep-omega", "--branch", "+", "--omegas", "0.5", "--out", never]
+    spinodal = ["converge", "--problem", "spinodal", "--schemes", "S1", "--cells", "8", "--out", never]
+    wave = ["converge", "--problem", "wave", "--schemes", "S1", "--cells", "8", "--out", never]
+    for command, message in (
+        (sweep + ["--dt", "nan"], "--dt: dt must be positive and finite, got nan"),
+        (sweep + ["--dt", "1e-300"], "--dt: t_final/dt = 2e+298 asks for more than MAX_STEPS = 10,000,000 steps"),
+        (sweep + ["--dt", "1"], "--dt: t_final must be finite and at least one step, got 0.020000000000000004"),
+        (sweep + ["--dt-factor", "inf"], "--dt-factor: dt must be positive and finite, got inf"),
+        (spinodal + ["--dt-list", "1e-3", "--t-final", "nan"],
+         "--t-final: t_final must be finite and at least one step, got nan"),
+        (spinodal + ["--dt-list", "1e-3,nan", "--t-final", "nan"], "--dt-list: dt must be positive and finite, got nan"),
+        # each dt is checked before the reference step that the study derives from the finest
+        (spinodal + ["--dt-list=-1e-3"], "--dt-list: dt must be positive and finite, got -0.001"),
+        (spinodal + ["--dt-list", "1e-3", "--t-final", "1e5"],
+         "--t-final: t_final/dt = 1e+08 asks for more than MAX_STEPS = 10,000,000 steps"),
+        (spinodal + ["--dt-list", "1e-3", "--t-final", "5e3"],
+         "--ref-dt: t_final/dt = 2e+07 asks for more than MAX_STEPS = 10,000,000 steps"),
+        (wave + ["--dt-list", "1e-300"], "--dt-list: t_final/dt = 2e+298 asks for more than MAX_STEPS = 10,000,000 steps"),
+        (wave + ["--dt-pow2=-6:-5"], "--dt-pow2: t_final must be finite and at least one step, got 0.020000000000000004"),
+    ):
+        assert main(command) == 2, command
+        assert capsys.readouterr().err == f"acsplit: error: {message}\n", command
+    assert not Path(never).exists()
+
+
 def test_unusable_config_and_out_paths_exit_4_and_a_config_not_an_object_exits_2(tmp_path, capsys):
     for config in (tmp_path, tmp_path / "missing.json"):
         assert main(["coeffs", "--scheme", "S1", "--config", str(config)]) == 4

@@ -348,6 +348,39 @@ def test_uses_factors_reads_min_a_with_the_table_bits(grid):
         assert not _uses_factors(grid, tau, np.nextafter(peak, 0.0))
 
 
+@pytest.mark.parametrize("grid", [GridSpec.line(0.5, 128)] + FACTOR_GRIDS, ids=["1d", "2d", "3d"])
+def test_clamp_binds_only_where_a_multiplier_could_change(grid):
+    import warnings
+
+    from acsplit.operators import clamp_binds, clamped_multipliers
+    from acsplit.spectral import eigenvalue_table
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow may warn, in numpy or plain floats
+        # a forward or zero tau never binds, not even at k_tol = 1
+        assert not clamp_binds(grid, [0.0, 1e-3, 10.0, 1e300, np.float64(0.5)], 1.0)
+        # nor does an unbounded clamp, even where exp(min(A) tau) overflows
+        assert not clamp_binds(grid, [-1e-3, -1e3, np.float64(-1e300)], np.inf)
+        assert not clamp_binds(grid, [], 1.0)
+        # an overflowing exp binds every finite clamp
+        for tau in (-1e3, np.float64(-1e3), -1e300):
+            assert clamp_binds(grid, [tau], 1.7e308)
+        # a clamp at the largest multiplier or within the margin of it binds; past it, not
+        tau = -1e-3
+        peak = math.exp(float(eigenvalue_table(grid).flat[-1]) * tau)
+        assert clamp_binds(grid, [tau], peak)
+        assert clamp_binds(grid, [tau], peak * (1.0 + 0.5e-12))
+        k_tol = peak * (1.0 + 2e-12)
+        assert not clamp_binds(grid, [tau, tau / 2, -tau], k_tol)
+        # and then the table is the one an unbounded clamp builds, to the bit
+        for t in (tau, tau / 2):
+            assert clamped_multipliers(grid, t, k_tol).tobytes() == clamped_multipliers(grid, t, np.inf).tobytes()
+        # a clamp that only the last tau of the list binds
+        k_tol = math.exp(float(eigenvalue_table(grid).flat[-1]) * tau / 2) * (1.0 + 2e-12)
+        assert not clamp_binds(grid, [1e-3, tau / 2], k_tol)
+        assert clamp_binds(grid, [1e-3, tau / 2, tau], k_tol)
+
+
 def test_factor_path_builds_no_eigenvalue_table():
     from acsplit.spectral import eigenvalue_table
 

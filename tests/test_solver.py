@@ -1,6 +1,8 @@
+import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from acsplit import (
     traveling_wave_field,
 )
 from acsplit import solver
-from acsplit.operators import DivergenceError
+from acsplit.operators import DivergenceError, clamp_binds
+from acsplit.spectral import eigenvalue_table
 from acsplit.solver import (
     MAX_STEPS,
     RunConfig,
@@ -335,6 +338,25 @@ def test_run_config_validation():
         RunConfig(first_order(), 1.0, 0.5, MODEL)
     with pytest.raises(ValueError):
         RunConfig(first_order(), 0.1, 1.0, MODEL, phi_max=0.5)
+
+
+def test_run_config_builds_its_plan_once_and_keeps_it_out_of_eq_hash_and_repr():
+    import dataclasses
+
+    cfg = RunConfig(first_order(), 0.1, 1.05, MODEL)
+    assert cfg.plan is cfg.plan
+    assert cfg.plan == StepPlan.of(0.1, 1.05) and cfg.plan.shortened
+    twin = RunConfig(first_order(), 0.1, 1.05, MODEL)
+    assert twin == cfg and hash(twin) == hash(cfg) and "plan" not in repr(cfg)
+    # replace() checks the new config and plans it afresh
+    moved = dataclasses.replace(cfg, dt=0.25)
+    assert moved.plan == StepPlan.of(0.25, 1.05) and moved.plan is not cfg.plan
+    for changes, message in (({"dt": float("nan")}, "dt must be positive"),
+                             ({"t_final": 0.05}, "at least one step"),
+                             ({"dt": 1e-300}, "MAX_STEPS"),
+                             ({"phi_max": 0.5}, "phi_max")):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(cfg, **changes)
 
 
 def test_step_count_above_the_cap_is_refused():
@@ -919,6 +941,106 @@ def test_wave_study_is_one_ensemble_with_the_rows_of_serial_runs(monkeypatch):
     assert sorted(got) == sorted(want)
     diverged = {label for label, _, _, status, _ in got if status == "diverged"}
     assert {"S3X", "S3Y", "S4V"} <= diverged and "S3Z" not in diverged
+
+
+# at 64 cells and dt = 2^-4/s: per omega, whether 1e4 and 1e9 bind ("B") or
+# not ("u"), and None where the omega is singular
+SHARED_SWEEP = {
+    "+": {0.3: "uu", 0.35: "Bu", 0.5: "uu", 0.8: "Bu", 0.9: "BB", 1.0: None},
+    "-": {0.3: "uu", 0.35: "Bu", 0.5: "uu", 0.8: "uu", 0.9: "uu", 1.0: "uu"},
+}
+
+
+def _binding(grid, scheme, dt, k_tols):
+    from acsplit import harness
+
+    taus = harness._heat_taus(scheme, StepPlan.of(dt, WAVE.t_final))
+    return "".join("B" if clamp_binds(grid, taus, k) else "u" for k in k_tols)
+
+
+@pytest.mark.parametrize("k_tols", [(1e4, 1e9), (1e9, 1e4)], ids=["rising", "falling"])
+@pytest.mark.parametrize("branch", ["+", "-"])
+def test_sweep_of_two_clamps_is_the_two_sweeps_of_one(branch, k_tols, monkeypatch):
+    # the clamps that bind nowhere share a run, in either order of the
+    # clamps, and the records and CSV keep every byte of one sweep per clamp
+    from acsplit import harness
+    from acsplit.coeffs import InvalidOmega, third_order_family
+
+    omegas, dt, grid = list(SHARED_SWEEP[branch]), 2.0**-4 / WAVE.speed, WAVE.grid(64)
+    for omega, want in SHARED_SWEEP[branch].items():
+        try:
+            scheme = third_order_family(omega, branch).coefficients
+        except InvalidOmega:
+            assert want is None
+            continue
+        assert _binding(grid, scheme, dt, (1e4, 1e9)) == want, omega
+    handed = []
+    original = harness.run_ensemble
+
+    def recorded(f0, configs):
+        handed.extend(configs)
+        return original(f0, configs)
+
+    monkeypatch.setattr(harness, "run_ensemble", recorded)
+    records, meta = harness.omega_sweep(branch, omegas, dt, cells=64, k_tols=k_tols)
+    runs = Counter(cfg.scheme.label for cfg in handed)
+    assert [runs[f"S3({omega:g},{branch})"] for omega in omegas] == \
+        [{None: 0, "uu": 1}.get(want, 2) for want in SHARED_SWEEP[branch].values()]
+    merged = [dict(rec) for rec in harness.omega_sweep(branch, omegas, dt, cells=64, k_tols=k_tols[:1])[0]]
+    for rec, other in zip(merged, harness.omega_sweep(branch, omegas, dt, cells=64, k_tols=k_tols[1:])[0]):
+        rec.update(other)
+    assert [{key: repr(value) for key, value in rec.items()} for rec in records] == \
+        [{key: repr(value) for key, value in rec.items()} for rec in merged]
+    assert harness.omega_sweep_csv(records, meta, k_tols) == harness.omega_sweep_csv(merged, meta, k_tols)
+    assert {rec.get("status_ktol_10000") for rec in records} >= {"completed"}
+
+
+def test_shared_clamps_build_the_same_multiplier_tables():
+    # criterion 08's grid at the byte check's three step sizes: every pair
+    # of clamps that shares a run builds the same table at every backward
+    # heat tau, the table an unbounded clamp builds
+    from acsplit.coeffs import InvalidOmega, third_order_family
+    from acsplit.operators import clamped_multipliers
+
+    grid = WAVE.grid(128)
+    omegas = [0.2505, 0.2510, 0.2515] + [0.2525 + 0.0025 * i for i in range(380)]
+    shared = {}
+    for factor in (2.0**-4, 2.0**-3, 2.0**-5):
+        dt = factor / WAVE.speed
+        for branch in "+-":
+            count = valid = 0
+            for omega in omegas:
+                try:
+                    scheme = third_order_family(omega, branch).coefficients
+                except InvalidOmega:
+                    continue
+                valid += 1
+                if _binding(grid, scheme, dt, (1e4, 1e9)) != "uu":
+                    continue
+                count += 1
+                for kind, tau in applied_substeps(scheme, dt):
+                    if kind == "heat" and tau < 0:
+                        table = clamped_multipliers(grid, tau, 1e4).tobytes()
+                        assert table == clamped_multipliers(grid, tau, 1e9).tobytes(), (omega, branch)
+                        assert table == clamped_multipliers(grid, tau, np.inf).tobytes(), (omega, branch)
+            shared[factor, branch] = f"{count}/{valid}"
+    # the counts README "How the sweep and the studies step their stacks" gives
+    assert shared == {(2.0**-4, "+"): "20/382", (2.0**-4, "-"): "340/383",
+                      (2.0**-3, "+"): "14/382", (2.0**-3, "-"): "311/383",
+                      (2.0**-5, "+"): "94/382", (2.0**-5, "-"): "358/383"}
+
+
+def test_a_clamp_that_binds_in_the_last_step_alone_is_caught():
+    # StepPlan.of never makes a last step longer than dt, where it would
+    # bind first; a plan built by hand shows that its taus are read
+    from acsplit import harness
+
+    grid, scheme, dt = WAVE.grid(128), named_scheme("S3X"), 2.0**-4 / WAVE.speed
+    (full,) = [tau for kind, tau in applied_substeps(scheme, dt) if kind == "heat" and tau < 0]
+    k_tol = math.exp(float(eigenvalue_table(grid).flat[-1]) * full) * 2.0
+    for plan, binds in ((StepPlan(dt, 3 * dt, 3, False), False), (StepPlan(dt, 2.5 * dt, 2, True), False),
+                        (StepPlan(dt, 3.5 * dt, 2, True), True)):
+        assert clamp_binds(grid, harness._heat_taus(scheme, plan), k_tol) == binds, plan
 
 
 @pytest.mark.parametrize("record_energy", [True, False], ids=["energy", "merged"])

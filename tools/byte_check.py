@@ -5,15 +5,18 @@
 
 runs the `acsplit` of this checkout (its `src/`) with one BLAS thread: the
 six criterion-08 omega sweeps (383 omegas at 128 cells, both branches, three
-step sizes) and a reference set of `run`, `converge` and `coeffs` commands
+step sizes), a sweep of each branch under three clamps over nine omegas, where
+some clamps bind and others share a run, and a reference set of `run`,
+`converge` and `coeffs` commands
 that covers the 3D factor path, a clamped 3D run, snapshots, both studies,
 a wave study whose stacked S3Y run diverges, a diverging 1D run, a run
 whose field overflows a square, and a wave run on a longer domain under a
 tighter guard (`--length 8 --phi-max 1.5`), whose header names both.  It
-also pins the messages of seven usage errors: a bad list entry, a repeated
+also pins the messages of ten usage errors: a bad list entry, a repeated
 dt, an empty clamp list, a missing --dt, a guard at or below 1 (named by
-its flag, --phi-max), a digit group in --cells, and flags that override
-their config keys.
+its flag, --phi-max), a digit group in --cells, flags that override
+their config keys, and the step refusals of a sweep (a NaN --dt, a --dt
+of too many steps) and of a study (a NaN --t-final), each naming its flag.
 It prints one `name sha256[:8]` line per output file, per stdout, and per
 command's exit code with its stderr.  Output is deterministic.  The files are
 written to OUT_DIR when it is given, otherwise to a temporary directory that
@@ -45,6 +48,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # criterion 08's omega grid (tests/test_acceptance.py)
 OMEGAS = ",".join(repr(w) for w in [0.2505, 0.2510, 0.2515] + [0.2525 + 0.0025 * i for i in range(380)])
 
+# omegas where, at 128 cells and dt = 2^-4/s, the clamps 1e4, 1e6 and inf bind in every mix on
+# each branch (none, 1e4 alone, all but inf), so that a sweep both shares runs and keeps its own; 1.0 is singular on +
+MIXED_OMEGAS = "0.2505,0.29,0.2975,0.305,0.35,0.3975,0.5,1.0,1.2"
+
 # the wave steps 2^-2/s (criterion 07's) and 2^-5/s, for the front's speed s at the default epsilon
 WAVE_DT = {2: "0.005000000000000001", 5: "0.0006250000000000001"}
 
@@ -55,6 +62,11 @@ COMMANDS: dict[str, list[str]] = {
                                    "--dt-factor", factor]
         for branch in "+-"
         for factor in ("0.0625", "0.125", "0.03125")
+    },
+    **{
+        f"sweep{branch}-k-tols-1e4,1e6,inf": ["sweep-omega", "--branch", branch, "--omegas", MIXED_OMEGAS,
+                                              "--cells", "128", "--k-tols", "1e4,1e6,inf"]
+        for branch in "+-"
     },
     "run-spinodal-S4V-64": ["run", "--problem", "spinodal", "--scheme", "S4V", "--cells", "64", "--seed", "1",
                             "--dt", "1e-4", "--t-final", "4e-3", "--snapshots", "0,1e-3,2e-3,3e-3,4e-3",
@@ -95,6 +107,12 @@ COMMANDS: dict[str, list[str]] = {
                           "--out-dir", "{out}"],
     "usage-cells-digit-group": ["run", "--problem", "wave", "--scheme", "S1", "--dt", "1e-3", "--cells", "1_28",
                                 "--out-dir", "{out}"],
+    "usage-sweep-dt-nan": ["sweep-omega", "--branch", "+", "--omegas", "0.5", "--dt", "nan",
+                           "--out", "{out}/sweep.csv"],
+    "usage-sweep-dt-steps": ["sweep-omega", "--branch", "+", "--omegas", "0.5", "--dt", "1e-300",
+                             "--out", "{out}/sweep.csv"],
+    "usage-converge-t-final-nan": ["converge", "--problem", "spinodal", "--schemes", "S1", "--dt-list", "1e-3",
+                                   "--t-final", "nan", "--out", "{out}/spinodal"],
     "usage-flag-over-config": ["run", "--config", "{config}", "--problem", "wave", "--cells", "2_56",
                                "--out-dir", "{out}"],
 }
