@@ -51,6 +51,9 @@ SINGULAR_RADIUS = 1e-6
 # hair above it is well conditioned (b_1 ~ eta^-1/2, no cancellation), so the
 # guard radius is just wide enough to catch the representable neighbourhood
 QUARTER_RADIUS = 1e-12
+# claimed order -> how many of the order_residuals it must satisfy; a
+# fourth-order claim is checked through third order
+_CHECKED_RESIDUALS = {1: 2, 2: 4, 3: 6, 4: 6}
 
 OMEGA_U = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 OMEGA_V = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
@@ -76,23 +79,23 @@ class SplitCoefficients:
     label: str
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        if len(self.a) != len(self.b) or not self.a:
+        a, b = tuple(map(float, self.a)), tuple(map(float, self.b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if len(a) != len(b) or not a:
             raise ValueError("a and b must be non-empty and of equal length")
         if not 1 <= self.claimed_order <= 4:
             raise ValueError(f"claimed_order must be 1..4, got {self.claimed_order}")
         # rejection floor scales with the squared coefficient size: near-singular
         # family parameters give large, exactly-cancelling terms
-        scale = max([1.0] + [v * v for v in self.a + self.b])  # * overflows to inf, ** would raise
+        scale = max([1.0] + [v * v for v in a + b])  # * overflows to inf, ** would raise
         if not scale < math.inf:
             raise InvalidOmega(f"{self.label}: coefficient {self.max_magnitude():g} squares past the float range")
         r = order_residuals(self)
-        checks = {1: r[:2], 2: r[:4], 3: r[:6], 4: r[:6]}[self.claimed_order]
-        if any(not abs(v) <= CONSTRUCTION_TOL * scale for v in checks):  # NaN fails too
-            raise ValueError(
-                f"{self.label}: order-{self.claimed_order} residuals not satisfied: {r}"
-            )
+        floor = CONSTRUCTION_TOL * scale
+        for v in r[: _CHECKED_RESIDUALS[self.claimed_order]]:
+            if not abs(v) <= floor:  # NaN fails too
+                raise ValueError(f"{self.label}: order-{self.claimed_order} residuals not satisfied: {r}")
 
     @property
     def p(self) -> int:
@@ -116,33 +119,23 @@ def order_residuals(c: SplitCoefficients) -> tuple[float, float, float, float, f
      sum_{j>=2} a_j (sum_{k<j} b_k)^2 - 1/3,
      sum_j     b_j (sum_{k<=j} a_k)^2 - 1/3).
 
-    Evaluated in Python floats, each sum left to right as numpy sums fewer
-    than eight terms, so every residual has the bits of the numpy form.
+    Evaluated in Python floats, each sum left to right from its first
+    term, as numpy sums fewer than eight terms, so every residual has the
+    bits of the numpy form; one pass keeps the running sums.
     """
     a, b = c.a, c.b
-    b_before = [0.0] + _running_sums(b)[:-1]  # sum_{k<j} b_k
-    a_through = _running_sums(a)  # sum_{k<=j} a_k
-    return (
-        _sum(a) - 1.0,
-        _sum(b) - 1.0,
-        _sum([x * s for x, s in zip(a, b_before)]) - 0.5,
-        _sum([x * s for x, s in zip(b, a_through)]) - 0.5,
-        _sum([x * (s * s) for x, s in zip(a, b_before)]) - 1.0 / 3.0,
-        _sum([x * (s * s) for x, s in zip(b, a_through)]) - 1.0 / 3.0,
-    )
-
-
-def _running_sums(terms) -> list[float]:
-    """The partial sums ``terms[0]``, ``terms[0] + terms[1]``, ...; ``np.cumsum``'s order."""
-    sums = [terms[0]]
-    for term in terms[1:]:
-        sums.append(sums[-1] + term)
-    return sums
-
-
-def _sum(terms) -> float:
-    """``terms`` summed left to right, the order of ``np.sum`` below eight terms."""
-    return _running_sums(terms)[-1]
+    a_through, b_before = a[0], 0.0  # sum_{k<=j} a_k and sum_{k<j} b_k at j = 0
+    r3, r4, r5, r6 = a[0] * b_before, b[0] * a_through, a[0] * (b_before * b_before), b[0] * (a_through * a_through)
+    b_before = b[0]
+    for j in range(1, len(a)):
+        x, y = a[j], b[j]
+        a_through += x
+        r3 += x * b_before
+        r4 += y * a_through
+        r5 += x * (b_before * b_before)
+        r6 += y * (a_through * a_through)
+        b_before += y
+    return a_through - 1.0, b_before - 1.0, r3 - 0.5, r4 - 0.5, r5 - 1.0 / 3.0, r6 - 1.0 / 3.0
 
 
 def first_order() -> SplitCoefficients:

@@ -10,9 +10,11 @@ backward (tau < 0) substeps.  Where that clamp binds nowhere, the flow on a
 the two a substep takes, with the factors or the clamped multiplier it
 needs, is planned once per ``(grid, tau, k_tol)`` and cached
 (:func:`_heat_plan`).  On those grids the transform pair itself is one
-product per axis with the DCT-II matrix, built here in numpy, so only 1D
-grids and axes over ``FACTOR_MAX_CELLS`` cells call :func:`dctn` and
-:func:`idctn`, which load ``scipy.fft`` on their first call.
+product per axis with the DCT-II matrix, built here in numpy, and on a 1D
+grid of at most ``FACTOR_MAX_CELLS`` cells, a multiple of 16, it is two
+half-size products each way (:func:`_half_heat`).  Only other 1D grids and
+axes over ``FACTOR_MAX_CELLS`` cells call :func:`dctn` and :func:`idctn`,
+which load ``scipy.fft`` on their first call.
 :func:`clamp_binds` tells, from the same largest multiplier, whether a
 clamp changes any multiplier of a run's heat substeps at all.
 
@@ -197,12 +199,14 @@ def free_energy_evolve(f: Field, tau: float, model: ModelParams, peak: float = m
 
 
 def clamped_multipliers(grid: GridSpec, tau, k_tol: float) -> np.ndarray:
-    """``min(exp(A_k * tau), k_tol)`` over the cells of ``grid`` in C order,
-    for a scalar ``tau`` or per row of an ``(R, 1)`` column of them: shape
-    ``(M,)`` or ``(R, M)``; one kernel call builds it.
+    """``min(exp(A_k * tau), k_tol)`` over the modes of ``grid`` in the
+    order :func:`heat_evolve` holds its coefficients (:func:`_mode_order`:
+    even modes then odd ones on a :func:`_half_size` grid, C order
+    elsewhere), for a scalar ``tau`` or per row of an ``(R, 1)`` column of
+    them: shape ``(M,)`` or ``(R, M)``; one kernel call builds it.
     """
     mult = np.empty(np.shape(tau)[:-1] + (grid.cell_count,))
-    _kernels.heat_multiplier_apply(mult, eigenvalue_table(grid).ravel(), tau, k_tol)
+    _kernels.heat_multiplier_apply(mult, _mode_order(grid, eigenvalue_table(grid).ravel()), tau, k_tol)
     return mult
 
 
@@ -215,6 +219,20 @@ FACTOR_MAX_CELLS = 128
 def _factor_grid(grid: GridSpec) -> bool:
     """Whether ``grid`` is 2D/3D with at most ``FACTOR_MAX_CELLS`` cells per axis."""
     return grid.dims >= 2 and max(grid.cells) <= FACTOR_MAX_CELLS
+
+
+# A GEMM of at least two rows against a C-contiguous right operand gives
+# every row the bits it gets in any other such GEMM when the inner size is
+# a multiple of 8 (README, "How a heat substep is applied"); the half-size
+# blocks of a multiple of 16 cells are.
+HALF_SIZE_STEP = 16
+
+
+def _half_size(grid: GridSpec) -> bool:
+    """Whether ``grid`` is 1D with a multiple of ``HALF_SIZE_STEP`` cells, at
+    most ``FACTOR_MAX_CELLS``: its cosine products are :func:`_half_blocks`."""
+    n = grid.cells[0]
+    return grid.dims == 1 and n % HALF_SIZE_STEP == 0 and n <= FACTOR_MAX_CELLS
 
 
 @lru_cache(maxsize=8)
@@ -301,6 +319,99 @@ def _dct_matrix(cells: int) -> np.ndarray:
     return c
 
 
+class _HalfBlocks(NamedTuple):
+    """The half-size blocks ``Ce = C[0::2, :n/2]`` and ``Co = C[1::2, :n/2]``
+    of the DCT-II matrix ``C``, read-only and C-contiguous, each as the
+    right operand of its product; and the modes in [even | odd] order."""
+
+    even: np.ndarray  # Ce^T, forward
+    odd: np.ndarray  # Co^T, forward
+    even_inverse: np.ndarray  # Ce
+    odd_inverse: np.ndarray  # Co
+    order: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _half_blocks(cells: int) -> _HalfBlocks:
+    """Cached :class:`_HalfBlocks` of ``cells`` (even).  Row ``k`` of ``C``
+    is even (``C[k, n-1-j] = C[k, j]``) for even ``k`` and odd for odd
+    ``k``, so the even modes of ``x`` are ``Ce (x_j + x_{n-1-j})`` and the
+    odd ones ``Co (x_j - x_{n-1-j})`` over ``j < n/2`` (Rao & Yip,
+    *Discrete Cosine Transform*, 1990)."""
+    c, half = _dct_matrix(cells), cells // 2
+    even, odd = c[0::2, :half], c[1::2, :half]
+    order = np.concatenate((np.arange(0, cells, 2), np.arange(1, cells, 2)))
+    blocks = [np.ascontiguousarray(m) for m in (even.T, odd.T, even, odd)] + [order]
+    for block in blocks:
+        block.setflags(write=False)
+    return _HalfBlocks(*blocks)
+
+
+def _mode_order(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """``values``, one per mode of ``grid`` in C order, in the order
+    :func:`heat_evolve` holds its coefficients: [even | odd] on a
+    :func:`_half_size` grid, as they are elsewhere."""
+    return values[_half_blocks(grid.cells[0]).order] if _half_size(grid) else values
+
+
+def _end_shift(rows: np.ndarray) -> np.ndarray:
+    """Per row of ``rows``, its end cell of least magnitude, as an ``(R, 1)``
+    column.  The half-size products take it out of the row and add it back
+    after, so a constant row maps to itself exactly, with no rounding left
+    in the modes a clamp amplifies.  Of the two ends, the smaller adds the
+    least rounding: on criterion 04's front, which runs from 1 to 0,
+    shifting by the first cell raised the finest errors 2-3 fold and by the
+    last cell left them at or below the scipy transforms' (README, "How a
+    heat substep is applied")."""
+    ends = rows[:, :: rows.shape[1] - 1]  # the first and the last cell
+    magnitude = np.abs(ends)
+    return np.where(magnitude[:, :1] <= magnitude[:, 1:], ends[:, :1], ends[:, 1:])
+
+
+def _half_forward(rows: np.ndarray, size: int, shift: np.ndarray) -> np.ndarray:
+    """The cosine coefficients of ``rows - shift`` (a column) as a fresh
+    ``(2, size, n/2)`` array of the even modes over the odd ones, through
+    this thread's scratch array.  ``rows`` is ``(R, n)`` with ``R`` at most
+    ``size``, and ``size`` is at least two: a single row is broadcast to
+    two, so that no product has one row, which OpenBLAS hands to GEMV with
+    other bits.  Every product writes a C-contiguous array; one writing
+    into a strided view took 85 against 53 us at 383 x 128."""
+    half = rows.shape[1] // 2
+    blocks = _half_blocks(rows.shape[1])
+    folded, mirrored = _kernels.work((2, size, half))
+    tail = rows[:, : half - 1 : -1]  # x_{n-1-j}, j < n/2
+    np.add(rows[:, :half], tail, out=folded)
+    folded -= 2.0 * shift
+    np.subtract(rows[:, :half], tail, out=mirrored)
+    coeffs = np.empty((2, size, half))
+    np.matmul(folded, blocks.even, out=coeffs[0])
+    np.matmul(mirrored, blocks.odd, out=coeffs[1])
+    return coeffs
+
+
+def _half_heat(rows: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+    """The heat flow of the ``(R, n)`` ``rows`` on a :func:`_half_size`
+    grid, their coefficients scaled by ``multipliers`` in [even | odd]
+    order, one table or one per row: :func:`_half_forward` of the rows less
+    their :func:`_end_shift`, the scaling, then the inverse products with
+    ``Ce`` and ``Co``, with the shift added back to the even part before
+    the two are unfolded.  A single row is computed as the first of two,
+    so every row has the bits it gets in a stack of any size."""
+    size, half = max(len(rows), 2), rows.shape[1] // 2
+    shift = _end_shift(rows)
+    coeffs = _half_forward(rows, size, shift)
+    coeffs *= multipliers.reshape(-1, 2, half).transpose(1, 0, 2)  # as (2, rows, n/2)
+    blocks = _half_blocks(rows.shape[1])
+    even, odd = _kernels.work((2, size, half))
+    np.matmul(coeffs[0], blocks.even_inverse, out=even)
+    np.matmul(coeffs[1], blocks.odd_inverse, out=odd)
+    even += shift  # back in both halves
+    out = coeffs.reshape(size, -1)  # the coefficients are spent: their array takes the result
+    np.add(even, odd, out=out[:, :half])
+    np.subtract(even, odd, out=out[:, : half - 1 : -1])
+    return out[: len(rows)]
+
+
 class _HeatPlan(NamedTuple):
     """How :func:`heat_evolve` applies one heat substep, and its :func:`heat_gain`."""
 
@@ -324,7 +435,8 @@ def _heat_plan(grid: GridSpec, tau: float, k_tol: float) -> _HeatPlan:
     the sum of their absolute values, and so does each row sum.
 
     Elsewhere, the read-only :func:`clamped_multipliers` shaped as
-    ``grid``, and an unknown ``gain``: inf.
+    ``grid`` (in [even | odd] mode order on a :func:`_half_size` grid), and
+    an unknown ``gain``: inf.
     """
     if not _uses_factors(grid, tau, k_tol):
         multiplier = clamped_multipliers(grid, tau, k_tol).reshape(grid.shape)
@@ -356,16 +468,18 @@ def _read_only(factors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple(factors)
 
 
-def _apply_factors(values: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
+def _apply_factors(values: np.ndarray, factors: tuple[np.ndarray, ...], out: np.ndarray | None = None) -> np.ndarray:
     """Multiply ``values`` by one factor along each axis, as three matmuls at
-    most, into a fresh array by way of this thread's scratch array.
+    most, into ``out`` (a fresh array if None, never ``values``) by way of
+    this thread's scratch array.
 
     Axis 0 is one GEMM over all the other axes; the middle and last axes are
     broadcast products over the axis-0 slabs, which OpenBLAS runs on its
     unpacked small-matrix kernel (README, "How a heat substep is applied").
     """
     shape = values.shape
-    out = np.empty(shape)
+    if out is None:
+        out = np.empty(shape)
     # in 3D, out holds the first product until the scratch array takes the second
     mid = out if len(factors) == 3 else _kernels.work(shape)
     np.matmul(factors[0], values.reshape(shape[0], -1), out=mid.reshape(shape[0], -1))
@@ -400,17 +514,22 @@ def heat_evolve(
     the clamped multiplier; every 1D substep takes that path.  Either is
     looked up once, in the cached :func:`_heat_plan`.  On a
     :func:`_factor_grid` the pair is one product per axis with the DCT-II
-    matrices (:func:`_cosine_factors`), which also matches :func:`dctn` and
-    :func:`idctn` to rounding; elsewhere it is those two.
+    matrices (:func:`_cosine_factors`), applied to the field less its first
+    cell, which is added back after, so a constant field maps to itself.
+    On a :func:`_half_size` 1D grid it is two half-size products each way
+    (:func:`_half_heat`), less an end cell of each row.  Both match
+    :func:`dctn` and :func:`idctn` to rounding; every other grid takes
+    those two.
 
     A :class:`FieldStack` of 1D fields takes an ``(R, 1)`` column ``tau``,
     one entry per row.  It is advanced by one transform pair over the grid
     axis, its coefficients scaled by ``multipliers``, the
-    :func:`clamped_multipliers` of ``tau``; the solver passes the tables it
-    keeps per stack, and ``tau`` is then not read.  Where none is passed
-    they are built here, the reference the tests compare those tables
-    against.  Every row gets the bits that row gets alone.  Only a stack
-    reads ``multipliers``.
+    :func:`clamped_multipliers` of ``tau``, in the mode order that function
+    gives; the solver passes the tables it keeps per stack, and ``tau`` is
+    then not read.  Where none is passed they are built here, the
+    reference the tests compare those tables against.  Every row gets the
+    bits that row gets alone: on a half-size grid, each product has at
+    least two rows.  Only a stack reads ``multipliers``.
     """
     stacked = isinstance(f, FieldStack)
     if not stacked:
@@ -423,14 +542,22 @@ def heat_evolve(
         multipliers = plan.multiplier
     elif multipliers is None:
         multipliers = clamped_multipliers(f.grid, tau, policy.k_tol)
+    # an unbounded clamp may overflow the coefficients to inf, and the
+    # inverse products then to NaN; the solver guard catches either
+    if _half_size(f.grid):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _half_heat(f.values.reshape(-1, f.grid.cells[0]), multipliers)
+        return type(f)(f.grid, values.reshape(f.values.shape))
     if _factor_grid(f.grid):  # the clamp binds: the transform pair, as per-axis products
         forward, inverse = _cosine_factors(f.grid.cells)
-        # an unbounded clamp may overflow the coefficients to inf, and the
-        # inverse products then to NaN; the solver guard catches either
+        first = f.values.flat[0]  # taken out and added back, so a constant field maps to itself
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = _apply_factors(f.values, forward)
+            shifted = np.subtract(f.values, first)
+            coeffs = _apply_factors(shifted, forward)
             np.multiply(coeffs, multipliers, out=coeffs)
-            return Field(f.grid, _apply_factors(coeffs, inverse))
+            out = _apply_factors(coeffs, inverse, out=shifted)
+            out += first
+            return Field(f.grid, out)
     axes = (1,) if stacked else None  # every axis of a field; faster than naming them
     coeffs = dctn(f.values, type=2, norm="ortho", axes=axes)
     # an unbounded clamp may overflow the product to inf; the solver guard
@@ -477,8 +604,11 @@ def energy(f: Field, model: ModelParams) -> float:
     spectrally through the cosine coefficients ``c_k``.  On a
     :func:`_factor_grid` the gradient term is ``1/2 * sum_i ||S_i x_i phi||^2``
     (see :func:`_gradient_factors`), which agrees to rounding and needs no
-    transform; elsewhere it takes one forward transform.  The bulk term and
-    the factor products are computed in this thread's scratch array.
+    transform.  On a :func:`_half_size` 1D grid the coefficients are the
+    half-size products of :func:`_half_forward`, of ``phi`` less its
+    :func:`_end_shift`, which changes only ``c_0``, whose eigenvalue is 0;
+    they also agree to rounding.  Elsewhere it takes one forward transform.  The bulk term
+    and the products are computed in this thread's scratch array.
     """
     values, grid = f.values, f.grid
     w = _kernels.work(values.shape)
@@ -490,6 +620,10 @@ def energy(f: Field, model: ModelParams) -> float:
     if _factor_grid(grid):
         grad = 0.5 * _factor_gradient(values, _gradient_factors(grid), w)
     else:
-        coeffs = dctn(values, type=2, norm="ortho")
-        grad = -0.5 * float(np.sum(eigenvalue_table(grid) * coeffs * coeffs))
+        if _half_size(grid):
+            row = values[np.newaxis]
+            coeffs = _half_forward(row, 2, _end_shift(row))[:, 0].ravel()  # [even | odd]
+        else:
+            coeffs = dctn(values, type=2, norm="ortho")
+        grad = -0.5 * float(np.sum(_mode_order(grid, eigenvalue_table(grid)) * coeffs * coeffs))
     return grid.cell_volume * (bulk + grad)

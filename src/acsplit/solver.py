@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,6 +110,15 @@ class StepPlan:
         return i
 
 
+@lru_cache(maxsize=64, typed=True)
+def _step_plan(dt: float, t_final: float) -> StepPlan:
+    """:meth:`StepPlan.of`, cached: a plan is frozen and ``of`` is pure, and a
+    sweep checks thousands of configs over a handful of ``(dt, t_final)``.
+    Typed, so a plan keeps the number types it was asked with; a refusal
+    is raised, never cached."""
+    return StepPlan.of(dt, t_final)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: scheme, step size, horizon, model and safeguards.
@@ -129,7 +139,7 @@ class RunConfig:
 
     def __post_init__(self):
         # refuses a bad dt, t_final or step count; set past the frozen __setattr__
-        object.__setattr__(self, "plan", StepPlan.of(self.dt, self.t_final))
+        object.__setattr__(self, "plan", _step_plan(self.dt, self.t_final))
         slack = 1e-12 * self.t_final  # the tolerance run() allows on the horizon
         for t in self.snapshot_times:
             if not -slack <= t <= self.t_final + slack:
@@ -377,8 +387,10 @@ def _stack_step(grid, cfg: RunConfig, rules: Sequence[StepRule]):
     schedule the same kinds of substep at each :meth:`StepRule.position`,
     as rows of one 1D stack; ``cfg`` is that of one run.  Each substep at
     each position gets one row constant, built once: a heat substep's
-    ``(R, M)`` table of the rows' clamped multipliers, or a reaction's
-    ``(R, 1)`` column of decay factors.  The guard scans rows only where a
+    ``(R, M)`` table of the rows' clamped multipliers, in the mode order
+    :func:`heat_evolve` holds its coefficients in (even modes, then odd,
+    on a half-size grid), or a reaction's ``(R, 1)`` column of decay
+    factors.  The guard scans rows only where a
     whole-stack check fails."""
     model, cutoff, phi_max = cfg.model, cfg.cutoff, cfg.phi_max
     schedule = rules[0].schedule

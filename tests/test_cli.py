@@ -304,8 +304,10 @@ def test_run_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_scipy_fft_is_loaded_by_a_1d_run_only(tmp_path):
     # a 2D/3D process on at most FACTOR_MAX_CELLS cells per axis builds its
-    # DCT-II matrices in numpy, clamped substeps included; only a 1D grid
-    # (or a longer axis) imports scipy.fft, on its first transform
+    # DCT-II matrices in numpy, clamped substeps included, and so does a 1D
+    # grid of a multiple of 16 cells up to FACTOR_MAX_CELLS (half-size
+    # products, energy included); only other 1D grids (or a longer axis)
+    # import scipy.fft, on their first transform
     script = f"""
 import sys
 import numpy as np
@@ -324,15 +326,25 @@ grid = GridSpec.box(1.0, 16, 3)
 assert not _uses_factors(grid, -1e-3, 10.0)
 heat_evolve(Field(grid, np.random.default_rng(1).standard_normal(grid.shape)), -1e-3, CutoffPolicy(10.0))
 print("scipy.fft" in sys.modules)
-assert main(["run", "--problem", "wave", "--scheme", "S1", "--cells", "16", "--dt", "1e-3",
-             "--out-dir", {str(tmp_path / "1d")!r}]) == 0
+assert main(["run", "--problem", "wave", "--scheme", "S3X", "--cells", "128", "--dt", "1e-3",
+             "--out-dir", {str(tmp_path / "1d-128")!r}]) == 0
+assert main(["sweep-omega", "--branch", "+", "--omegas", "0.3,0.5,0.7", "--k-tols", "1e4,inf",
+             "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+print("scipy.fft" in sys.modules)
+assert main(["run", "--problem", "wave", "--scheme", "S1", "--cells", "100", "--dt", "1e-3",
+             "--out-dir", {str(tmp_path / "1d-100")!r}]) == 0
 print("scipy.fft" in sys.modules)
 """
     src = str(Path(acsplit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["False", "False", "True"]
     assert (tmp_path / "3d" / "snapshot_t0.0005.acf").exists()
+    # the 128-cell run recorded its energy, and the sweep ran a clamped row
+    energies = [row["energy"] for row in read_csv_rows(tmp_path / "1d-128" / "diagnostics.csv")]
+    assert len(energies) == 21 and all(float(e) > 0.0 for e in energies)
+    sweep = read_csv_rows(tmp_path / "sweep.csv")
+    assert len(sweep) == 3 and sweep[0]["err_ktol_10000"] != sweep[0]["err_ktol_inf"]
 
 
 def test_csv_headers_are_pinned(tmp_path, capsys):

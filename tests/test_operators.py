@@ -104,9 +104,13 @@ def mode_field(grid, k):
 
 
 def test_heat_preserves_constants():
-    for tau in [1e-6, 0.1, 50.0, -0.2]:
-        out = heat_evolve(scalar_field(2.5, m=16), tau)
-        np.testing.assert_allclose(out.values, 2.5, rtol=1e-13)
+    # tau = -0.2 binds the default clamp on every grid here: the 2D/3D
+    # transform pair, too, must not leak rounding into the clamped modes
+    for cells, dims in [(16, 1), (16, 2), (16, 3), (64, 2), (32, 3)]:
+        grid = GridSpec.box(1.0, cells, dims)
+        for tau in [1e-6, 0.1, 50.0, -0.2]:
+            out = heat_evolve(Field(grid, np.full(grid.shape, 2.5)), tau)
+            np.testing.assert_allclose(out.values, 2.5, rtol=1e-13, err_msg=f"{grid.shape} tau={tau}")
 
 
 def test_heat_single_mode_decay():
@@ -248,16 +252,16 @@ def test_heat_factor_path_matches_the_transform_formula(grid, tau, k_tol):
 @pytest.mark.parametrize(
     "grid, tau, k_tol",
     [
-        (GridSpec.line(1.0, 64), 0.003, 1e9),  # 1D
-        (GridSpec.line(1.0, 64), -1e-3, np.inf),
+        (GridSpec.line(1.0, 100), 0.003, 1e9),  # 1D, not a multiple of 16 cells
+        (GridSpec.line(1.0, 100), -1e-3, np.inf),
         (GridSpec((1.0, 1.0), (130, 4)), 0.003, 1e9),  # an axis past FACTOR_MAX_CELLS
     ],
     ids=["1d", "1d-unclamped", "long-axis"],
 )
 def test_heat_transform_path_keeps_the_formula_bytes(grid, tau, k_tol):
-    from acsplit.operators import _heat_plan, _uses_factors
+    from acsplit.operators import _half_size, _heat_plan, _uses_factors
 
-    assert not _uses_factors(grid, tau, k_tol)
+    assert not _uses_factors(grid, tau, k_tol) and not _half_size(grid)
     rng = np.random.default_rng(22)
     _heat_plan.cache_clear()
     for values in (rng.standard_normal(grid.shape), np.zeros(grid.shape)):
@@ -305,6 +309,53 @@ def test_clamped_heat_on_a_factor_grid_matches_the_transform_formula(grid, tau, 
     assert zeros.tobytes() == np.zeros(grid.shape).tobytes()
     assert operators._heat_plan.cache_info().currsize == 1
     assert operators._heat_plan(grid, tau, k_tol).factors is None
+
+
+@pytest.mark.parametrize("k_tol", [1e9, np.inf])
+@pytest.mark.parametrize("tau", [0.003, -1e-3])
+@pytest.mark.parametrize("cells", [16, 64, 128])
+def test_half_size_heat_matches_the_transform_formula(cells, tau, k_tol, monkeypatch):
+    # a 1D grid of a multiple of 16 cells, up to FACTOR_MAX_CELLS, applies
+    # the transform pair as half-size products, never through operators.dctn/idctn
+    from acsplit import operators
+
+    grid = GridSpec.line(1.0, cells)
+    assert operators._half_size(grid) and not operators._uses_factors(grid, tau, k_tol)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a half-size grid made a scipy transform")
+
+    monkeypatch.setattr(operators, "dctn", refuse)
+    monkeypatch.setattr(operators, "idctn", refuse)
+    rng = np.random.default_rng(22)
+    operators._heat_plan.cache_clear()
+    f = Field(grid, rng.standard_normal(grid.shape))
+    got = heat_evolve(f, tau, CutoffPolicy(k_tol)).values
+    want = explicit_heat(f, tau, k_tol)
+    np.testing.assert_allclose(got, want, rtol=0, atol=4e-15 * np.abs(want).max())
+    # zeros stay zeros, not inf * 0, and no factor was built on the way
+    zeros = heat_evolve(Field(grid, np.zeros(grid.shape)), tau, CutoffPolicy(k_tol)).values
+    assert zeros.tobytes() == np.zeros(grid.shape).tobytes()
+    assert operators._heat_plan.cache_info().currsize == 1
+    assert operators._heat_plan(grid, tau, k_tol).factors is None
+
+
+def test_half_size_blocks_hold_the_dct_matrix():
+    from acsplit.operators import _dct_matrix, _half_blocks
+
+    for n in range(16, 129, 16):
+        blocks, c = _half_blocks(n), _dct_matrix(n)
+        order = blocks.order
+        assert sorted(order) == list(range(n)) and list(order[: n // 2]) == list(range(0, n, 2))
+        for block in blocks:
+            assert not block.flags.writeable and block.flags.c_contiguous
+        np.testing.assert_array_equal(blocks.even_inverse, c[0::2, : n // 2])
+        np.testing.assert_array_equal(blocks.odd_inverse, c[1::2, : n // 2])
+        np.testing.assert_array_equal(blocks.even, c[0::2, : n // 2].T)
+        np.testing.assert_array_equal(blocks.odd, c[1::2, : n // 2].T)
+        # row k of C is even about the middle for even k and odd for odd k
+        np.testing.assert_allclose(c[0::2, n // 2 :], c[0::2, n // 2 - 1 :: -1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(c[1::2, n // 2 :], -c[1::2, n // 2 - 1 :: -1], rtol=0, atol=1e-15)
 
 
 def test_dct_matrix_is_orthonormal_and_matches_scipy():
@@ -570,15 +621,30 @@ def test_energy_factor_path_matches_the_transform_formula(grid):
         assert energy(f, MODEL) == pytest.approx(explicit_energy(f, MODEL), rel=1e-12)
 
 
+@pytest.mark.parametrize("cells", [16, 64, 128])
+def test_energy_half_size_path_matches_the_transform_formula(cells, monkeypatch):
+    from acsplit import operators
+
+    grid = GridSpec.line(1.0, cells)
+    assert operators._half_size(grid)
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        f = Field(grid, rng.uniform(-1.0, 1.0, grid.shape))
+        want = explicit_energy(f, MODEL)
+        with monkeypatch.context() as m:
+            m.setattr(operators, "dctn", None)  # no scipy transform is made
+            assert energy(f, MODEL) == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "grid",
-    [GridSpec.line(1.0, 64), GridSpec((1.0, 1.0), (130, 4))],
+    [GridSpec.line(1.0, 100), GridSpec((1.0, 1.0), (130, 4))],
     ids=["1d", "long-axis"],
 )
 def test_energy_off_the_factor_path_keeps_the_formula_bytes(grid):
-    from acsplit.operators import _factor_grid, _gradient_factors
+    from acsplit.operators import _factor_grid, _gradient_factors, _half_size
 
-    assert not _factor_grid(grid)
+    assert not _factor_grid(grid) and not _half_size(grid)
     _gradient_factors.cache_clear()
     rng = np.random.default_rng(25)
     for _ in range(3):

@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,6 +467,48 @@ def _assert_ensemble_matches_serial_runs(f0, configs):
         assert got.final.values.tobytes() == want.final.values.tobytes(), label
         steps.append(want.diverged_step)
     return steps
+
+
+# Every row of a half-size 1D stack has the bits of its one-row heat, which
+# is the first row of a two-row product, under either BLAS thread count;
+# and a stack compacted to one row steps as run() does.
+_ROW_BITS_SCRIPT = """
+import numpy as np
+from acsplit import CutoffPolicy, Field, GridSpec, ModelParams, named_scheme
+from acsplit.grid import FieldStack
+from acsplit.operators import _half_size, heat_evolve
+from acsplit.solver import RunConfig, run, run_ensemble
+
+rng = np.random.default_rng(7)
+policy = CutoffPolicy(1e4)
+for n in range(16, 129, 16):
+    grid = GridSpec.line(1.0, n)
+    assert _half_size(grid)
+    for rows in (2, 3, 9, 24, 383, 765):
+        taus = rng.choice([3e-3, 0.0, -1e-4, -1e-3], size=(rows, 1))  # the clamp binds on some
+        values = rng.standard_normal((rows, n))
+        stack = heat_evolve(FieldStack(grid, values), taus, policy).values
+        for row, tau, got in zip(values, taus[:, 0], stack):
+            assert got.tobytes() == heat_evolve(Field(grid, row), tau, policy).values.tobytes(), (n, rows)
+
+eps = 0.03 * np.sqrt(2.0)
+f0 = Field(GridSpec.line(1.0, 64), np.random.default_rng(2).uniform(-1.0, 1.0, 64))
+configs = [RunConfig(named_scheme(s), 2 * eps**2, 24.6 * eps**2, ModelParams(eps), policy, phi_max=1.02,
+                     record_energy=False) for s in ("S3(0.3,+)", "S3(0.5,-)")]
+left, kept = run_ensemble(f0, configs)
+assert left.diverged_step == 3 and kept.completed and configs[1].plan.n_steps == 13
+assert kept.final.values.tobytes() == run(f0, configs[1]).final.values.tobytes()
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_half_size_stack_rows_keep_their_serial_bits(threads):
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _ROW_BITS_SCRIPT], env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.split() == ["ok"], done.stderr
 
 
 def test_2d_ensemble_matches_serial_runs():

@@ -10,8 +10,9 @@ some clamps bind and others share a run, and a reference set of `run`,
 `converge` and `coeffs` commands
 that covers the 3D factor path, a clamped 3D run, snapshots, both studies,
 a wave study whose stacked S3Y run diverges, a diverging 1D run, a run
-whose field overflows a square, and a wave run on a longer domain under a
-tighter guard (`--length 8 --phi-max 1.5`), whose header names both.  It
+whose field overflows a square, a wave run on a longer domain under a
+tighter guard (`--length 8 --phi-max 1.5`), whose header names both, and a
+100-cell wave run, whose cell count takes the scipy transforms.  It
 also pins the messages of ten usage errors: a bad list entry, a repeated
 dt, an empty clamp list, a missing --dt, a guard at or below 1 (named by
 its flag, --phi-max), a digit group in --cells, flags that override
@@ -94,6 +95,8 @@ COMMANDS: dict[str, list[str]] = {
     "run-wave-S2(1)-length-8-phi-max-1.5": ["run", "--problem", "wave", "--scheme", "S2(1)", "--dt", "1e-3",
                                             "--t-final", "3e-3", "--cells", "32", "--length", "8",
                                             "--phi-max", "1.5", "--out-dir", "{out}"],
+    "run-wave-S3X-100": ["run", "--problem", "wave", "--scheme", "S3X", "--cells", "100", "--dt", WAVE_DT[5],
+                         "--snapshots", "0.01,0.02", "--out-dir", "{out}"],
     "coeffs-S3X": ["coeffs", "--scheme", "S3X"],
     "coeffs-S3-": ["coeffs", "--family", "S3-", "--omega-min", "0.2505", "--omega-max", "1.2",
                    "--omega-step", "0.0025"],
