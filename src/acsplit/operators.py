@@ -4,19 +4,13 @@
 form per cell; ``heat_evolve`` solves ``dphi/dt = laplacian(phi)`` exactly in
 cosine space, with a clamp ``min(exp(A_k * tau), K_tol)`` on the spectral
 multiplier that limits the exponential amplification of high modes during
-backward (tau < 0) substeps.  Where that clamp binds nowhere, the flow on a
-2D/3D grid is the tensor product of one small dense matrix per axis, and
-:func:`heat_evolve` applies those instead of a transform pair.  Which of
-the two a substep takes, with the factors or the clamped multiplier it
-needs, is planned once per ``(grid, tau, k_tol)`` and cached
-(:func:`_heat_plan`).  On those grids the transform pair itself is one
-product per axis with the DCT-II matrix, built here in numpy, and on a 1D
-grid of at most ``FACTOR_MAX_CELLS`` cells, a multiple of 16, it is two
-half-size products each way (:func:`_half_heat`).  Only other 1D grids and
-axes over ``FACTOR_MAX_CELLS`` cells call :func:`dctn` and :func:`idctn`,
-which load ``scipy.fft`` on their first call.
-:func:`clamp_binds` tells, from the same largest multiplier, whether a
-clamp changes any multiplier of a run's heat substeps at all.
+backward (tau < 0) substeps.  Every cosine transform of a grid goes through
+its one cached :func:`cosine_basis`.  Where the clamp binds nowhere, the
+flow on a 2D/3D grid is instead the tensor product of one small dense
+matrix per axis; which of the two a substep takes is planned once per
+``(grid, tau, k_tol)`` and cached (:func:`_heat_plan`).  :func:`clamp_binds`
+tells, from the same largest multiplier, whether a clamp changes any
+multiplier of a run's heat substeps at all.
 
 :func:`heat_gain` and :func:`reaction_peak` carry an upper bound on
 ``max|phi|`` through a substep wherever it can be certified, so that the
@@ -35,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .grid import Field, FieldStack, GridSpec
-from .spectral import axis_eigenvalues, eigenvalue_table
+from .spectral import axis_eigenvalues, dctn, eigenvalue_table, idctn
 
 __all__ = [
     "CutoffPolicy",
@@ -200,13 +194,10 @@ def free_energy_evolve(f: Field, tau: float, model: ModelParams, peak: float = m
 
 def clamped_multipliers(grid: GridSpec, tau, k_tol: float) -> np.ndarray:
     """``min(exp(A_k * tau), k_tol)`` over the modes of ``grid`` in the
-    order :func:`heat_evolve` holds its coefficients (:func:`_mode_order`:
-    even modes then odd ones on a :func:`_half_size` grid, C order
-    elsewhere), for a scalar ``tau`` or per row of an ``(R, 1)`` column of
-    them: shape ``(M,)`` or ``(R, M)``; one kernel call builds it.
-    """
+    ``order`` of its :func:`cosine_basis`, for a scalar ``tau`` or per row of
+    an ``(R, 1)`` column of them: shape ``(M,)`` or ``(R, M)``."""
     mult = np.empty(np.shape(tau)[:-1] + (grid.cell_count,))
-    _kernels.heat_multiplier_apply(mult, _mode_order(grid, eigenvalue_table(grid).ravel()), tau, k_tol)
+    _kernels.heat_multiplier_apply(mult, eigenvalue_table(grid).ravel()[cosine_basis(grid).order], tau, k_tol)
     return mult
 
 
@@ -230,7 +221,7 @@ HALF_SIZE_STEP = 16
 
 def _half_size(grid: GridSpec) -> bool:
     """Whether ``grid`` is 1D with a multiple of ``HALF_SIZE_STEP`` cells, at
-    most ``FACTOR_MAX_CELLS``: its cosine products are :func:`_half_blocks`."""
+    most ``FACTOR_MAX_CELLS``: its basis is half-size products."""
     n = grid.cells[0]
     return grid.dims == 1 and n % HALF_SIZE_STEP == 0 and n <= FACTOR_MAX_CELLS
 
@@ -286,21 +277,6 @@ def clamp_binds(grid: GridSpec, taus, k_tol: float) -> bool:
     return any(tau < 0 and not _largest_multiplier(grid, tau) * (1.0 + BOUND_MARGIN) <= k_tol for tau in taus)
 
 
-def dctn(x, **kwargs) -> np.ndarray:
-    """``scipy.fft.dctn(x, **kwargs)``.  scipy is imported on the first call,
-    so a process that makes no transform never loads it."""
-    import scipy.fft
-
-    return scipy.fft.dctn(x, **kwargs)
-
-
-def idctn(x, **kwargs) -> np.ndarray:
-    """``scipy.fft.idctn(x, **kwargs)``, imported as :func:`dctn` imports it."""
-    import scipy.fft
-
-    return scipy.fft.idctn(x, **kwargs)
-
-
 @lru_cache(maxsize=8)
 def _dct_matrix(cells: int) -> np.ndarray:
     """Cached, read-only orthonormal DCT-II matrix ``C`` of size ``cells``:
@@ -308,8 +284,8 @@ def _dct_matrix(cells: int) -> np.ndarray:
 
     The argument is reduced exactly in integers, ``m = k (2j + 1) mod 4n``,
     so the cosine is taken of ``pi m / 2n`` in ``[0, 2 pi)``.  Up to
-    ``FACTOR_MAX_CELLS`` cells, ``C`` is within 1e-15 of scipy's
-    ``dct(eye(n))`` and ``C C^T`` within 2e-15 of the identity.
+    ``FACTOR_MAX_CELLS`` cells, ``C`` is within 1e-15 of the FFT-based
+    transform of the identity and ``C C^T`` within 2e-15 of the identity.
     """
     k = np.arange(cells)[:, np.newaxis]
     m = (k * (2 * np.arange(cells) + 1)) % (4 * cells)
@@ -319,104 +295,144 @@ def _dct_matrix(cells: int) -> np.ndarray:
     return c
 
 
-class _HalfBlocks(NamedTuple):
-    """The half-size blocks ``Ce = C[0::2, :n/2]`` and ``Co = C[1::2, :n/2]``
-    of the DCT-II matrix ``C``, read-only and C-contiguous, each as the
-    right operand of its product; and the modes in [even | odd] order."""
+class CosineBasis:
+    """The orthonormal cosine transform of one grid, here :func:`dctn` and
+    :func:`idctn`; :func:`cosine_basis` gives each grid its own.
 
-    even: np.ndarray  # Ce^T, forward
-    odd: np.ndarray  # Co^T, forward
-    even_inverse: np.ndarray  # Ce
-    odd_inverse: np.ndarray  # Co
-    order: np.ndarray
+    ``forward(values, shift)`` maps a field, or a 1D ``(R, M)`` stack, less
+    ``shift`` to coefficients held in a layout of the basis, and
+    ``inverse(coeffs, shift, shape)`` maps them back, ``shift`` added; it may
+    overwrite ``coeffs``.  ``order`` takes a table of a value per mode from
+    C order to the basis's order, ``layout`` puts one such table, or one per
+    row, in the layout of the coefficients, and ``modes`` gives one field's
+    coefficients flat in that order.
 
+    ``shift(values)`` is the one shift rule: the end cell of least magnitude
+    per 1D row (the end that adds the least rounding, README "How a heat
+    substep is applied"), the first cell in 2D/3D.  It changes only the
+    mean mode, so a constant field leaves no rounding in the modes a clamp
+    amplifies.  Here it goes back into the mean mode, not into every cell,
+    where it would round at the size a backward substep has grown them to.
+    """
 
-@lru_cache(maxsize=4)
-def _half_blocks(cells: int) -> _HalfBlocks:
-    """Cached :class:`_HalfBlocks` of ``cells`` (even).  Row ``k`` of ``C``
-    is even (``C[k, n-1-j] = C[k, j]``) for even ``k`` and odd for odd
-    ``k``, so the even modes of ``x`` are ``Ce (x_j + x_{n-1-j})`` and the
-    odd ones ``Co (x_j - x_{n-1-j})`` over ``j < n/2`` (Rao & Yip,
-    *Discrete Cosine Transform*, 1990)."""
-    c, half = _dct_matrix(cells), cells // 2
-    even, odd = c[0::2, :half], c[1::2, :half]
-    order = np.concatenate((np.arange(0, cells, 2), np.arange(1, cells, 2)))
-    blocks = [np.ascontiguousarray(m) for m in (even.T, odd.T, even, odd)] + [order]
-    for block in blocks:
-        block.setflags(write=False)
-    return _HalfBlocks(*blocks)
+    def __init__(self, grid: GridSpec):
+        self.cells, self.size = grid.cells, grid.cell_count
+        self.order = slice(None)
+        self.axes = (-1,) if grid.dims == 1 else None
 
+    def shift(self, values: np.ndarray):
+        if len(self.cells) > 1:
+            return values.flat[0]
+        ends = values.reshape(-1, self.size)[:, :: self.size - 1]  # per row, as an (R, 1) column
+        magnitude = np.abs(ends)
+        return np.where(magnitude[:, :1] <= magnitude[:, 1:], ends[:, :1], ends[:, 1:])
 
-def _mode_order(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """``values``, one per mode of ``grid`` in C order, in the order
-    :func:`heat_evolve` holds its coefficients: [even | odd] on a
-    :func:`_half_size` grid, as they are elsewhere."""
-    return values[_half_blocks(grid.cells[0]).order] if _half_size(grid) else values
+    def forward(self, values: np.ndarray, shift) -> np.ndarray:
+        coeffs = dctn(values - shift, axes=self.axes)
+        # the mean modes, through a view: dctn ends on the last axis, so its result is C-contiguous
+        coeffs.reshape(-1, self.size)[:, :1] += shift * math.sqrt(self.size)
+        return coeffs
 
+    def inverse(self, coeffs: np.ndarray, shift, shape: tuple[int, ...]) -> np.ndarray:
+        return idctn(coeffs, axes=self.axes).reshape(shape)
 
-def _end_shift(rows: np.ndarray) -> np.ndarray:
-    """Per row of ``rows``, its end cell of least magnitude, as an ``(R, 1)``
-    column.  The half-size products take it out of the row and add it back
-    after, so a constant row maps to itself exactly, with no rounding left
-    in the modes a clamp amplifies.  Of the two ends, the smaller adds the
-    least rounding: on criterion 04's front, which runs from 1 to 0,
-    shifting by the first cell raised the finest errors 2-3 fold and by the
-    last cell left them at or below the scipy transforms' (README, "How a
-    heat substep is applied")."""
-    ends = rows[:, :: rows.shape[1] - 1]  # the first and the last cell
-    magnitude = np.abs(ends)
-    return np.where(magnitude[:, :1] <= magnitude[:, 1:], ends[:, :1], ends[:, 1:])
+    def modes(self, coeffs: np.ndarray) -> np.ndarray:
+        return coeffs.ravel()
 
-
-def _half_forward(rows: np.ndarray, size: int, shift: np.ndarray) -> np.ndarray:
-    """The cosine coefficients of ``rows - shift`` (a column) as a fresh
-    ``(2, size, n/2)`` array of the even modes over the odd ones, through
-    this thread's scratch array.  ``rows`` is ``(R, n)`` with ``R`` at most
-    ``size``, and ``size`` is at least two: a single row is broadcast to
-    two, so that no product has one row, which OpenBLAS hands to GEMV with
-    other bits.  Every product writes a C-contiguous array; one writing
-    into a strided view took 85 against 53 us at 383 x 128."""
-    half = rows.shape[1] // 2
-    blocks = _half_blocks(rows.shape[1])
-    folded, mirrored = _kernels.work((2, size, half))
-    tail = rows[:, : half - 1 : -1]  # x_{n-1-j}, j < n/2
-    np.add(rows[:, :half], tail, out=folded)
-    folded -= 2.0 * shift
-    np.subtract(rows[:, :half], tail, out=mirrored)
-    coeffs = np.empty((2, size, half))
-    np.matmul(folded, blocks.even, out=coeffs[0])
-    np.matmul(mirrored, blocks.odd, out=coeffs[1])
-    return coeffs
+    def layout(self, table: np.ndarray) -> np.ndarray:
+        return table.reshape(table.shape[:-1] + self.cells)
 
 
-def _half_heat(rows: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-    """The heat flow of the ``(R, n)`` ``rows`` on a :func:`_half_size`
-    grid, their coefficients scaled by ``multipliers`` in [even | odd]
-    order, one table or one per row: :func:`_half_forward` of the rows less
-    their :func:`_end_shift`, the scaling, then the inverse products with
-    ``Ce`` and ``Co``, with the shift added back to the even part before
-    the two are unfolded.  A single row is computed as the first of two,
-    so every row has the bits it gets in a stack of any size."""
-    size, half = max(len(rows), 2), rows.shape[1] // 2
-    shift = _end_shift(rows)
-    coeffs = _half_forward(rows, size, shift)
-    coeffs *= multipliers.reshape(-1, 2, half).transpose(1, 0, 2)  # as (2, rows, n/2)
-    blocks = _half_blocks(rows.shape[1])
-    even, odd = _kernels.work((2, size, half))
-    np.matmul(coeffs[0], blocks.even_inverse, out=even)
-    np.matmul(coeffs[1], blocks.odd_inverse, out=odd)
-    even += shift  # back in both halves
-    out = coeffs.reshape(size, -1)  # the coefficients are spent: their array takes the result
-    np.add(even, odd, out=out[:, :half])
-    np.subtract(even, odd, out=out[:, : half - 1 : -1])
-    return out[: len(rows)]
+class _HalfBasis(CosineBasis):
+    """The basis of a :func:`_half_size` grid.  Row ``k`` of the DCT-II
+    matrix ``C`` is even about the middle for even ``k``, odd for odd ``k``,
+    so the even modes are ``Ce (x_j + x_{n-1-j} - 2s)`` and the odd ones
+    ``Co (x_j - x_{n-1-j})``, ``j < n/2``, with ``Ce = C[0::2, :n/2]`` and
+    ``Co = C[1::2, :n/2]`` (Rao & Yip, *Discrete Cosine Transform*, 1990),
+    held as a ``(2, R, n/2)`` array; the inverse adds ``s`` to the even part.
+
+    A single row is broadcast to two, as no product may have one row, which
+    OpenBLAS hands to GEMV with other bits: every row has the bits it gets
+    in a stack of any size.  Every product writes a C-contiguous array (a
+    strided one took 85 against 53 us at 383 x 128).
+    """
+
+    def __init__(self, grid: GridSpec):
+        super().__init__(grid)
+        c, half = _dct_matrix(self.size), self.size // 2
+        even, odd = c[0::2, :half], c[1::2, :half]
+        # read-only, C-contiguous right operands: Ce^T, Co^T forward, Ce, Co back
+        self.blocks = tuple(np.ascontiguousarray(m) for m in (even.T, odd.T, even, odd))
+        self.order = np.concatenate((np.arange(0, self.size, 2), np.arange(1, self.size, 2)))
+        for array in (*self.blocks, self.order):
+            array.setflags(write=False)
+
+    def forward(self, values: np.ndarray, shift) -> np.ndarray:
+        rows = values.reshape(-1, self.size)
+        size, half = max(len(rows), 2), self.size // 2
+        folded, mirrored = _kernels.work((2, size, half))
+        tail = rows[:, : half - 1 : -1]  # x_{n-1-j}, j < n/2
+        np.add(rows[:, :half], tail, out=folded)
+        folded -= 2.0 * shift
+        np.subtract(rows[:, :half], tail, out=mirrored)
+        coeffs = np.empty((2, size, half))
+        np.matmul(folded, self.blocks[0], out=coeffs[0])
+        np.matmul(mirrored, self.blocks[1], out=coeffs[1])
+        return coeffs
+
+    def inverse(self, coeffs: np.ndarray, shift, shape: tuple[int, ...]) -> np.ndarray:
+        size, half = coeffs.shape[1:]
+        even, odd = _kernels.work((2, size, half))
+        np.matmul(coeffs[0], self.blocks[2], out=even)
+        np.matmul(coeffs[1], self.blocks[3], out=odd)
+        even += shift  # back in both halves
+        out = coeffs.reshape(size, -1)  # the coefficients are spent: their array takes the result
+        np.add(even, odd, out=out[:, :half])
+        np.subtract(even, odd, out=out[:, : half - 1 : -1])
+        return out[: math.prod(shape) // self.size].reshape(shape)
+
+    def modes(self, coeffs: np.ndarray) -> np.ndarray:
+        return coeffs[:, 0].ravel()
+
+    def layout(self, table: np.ndarray) -> np.ndarray:
+        return table.reshape(-1, 2, self.size // 2).transpose(1, 0, 2)  # as (2, rows, n/2)
+
+
+class _ProductBasis(CosineBasis):
+    """The basis of a :func:`_factor_grid`: one product per axis
+    (:func:`_apply_factors`) with the DCT-II matrices ``C_i`` forward and
+    ``C_i^T`` back, the shift added back to every cell."""
+
+    def __init__(self, grid: GridSpec):
+        super().__init__(grid)
+        self.factors = _read_only([_dct_matrix(n) for n in grid.cells])
+        self.inverse_factors = tuple(_dct_matrix(n).T for n in grid.cells)  # the last .T is C, C-contiguous
+
+    def forward(self, values: np.ndarray, shift) -> np.ndarray:
+        return _apply_factors(np.subtract(values, shift), self.factors)
+
+    def inverse(self, coeffs: np.ndarray, shift, shape: tuple[int, ...]) -> np.ndarray:
+        out = _apply_factors(coeffs, self.inverse_factors)
+        out += shift
+        return out
+
+
+@lru_cache(maxsize=8)
+def cosine_basis(grid: GridSpec) -> CosineBasis:
+    """The cached :class:`CosineBasis` of ``grid``, the one place that picks
+    how a transform is computed: half-size products on a :func:`_half_size`
+    grid, per-axis products on a :func:`_factor_grid`, :func:`dctn` and
+    :func:`idctn` elsewhere."""
+    if _half_size(grid):
+        return _HalfBasis(grid)
+    return _ProductBasis(grid) if _factor_grid(grid) else CosineBasis(grid)
 
 
 class _HeatPlan(NamedTuple):
     """How :func:`heat_evolve` applies one heat substep, and its :func:`heat_gain`."""
 
     factors: tuple[np.ndarray, ...] | None  # read-only, where _uses_factors holds
-    multiplier: np.ndarray | None  # read-only, shaped as the grid, elsewhere
+    multiplier: np.ndarray | None  # read-only, one per mode, elsewhere
     gain: float
 
 
@@ -434,12 +450,11 @@ def _heat_plan(grid: GridSpec, tau: float, k_tol: float) -> _HeatPlan:
     most ``FACTOR_MAX_CELLS`` terms, so it rounds by less than 1.5e-14 of
     the sum of their absolute values, and so does each row sum.
 
-    Elsewhere, the read-only :func:`clamped_multipliers` shaped as
-    ``grid`` (in [even | odd] mode order on a :func:`_half_size` grid), and
-    an unknown ``gain``: inf.
+    Elsewhere, the read-only :func:`clamped_multipliers`, and an unknown
+    ``gain``: inf.
     """
     if not _uses_factors(grid, tau, k_tol):
-        multiplier = clamped_multipliers(grid, tau, k_tol).reshape(grid.shape)
+        multiplier = clamped_multipliers(grid, tau, k_tol)
         multiplier.setflags(write=False)
         return _HeatPlan(None, multiplier, math.inf)
     factors = []
@@ -488,51 +503,29 @@ def _apply_factors(values: np.ndarray, factors: tuple[np.ndarray, ...], out: np.
     return np.matmul(mid, factors[-1].T, out=out)
 
 
-@lru_cache(maxsize=4)
-def _cosine_factors(cells: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Cached read-only per-axis factors of the transform pair on a
-    :func:`_factor_grid`, in the layout :func:`_apply_factors` takes: the
-    matrices ``C_i`` (forward) and their transposes (inverse)."""
-    inverse = tuple(_dct_matrix(n).T for n in cells)  # the last one's .T is C_i itself, C-contiguous
-    return _read_only([_dct_matrix(n) for n in cells]), inverse
-
-
 def heat_evolve(
     f: Field | FieldStack, tau, policy: CutoffPolicy = CutoffPolicy(), multipliers: np.ndarray | None = None
 ) -> Field | FieldStack:
-    """Diffusion flow over signed time ``tau`` with the spectral clamp.
+    """Diffusion flow over signed time ``tau`` with the spectral clamp:
+    ``inverse(min(exp(A_k * tau), k_tol) * forward(phi - s)) + s`` in the
+    :func:`cosine_basis` of the grid, ``s`` its shift, which leaves a
+    constant field no rounding for the clamp to amplify.  The mean (k = 0)
+    is kept because ``A_0 = 0`` and ``k_tol >= 1``.  Finite input gives
+    finite output while the clamp is finite.
 
-    Equivalent to ``dct_inverse(min(exp(A_k * tau), k_tol) * dct_forward(f))``.
-    The mean (k = 0) is always preserved because ``A_0 = 0`` and
-    ``k_tol >= 1``.  Finite input cannot produce non-finite output while the
-    clamp is finite.
+    Where :func:`_uses_factors` holds, the flow is instead one dense
+    ``N_i x N_i`` factor per axis (the clamp binds nowhere), which matches
+    the transform pair to rounding.  Either is looked up in the cached
+    :func:`_heat_plan`.
 
-    Where :func:`_uses_factors` holds, the flow is applied as one dense
-    ``N_i x N_i`` factor per axis (fast diagonalisation; the clamp binds
-    nowhere, so nothing is lost), and its result matches the transform pair
-    to rounding, not to the bit.  Otherwise it is one transform pair with
-    the clamped multiplier; every 1D substep takes that path.  Either is
-    looked up once, in the cached :func:`_heat_plan`.  On a
-    :func:`_factor_grid` the pair is one product per axis with the DCT-II
-    matrices (:func:`_cosine_factors`), applied to the field less its first
-    cell, which is added back after, so a constant field maps to itself.
-    On a :func:`_half_size` 1D grid it is two half-size products each way
-    (:func:`_half_heat`), less an end cell of each row.  Both match
-    :func:`dctn` and :func:`idctn` to rounding; every other grid takes
-    those two.
-
-    A :class:`FieldStack` of 1D fields takes an ``(R, 1)`` column ``tau``,
-    one entry per row.  It is advanced by one transform pair over the grid
-    axis, its coefficients scaled by ``multipliers``, the
-    :func:`clamped_multipliers` of ``tau``, in the mode order that function
-    gives; the solver passes the tables it keeps per stack, and ``tau`` is
-    then not read.  Where none is passed they are built here, the
-    reference the tests compare those tables against.  Every row gets the
-    bits that row gets alone: on a half-size grid, each product has at
-    least two rows.  Only a stack reads ``multipliers``.
+    A :class:`FieldStack` of 1D fields takes an ``(R, 1)`` column ``tau``
+    and scales its coefficients by ``multipliers``, the
+    :func:`clamped_multipliers` of ``tau``, which the solver keeps per stack
+    (``tau`` is then not read), or which are built here where none is
+    passed.  Every row gets the bits that row gets alone.  Only a stack
+    reads ``multipliers``.
     """
-    stacked = isinstance(f, FieldStack)
-    if not stacked:
+    if not isinstance(f, FieldStack):
         plan = _heat_plan(f.grid, tau, policy.k_tol)
         if plan.factors is not None:
             # an unbounded clamp may overflow the products to inf or NaN; the
@@ -542,29 +535,14 @@ def heat_evolve(
         multipliers = plan.multiplier
     elif multipliers is None:
         multipliers = clamped_multipliers(f.grid, tau, policy.k_tol)
+    basis = cosine_basis(f.grid)
+    shift = basis.shift(f.values)
     # an unbounded clamp may overflow the coefficients to inf, and the
-    # inverse products then to NaN; the solver guard catches either
-    if _half_size(f.grid):
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _half_heat(f.values.reshape(-1, f.grid.cells[0]), multipliers)
-        return type(f)(f.grid, values.reshape(f.values.shape))
-    if _factor_grid(f.grid):  # the clamp binds: the transform pair, as per-axis products
-        forward, inverse = _cosine_factors(f.grid.cells)
-        first = f.values.flat[0]  # taken out and added back, so a constant field maps to itself
-        with np.errstate(over="ignore", invalid="ignore"):
-            shifted = np.subtract(f.values, first)
-            coeffs = _apply_factors(shifted, forward)
-            np.multiply(coeffs, multipliers, out=coeffs)
-            out = _apply_factors(coeffs, inverse, out=shifted)
-            out += first
-            return Field(f.grid, out)
-    axes = (1,) if stacked else None  # every axis of a field; faster than naming them
-    coeffs = dctn(f.values, type=2, norm="ortho", axes=axes)
-    # an unbounded clamp may overflow the product to inf; the solver guard
-    # is responsible for catching that
-    with np.errstate(over="ignore"):
-        np.multiply(coeffs, multipliers, out=coeffs)
-    return type(f)(f.grid, idctn(coeffs, type=2, norm="ortho", axes=axes))
+    # inverse then to NaN; the solver guard catches either
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = basis.forward(f.values, shift)
+        coeffs *= basis.layout(multipliers)
+        return type(f)(f.grid, basis.inverse(coeffs, shift, f.values.shape))
 
 
 @lru_cache(maxsize=4)
@@ -604,11 +582,10 @@ def energy(f: Field, model: ModelParams) -> float:
     spectrally through the cosine coefficients ``c_k``.  On a
     :func:`_factor_grid` the gradient term is ``1/2 * sum_i ||S_i x_i phi||^2``
     (see :func:`_gradient_factors`), which agrees to rounding and needs no
-    transform.  On a :func:`_half_size` 1D grid the coefficients are the
-    half-size products of :func:`_half_forward`, of ``phi`` less its
-    :func:`_end_shift`, which changes only ``c_0``, whose eigenvalue is 0;
-    they also agree to rounding.  Elsewhere it takes one forward transform.  The bulk term
-    and the products are computed in this thread's scratch array.
+    transform; elsewhere ``c_k`` is one ``forward`` in the
+    :func:`cosine_basis`, less the shift, which moves only ``c_0``, whose
+    eigenvalue is 0.  The bulk term and the products use this thread's
+    scratch array.
     """
     values, grid = f.values, f.grid
     w = _kernels.work(values.shape)
@@ -620,10 +597,7 @@ def energy(f: Field, model: ModelParams) -> float:
     if _factor_grid(grid):
         grad = 0.5 * _factor_gradient(values, _gradient_factors(grid), w)
     else:
-        if _half_size(grid):
-            row = values[np.newaxis]
-            coeffs = _half_forward(row, 2, _end_shift(row))[:, 0].ravel()  # [even | odd]
-        else:
-            coeffs = dctn(values, type=2, norm="ortho")
-        grad = -0.5 * float(np.sum(_mode_order(grid, eigenvalue_table(grid)) * coeffs * coeffs))
+        basis = cosine_basis(grid)
+        coeffs = basis.modes(basis.forward(values, basis.shift(values)))
+        grad = -0.5 * float(np.sum(eigenvalue_table(grid).ravel()[basis.order] * coeffs * coeffs))
     return grid.cell_volume * (bulk + grad)

@@ -387,11 +387,9 @@ def _stack_step(grid, cfg: RunConfig, rules: Sequence[StepRule]):
     schedule the same kinds of substep at each :meth:`StepRule.position`,
     as rows of one 1D stack; ``cfg`` is that of one run.  Each substep at
     each position gets one row constant, built once: a heat substep's
-    ``(R, M)`` table of the rows' clamped multipliers, in the mode order
-    :func:`heat_evolve` holds its coefficients in (even modes, then odd,
-    on a half-size grid), or a reaction's ``(R, 1)`` column of decay
-    factors.  The guard scans rows only where a
-    whole-stack check fails."""
+    ``(R, M)`` table of the rows' :func:`clamped_multipliers`, or a
+    reaction's ``(R, 1)`` column of decay factors.  The guard scans rows
+    only where a whole-stack check fails."""
     model, cutoff, phi_max = cfg.model, cfg.cutoff, cfg.phi_max
     schedule = rules[0].schedule
     consts = {}  # (position, substep) -> the rows' constant

@@ -99,6 +99,27 @@ def test_rejects_nonfinite_input():
         dct_forward(f)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("grid", [GridSpec.line(1.0, 16), GridSpec.line(1.0, 5), GridSpec((1.0, 2.0), (4, 3))],
+                         ids=["half-size", "fft", "products"])
+def test_inverse_rejects_nonfinite_coefficients(grid, bad):
+    coeffs = np.ones(grid.shape)
+    coeffs.flat[-1] = bad
+    with pytest.raises(ValueError, match="non-finite coefficients"):
+        dct_inverse(SpectralField(grid, coeffs))
+
+
+@pytest.mark.parametrize("grid", [GridSpec.line(1.0, 64), GridSpec((1.0, 2.0), (6, 5)), GridSpec((1.0, 2.0), (130, 4))],
+                         ids=["half-size", "products", "fft"])
+def test_pair_holds_coefficients_in_c_order_on_every_basis(grid):
+    # scipy's orthonormal transforms, as an oracle
+    from scipy.fft import dctn, idctn
+
+    x = np.random.default_rng(3).standard_normal(grid.shape)
+    np.testing.assert_allclose(dct_forward(Field(grid, x)).coefficients, dctn(x, norm="ortho"), rtol=0, atol=4e-15)
+    np.testing.assert_allclose(dct_inverse(SpectralField(grid, x)).values, idctn(x, norm="ortho"), rtol=0, atol=4e-15)
+
+
 def test_eigenvalue_examples():
     eig1 = laplacian_eigenvalues(GridSpec.line(1.0, 8)).coefficients
     assert eig1[0] == 0.0

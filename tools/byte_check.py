@@ -12,7 +12,7 @@ that covers the 3D factor path, a clamped 3D run, snapshots, both studies,
 a wave study whose stacked S3Y run diverges, a diverging 1D run, a run
 whose field overflows a square, a wave run on a longer domain under a
 tighter guard (`--length 8 --phi-max 1.5`), whose header names both, and a
-100-cell wave run, whose cell count takes the scipy transforms.  It
+100-cell wave run, whose cell count takes numpy's FFT transforms.  It
 also pins the messages of ten usage errors: a bad list entry, a repeated
 dt, an empty clamp list, a missing --dt, a guard at or below 1 (named by
 its flag, --phi-max), a digit group in --cells, flags that override
