@@ -193,11 +193,11 @@ def free_energy_evolve(f: Field, tau: float, model: ModelParams, peak: float = m
 
 
 def clamped_multipliers(grid: GridSpec, tau, k_tol: float) -> np.ndarray:
-    """``min(exp(A_k * tau), k_tol)`` over the modes of ``grid`` in the
-    ``order`` of its :func:`cosine_basis`, for a scalar ``tau`` or per row of
-    an ``(R, 1)`` column of them: shape ``(M,)`` or ``(R, M)``."""
+    """``min(exp(A_k * tau), k_tol)`` over the ``eigenvalues`` of the
+    :func:`cosine_basis` of ``grid``, in its mode order, for a scalar ``tau``
+    or per row of an ``(R, 1)`` column of them: shape ``(M,)`` or ``(R, M)``."""
     mult = np.empty(np.shape(tau)[:-1] + (grid.cell_count,))
-    _kernels.heat_multiplier_apply(mult, eigenvalue_table(grid).ravel()[cosine_basis(grid).order], tau, k_tol)
+    _kernels.heat_multiplier_apply(mult, cosine_basis(grid).eigenvalues, tau, k_tol)
     return mult
 
 
@@ -302,10 +302,11 @@ class CosineBasis:
     ``forward(values, shift)`` maps a field, or a 1D ``(R, M)`` stack, less
     ``shift`` to coefficients held in a layout of the basis, and
     ``inverse(coeffs, shift, shape)`` maps them back, ``shift`` added; it may
-    overwrite ``coeffs``.  ``order`` takes a table of a value per mode from
-    C order to the basis's order, ``layout`` puts one such table, or one per
-    row, in the layout of the coefficients, and ``modes`` gives one field's
-    coefficients flat in that order.
+    overwrite ``coeffs``.  ``eigenvalues`` are the read-only Laplacian
+    eigenvalues in the basis's mode order, ``layout`` puts a table of a
+    value per mode in that order, or one per row, in the layout of the
+    coefficients, and ``modes`` gives one field's coefficients flat in that
+    order.  :meth:`coefficients` and :meth:`field` are the pair in C order.
 
     ``shift(values)`` is the one shift rule: the end cell of least magnitude
     per 1D row (the end that adds the least rounding, README "How a heat
@@ -315,10 +316,13 @@ class CosineBasis:
     where it would round at the size a backward substep has grown them to.
     """
 
+    order = slice(None)  # the basis's mode order, as an index into C order
+
     def __init__(self, grid: GridSpec):
         self.cells, self.size = grid.cells, grid.cell_count
-        self.order = slice(None)
         self.axes = (-1,) if grid.dims == 1 else None
+        self.eigenvalues = eigenvalue_table(grid).ravel()[self.order]
+        self.eigenvalues.setflags(write=False)
 
     def shift(self, values: np.ndarray):
         if len(self.cells) > 1:
@@ -342,6 +346,16 @@ class CosineBasis:
     def layout(self, table: np.ndarray) -> np.ndarray:
         return table.reshape(table.shape[:-1] + self.cells)
 
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        """The coefficients of one field, shaped as the grid in C order."""
+        coeffs = np.empty(self.size)
+        coeffs[self.order] = self.modes(self.forward(values, 0.0))
+        return coeffs.reshape(self.cells)
+
+    def field(self, coeffs: np.ndarray) -> np.ndarray:
+        """The values of one field from its :meth:`coefficients`."""
+        return self.inverse(self.layout(coeffs.ravel()[self.order]), 0.0, self.cells)
+
 
 class _HalfBasis(CosineBasis):
     """The basis of a :func:`_half_size` grid.  Row ``k`` of the DCT-II
@@ -349,7 +363,8 @@ class _HalfBasis(CosineBasis):
     so the even modes are ``Ce (x_j + x_{n-1-j} - 2s)`` and the odd ones
     ``Co (x_j - x_{n-1-j})``, ``j < n/2``, with ``Ce = C[0::2, :n/2]`` and
     ``Co = C[1::2, :n/2]`` (Rao & Yip, *Discrete Cosine Transform*, 1990),
-    held as a ``(2, R, n/2)`` array; the inverse adds ``s`` to the even part.
+    held as a ``(2, R, n/2)`` array, modes in [even | odd] order; the
+    inverse adds ``s`` to the even part.
 
     A single row is broadcast to two, as no product may have one row, which
     OpenBLAS hands to GEMV with other bits: every row has the bits it gets
@@ -358,14 +373,15 @@ class _HalfBasis(CosineBasis):
     """
 
     def __init__(self, grid: GridSpec):
-        super().__init__(grid)
-        c, half = _dct_matrix(self.size), self.size // 2
+        n, half = grid.cells[0], grid.cells[0] // 2
+        self.order = np.concatenate((np.arange(0, n, 2), np.arange(1, n, 2)))
+        c = _dct_matrix(n)
         even, odd = c[0::2, :half], c[1::2, :half]
         # read-only, C-contiguous right operands: Ce^T, Co^T forward, Ce, Co back
         self.blocks = tuple(np.ascontiguousarray(m) for m in (even.T, odd.T, even, odd))
-        self.order = np.concatenate((np.arange(0, self.size, 2), np.arange(1, self.size, 2)))
         for array in (*self.blocks, self.order):
             array.setflags(write=False)
+        super().__init__(grid)
 
     def forward(self, values: np.ndarray, shift) -> np.ndarray:
         rows = values.reshape(-1, self.size)
@@ -483,18 +499,16 @@ def _read_only(factors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple(factors)
 
 
-def _apply_factors(values: np.ndarray, factors: tuple[np.ndarray, ...], out: np.ndarray | None = None) -> np.ndarray:
+def _apply_factors(values: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
     """Multiply ``values`` by one factor along each axis, as three matmuls at
-    most, into ``out`` (a fresh array if None, never ``values``) by way of
-    this thread's scratch array.
+    most, into a fresh array by way of this thread's scratch array.
 
     Axis 0 is one GEMM over all the other axes; the middle and last axes are
     broadcast products over the axis-0 slabs, which OpenBLAS runs on its
     unpacked small-matrix kernel (README, "How a heat substep is applied").
     """
     shape = values.shape
-    if out is None:
-        out = np.empty(shape)
+    out = np.empty(shape)
     # in 3D, out holds the first product until the scratch array takes the second
     mid = out if len(factors) == 3 else _kernels.work(shape)
     np.matmul(factors[0], values.reshape(shape[0], -1), out=mid.reshape(shape[0], -1))
@@ -599,5 +613,5 @@ def energy(f: Field, model: ModelParams) -> float:
     else:
         basis = cosine_basis(grid)
         coeffs = basis.modes(basis.forward(values, basis.shift(values)))
-        grad = -0.5 * float(np.sum(eigenvalue_table(grid).ravel()[basis.order] * coeffs * coeffs))
+        grad = -0.5 * float(np.sum(basis.eigenvalues * coeffs * coeffs))
     return grid.cell_volume * (bulk + grad)

@@ -31,19 +31,14 @@ def dct_forward(f: Field) -> SpectralField:
     """Forward orthonormal cosine transform; an isometry in the discrete l2 norm."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("refusing to transform non-finite field values")
-    basis = operators.cosine_basis(f.grid)
-    coeffs = np.empty(f.grid.cell_count)
-    coeffs[basis.order] = basis.modes(basis.forward(f.values, 0.0))
-    return SpectralField(f.grid, coeffs.reshape(f.grid.shape))
+    return SpectralField(f.grid, operators.cosine_basis(f.grid).coefficients(f.values))
 
 
 def dct_inverse(s: SpectralField) -> Field:
     """Exact inverse of :func:`dct_forward` up to rounding."""
     if not np.all(np.isfinite(s.coefficients)):
         raise ValueError("refusing to transform non-finite coefficients")
-    basis = operators.cosine_basis(s.grid)
-    coeffs = basis.layout(s.coefficients.ravel()[basis.order])
-    return Field(s.grid, basis.inverse(coeffs, 0.0, s.grid.shape))
+    return Field(s.grid, operators.cosine_basis(s.grid).field(s.coefficients))
 
 
 def dctn(x: np.ndarray, axes=None) -> np.ndarray:

@@ -348,6 +348,8 @@ print(sys.modules["scipy"] is None)
     # the 128-cell run recorded its energy, and the sweep ran a clamped row
     energies = [row["energy"] for row in read_csv_rows(tmp_path / "1d-128" / "diagnostics.csv")]
     assert len(energies) == 21 and all(float(e) > 0.0 for e in energies)
+    sweep = read_csv_rows(tmp_path / "sweep.csv")
+    assert len(sweep) == 3 and sweep[0]["err_ktol_10000"] != sweep[0]["err_ktol_inf"]
     assert (tmp_path / "1d-100" / "diagnostics.csv").exists()
 
 
