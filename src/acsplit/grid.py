@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["GridSpec", "Field", "FieldStack", "SpectralField"]
+__all__ = ["GridSpec", "Field", "SpectralField"]
 
 
 @dataclass(frozen=True)
@@ -112,22 +112,6 @@ class Field:
     def check_finite(self) -> None:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
-
-
-@dataclass
-class FieldStack:
-    """Fields on one 1D grid stacked along a leading axis: ``values[r]`` is
-    the field of row ``r``, shaped ``(R, M)``."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.grid.dims != 1 or self.values.shape[1:] != self.grid.shape:
-            raise ValueError(
-                f"a stack holds fields on one 1D grid, not on grid {self.grid.shape} "
-                f"in rows of shape {self.values.shape[1:]}"
-            )
 
 
 @dataclass

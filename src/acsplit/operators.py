@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .grid import Field, FieldStack, GridSpec
+from .grid import Field, GridSpec
 from .spectral import axis_eigenvalues, dctn, eigenvalue_table, idctn
 
 __all__ = [
@@ -112,6 +112,8 @@ def _cached_decay(tau: float, model: ModelParams) -> float:
     """Cached :func:`decay_factor` of a scalar ``tau``, with its bits, capped
     at the largest double as the kernel caps it; a run reuses a handful of
     entries, one per distinct reaction substep length."""
+    if not math.isfinite(tau):
+        raise ValueError(f"a reaction substep needs a finite tau, got {tau}")
     return min(float(decay_factor(tau, model)), _F64_MAX)
 
 
@@ -178,10 +180,7 @@ def free_energy_evolve(f: Field, tau: float, model: ModelParams, peak: float = m
     """
     out = np.empty_like(f.values)
     decay = _cached_decay(tau, model)
-    if _certified(peak, decay):
-        _kernels.free_energy_apply(f.values.ravel(), out.ravel(), decay, certified=True)
-        return Field(f.grid, out)
-    bad = _kernels.free_energy_apply(f.values.ravel(), out.ravel(), decay)
+    bad = _kernels.free_energy_apply(f.values.ravel(), out.ravel(), decay, certified=_certified(peak, decay))
     if bad >= 0:
         raise DivergenceError(
             f"reaction substep of length {tau:g} blew up (radicand <= "
@@ -297,16 +296,17 @@ def _dct_matrix(cells: int) -> np.ndarray:
 
 class CosineBasis:
     """The orthonormal cosine transform of one grid, here :func:`dctn` and
-    :func:`idctn`; :func:`cosine_basis` gives each grid its own.
+    :func:`idctn`; :func:`cosine_basis` gives each grid its own.  Callers
+    use :meth:`heat`, :meth:`gradient`, :meth:`coefficients` and
+    :meth:`field` (the pair in C order), and ``eigenvalues``, the read-only
+    Laplacian eigenvalues in the basis's mode order, built on first use.
 
     ``forward(values, shift)`` maps a field, or a 1D ``(R, M)`` stack, less
     ``shift`` to coefficients held in a layout of the basis, and
     ``inverse(coeffs, shift, shape)`` maps them back, ``shift`` added; it may
-    overwrite ``coeffs``.  ``eigenvalues`` are the read-only Laplacian
-    eigenvalues in the basis's mode order, ``layout`` puts a table of a
-    value per mode in that order, or one per row, in the layout of the
-    coefficients, and ``modes`` gives one field's coefficients flat in that
-    order.  :meth:`coefficients` and :meth:`field` are the pair in C order.
+    overwrite ``coeffs``.  ``layout`` puts a table of a value per mode in
+    that order, or one per row, in the layout of the coefficients, and
+    ``modes`` gives one field's coefficients flat in that order.
 
     ``shift(values)`` is the one shift rule: the end cell of least magnitude
     per 1D row (the end that adds the least rounding, README "How a heat
@@ -319,10 +319,14 @@ class CosineBasis:
     order = slice(None)  # the basis's mode order, as an index into C order
 
     def __init__(self, grid: GridSpec):
-        self.cells, self.size = grid.cells, grid.cell_count
+        self.grid, self.cells, self.size = grid, grid.cells, grid.cell_count
         self.axes = (-1,) if grid.dims == 1 else None
-        self.eigenvalues = eigenvalue_table(grid).ravel()[self.order]
-        self.eigenvalues.setflags(write=False)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        table = eigenvalue_table(self.grid).ravel()[self.order]
+        table.setflags(write=False)
+        return table
 
     def shift(self, values: np.ndarray):
         if len(self.cells) > 1:
@@ -345,6 +349,24 @@ class CosineBasis:
 
     def layout(self, table: np.ndarray) -> np.ndarray:
         return table.reshape(table.shape[:-1] + self.cells)
+
+    def heat(self, values: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+        """``inverse(multipliers * forward(values - s)) + s``, ``s`` the :meth:`shift`, for a
+        field and its multipliers in mode order, or a stack and a row of them per row."""
+        shift = self.shift(values)
+        # an unbounded clamp may overflow the coefficients to inf, and the
+        # inverse then to NaN; the solver guard catches either
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = self.forward(values, shift)
+            coeffs *= self.layout(multipliers)
+            return self.inverse(coeffs, shift, values.shape)
+
+    def gradient(self, values: np.ndarray) -> float:
+        """``-sum_k A_k c_k^2`` over the coefficients ``c`` of one field, by
+        way of a :meth:`forward` less the shift, which moves only ``c_0``,
+        whose eigenvalue is 0."""
+        coeffs = self.modes(self.forward(values, self.shift(values)))
+        return -float(np.sum(self.eigenvalues * coeffs * coeffs))
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """The coefficients of one field, shaped as the grid in C order."""
@@ -417,7 +439,8 @@ class _HalfBasis(CosineBasis):
 class _ProductBasis(CosineBasis):
     """The basis of a :func:`_factor_grid`: one product per axis
     (:func:`_apply_factors`) with the DCT-II matrices ``C_i`` forward and
-    ``C_i^T`` back, the shift added back to every cell."""
+    ``C_i^T`` back, the shift added back to every cell.  Its :meth:`gradient` is
+    ``sum_i ||S_i x_i phi||^2`` over the :func:`_gradient_factors`, the same to rounding."""
 
     def __init__(self, grid: GridSpec):
         super().__init__(grid)
@@ -431,6 +454,13 @@ class _ProductBasis(CosineBasis):
         out = _apply_factors(coeffs, self.inverse_factors)
         out += shift
         return out
+
+    def gradient(self, values: np.ndarray) -> float:
+        factors, shape, w = _gradient_factors(self.grid), values.shape, _kernels.work(values.shape)
+        total = _squared_sum(np.matmul(factors[0], values.reshape(shape[0], -1), out=w.reshape(shape[0], -1)))
+        if len(factors) == 3:
+            total += _squared_sum(np.matmul(factors[1], values, out=w))
+        return total + _squared_sum(np.matmul(values, factors[-1].T, out=w))
 
 
 @lru_cache(maxsize=8)
@@ -467,8 +497,10 @@ def _heat_plan(grid: GridSpec, tau: float, k_tol: float) -> _HeatPlan:
     the sum of their absolute values, and so does each row sum.
 
     Elsewhere, the read-only :func:`clamped_multipliers`, and an unknown
-    ``gain``: inf.
+    ``gain``: inf.  A ``tau`` that is not finite is refused.
     """
+    if not math.isfinite(tau):
+        raise ValueError(f"a heat substep needs a finite tau, got {tau}")
     if not _uses_factors(grid, tau, k_tol):
         multiplier = clamped_multipliers(grid, tau, k_tol)
         multiplier.setflags(write=False)
@@ -517,46 +549,27 @@ def _apply_factors(values: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.nd
     return np.matmul(mid, factors[-1].T, out=out)
 
 
-def heat_evolve(
-    f: Field | FieldStack, tau, policy: CutoffPolicy = CutoffPolicy(), multipliers: np.ndarray | None = None
-) -> Field | FieldStack:
+def heat_evolve(f: Field, tau: float, policy: CutoffPolicy = CutoffPolicy()) -> Field:
     """Diffusion flow over signed time ``tau`` with the spectral clamp:
     ``inverse(min(exp(A_k * tau), k_tol) * forward(phi - s)) + s`` in the
-    :func:`cosine_basis` of the grid, ``s`` its shift, which leaves a
-    constant field no rounding for the clamp to amplify.  The mean (k = 0)
-    is kept because ``A_0 = 0`` and ``k_tol >= 1``.  Finite input gives
-    finite output while the clamp is finite.
+    :func:`cosine_basis` of the grid (:meth:`CosineBasis.heat`), ``s`` its
+    shift, which leaves a constant field no rounding for the clamp to
+    amplify.  The mean (k = 0) is kept because ``A_0 = 0`` and
+    ``k_tol >= 1``.  Finite input gives finite output while the clamp is
+    finite; a ``tau`` that is not finite raises ``ValueError``.
 
     Where :func:`_uses_factors` holds, the flow is instead one dense
     ``N_i x N_i`` factor per axis (the clamp binds nowhere), which matches
     the transform pair to rounding.  Either is looked up in the cached
     :func:`_heat_plan`.
-
-    A :class:`FieldStack` of 1D fields takes an ``(R, 1)`` column ``tau``
-    and scales its coefficients by ``multipliers``, the
-    :func:`clamped_multipliers` of ``tau``, which the solver keeps per stack
-    (``tau`` is then not read), or which are built here where none is
-    passed.  Every row gets the bits that row gets alone.  Only a stack
-    reads ``multipliers``.
     """
-    if not isinstance(f, FieldStack):
-        plan = _heat_plan(f.grid, tau, policy.k_tol)
-        if plan.factors is not None:
-            # an unbounded clamp may overflow the products to inf or NaN; the
-            # solver guard is responsible for catching that
-            with np.errstate(over="ignore", invalid="ignore"):
-                return Field(f.grid, _apply_factors(f.values, plan.factors))
-        multipliers = plan.multiplier
-    elif multipliers is None:
-        multipliers = clamped_multipliers(f.grid, tau, policy.k_tol)
-    basis = cosine_basis(f.grid)
-    shift = basis.shift(f.values)
-    # an unbounded clamp may overflow the coefficients to inf, and the
-    # inverse then to NaN; the solver guard catches either
+    plan = _heat_plan(f.grid, tau, policy.k_tol)
+    if plan.factors is None:
+        return Field(f.grid, cosine_basis(f.grid).heat(f.values, plan.multiplier))
+    # an unbounded clamp may overflow the products to inf or NaN; the
+    # solver guard is responsible for catching that
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = basis.forward(f.values, shift)
-        coeffs *= basis.layout(multipliers)
-        return type(f)(f.grid, basis.inverse(coeffs, shift, f.values.shape))
+        return Field(f.grid, _apply_factors(f.values, plan.factors))
 
 
 @lru_cache(maxsize=4)
@@ -577,41 +590,25 @@ def _squared_sum(values: np.ndarray) -> float:
     return float(np.sum(values))
 
 
-def _factor_gradient(values: np.ndarray, factors: tuple[np.ndarray, ...], w: np.ndarray) -> float:
-    """``sum_i ||S_i x_i values||^2`` for the :func:`_gradient_factors`
-    ``factors``, each product computed in the scratch array ``w``."""
-    shape = values.shape
-    total = _squared_sum(np.matmul(factors[0], values.reshape(shape[0], -1), out=w.reshape(shape[0], -1)))
-    if len(factors) == 3:
-        total += _squared_sum(np.matmul(factors[1], values, out=w))
-    return total + _squared_sum(np.matmul(values, factors[-1].T, out=w))
-
-
 def energy(f: Field, model: ModelParams) -> float:
     """Diagnostic free-energy functional (no monotonicity contract).
 
     E = h^d * [ sum_cells F(phi)/eps^2 + 1/2 * sum_k (-A_k) * c_k^2 ]
 
     with ``F(phi) = (phi^2 - 1)^2 / 4`` and the gradient term evaluated
-    spectrally through the cosine coefficients ``c_k``.  On a
-    :func:`_factor_grid` the gradient term is ``1/2 * sum_i ||S_i x_i phi||^2``
-    (see :func:`_gradient_factors`), which agrees to rounding and needs no
-    transform; elsewhere ``c_k`` is one ``forward`` in the
-    :func:`cosine_basis`, less the shift, which moves only ``c_0``, whose
-    eigenvalue is 0.  The bulk term and the products use this thread's
-    scratch array.
+    spectrally through the cosine coefficients ``c_k``
+    (:meth:`CosineBasis.gradient`).  The bulk term and the products use
+    this thread's scratch array.  A field with a cell that is not finite,
+    or whose square overflows, has an infinite or NaN energy, and no
+    warning is raised.
     """
     values, grid = f.values, f.grid
     w = _kernels.work(values.shape)
-    np.square(values, out=w)
-    np.subtract(w, 1.0, out=w)
-    np.square(w, out=w)
-    # a power-of-two scale of the sum has the bits of the sum of scaled terms
-    bulk = 0.25 * float(np.sum(w)) / model.epsilon2
-    if _factor_grid(grid):
-        grad = 0.5 * _factor_gradient(values, _gradient_factors(grid), w)
-    else:
-        basis = cosine_basis(grid)
-        coeffs = basis.modes(basis.forward(values, basis.shift(values)))
-        grad = -0.5 * float(np.sum(basis.eigenvalues * coeffs * coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.square(values, out=w)
+        np.subtract(w, 1.0, out=w)
+        np.square(w, out=w)
+        # a power-of-two scale of the sum has the bits of the sum of scaled terms
+        bulk = 0.25 * float(np.sum(w)) / model.epsilon2
+        grad = 0.5 * cosine_basis(grid).gradient(values)
     return grid.cell_volume * (bulk + grad)

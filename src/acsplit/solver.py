@@ -11,12 +11,13 @@ import numpy as np
 
 from . import _kernels
 from .coeffs import SplitCoefficients
-from .grid import Field, FieldStack
+from .grid import Field
 from .operators import (
     CutoffPolicy,
     DivergenceError,
     ModelParams,
     clamped_multipliers,
+    cosine_basis,
     decay_factor,
     energy,
     free_energy_evolve,
@@ -349,11 +350,12 @@ def run_ensemble(f0: Field, configs: Sequence[RunConfig]) -> list[Trajectory]:
     step boundaries where its :class:`StepRule` allows; they may differ in
     anything else.  On a 1D grid, runs that share ``dt``, ``t_final``, the
     model, ``phi_max`` and the clamp, and whose steps apply the same kinds of
-    substep at each position, advance together, one row each of a
-    :class:`FieldStack`: per substep, one :func:`heat_evolve` or one
-    reaction kernel call, then one guard check.  A run leaves its stack when
-    it diverges.  A stack of one run, and each config on a 2D/3D grid, is
-    one :func:`run`, which costs less than a stack of one row.
+    substep at each position, advance together, one row each of an
+    ``(R, M)`` array: per substep, one :meth:`CosineBasis.heat` of the
+    grid's :func:`cosine_basis` or one reaction kernel call, then one guard
+    check.  A run leaves its stack when it diverges.  A stack of one run,
+    and each config on a 2D/3D grid, is one :func:`run`, which costs less
+    than a stack of one row.
     """
     if not configs:
         return []
@@ -391,7 +393,7 @@ def _stack_step(grid, cfg: RunConfig, rules: Sequence[StepRule]):
     reaction's ``(R, 1)`` column of decay factors.  The guard scans rows
     only where a whole-stack check fails."""
     model, cutoff, phi_max = cfg.model, cfg.cutoff, cfg.phi_max
-    schedule = rules[0].schedule
+    schedule, basis = rules[0].schedule, cosine_basis(grid)
     consts = {}  # (position, substep) -> the rows' constant
     for pos, subs in schedule.items():
         taus = np.array([[tau for _, tau in rule.schedule[pos]] for rule in rules])
@@ -407,7 +409,7 @@ def _stack_step(grid, cfg: RunConfig, rules: Sequence[StepRule]):
         origin = np.arange(len(rows))  # the input row of each row
         for j, (kind, _) in enumerate(schedule[position]):
             if kind == HEAT:
-                rows = heat_evolve(FieldStack(grid, rows), None, cutoff, consts[position, j]).values
+                rows = basis.heat(rows, consts[position, j])
                 cells = np.full(len(rows), -1)
             else:
                 out = np.empty(rows.shape)

@@ -179,45 +179,23 @@ def test_heat_never_writes_its_input():
 
 @pytest.mark.parametrize("k_tol", [1e4, np.inf])
 def test_heat_on_a_stack_matches_each_row(k_tol):
-    # one transform pair over the grid axis of a stack; each row must get
-    # the bits heat_evolve gives that row alone, cached multiplier included
-    from acsplit.grid import FieldStack
+    # one transform pair over the grid axis of a stack (numpy's FFT at 8
+    # cells, half-size products at 48), scaled by the rows' clamped
+    # multipliers; each row of the table must have the bits of that row's
+    # own table, and each row of the result the bits heat_evolve gives that
+    # row alone, cached multiplier included
+    from acsplit.operators import clamped_multipliers, cosine_basis
 
     rng = np.random.default_rng(15)
-    grid = GridSpec.line(1.5, 8)
-    taus = np.array([[0.01], [-0.002], [0.0], [-0.01], [0.003]])
-    stack = FieldStack(grid, rng.standard_normal((len(taus), 8)))
-    out = heat_evolve(stack, taus, CutoffPolicy(k_tol))
-    assert isinstance(out, FieldStack) and out.values.shape == stack.values.shape
-    for row, tau, got in zip(stack.values, taus[:, 0], out.values):
-        assert got.tobytes() == heat_evolve(Field(grid, row), tau, CutoffPolicy(k_tol)).values.tobytes()
-    # stacks are 1D; a 2D/3D ensemble runs each field on its own
-    with pytest.raises(ValueError, match="1D grid"):
-        FieldStack(GridSpec((1.0, 1.5), (8, 6)), rng.standard_normal((len(taus), 8, 6)))
-    with pytest.raises(ValueError, match="rows of shape"):
-        FieldStack(grid, np.zeros((2, 6)))
-
-
-@pytest.mark.parametrize("k_tol", [1e4, np.inf])
-def test_heat_on_a_1d_stack_takes_given_multipliers_with_the_bits_of_each_row(k_tol):
-    # a 1D stack is one transform pair over the grid axis, its coefficients
-    # scaled by the rows' clamped multipliers, built here or by the caller
-    from acsplit.grid import FieldStack
-    from acsplit.operators import clamped_multipliers
-
-    grid = GridSpec.line(1.0, 48)
-    taus = np.array([[0.01], [-0.002], [0.0], [-0.01], [-2.0]])  # the last overflows without a clamp
-    stack = FieldStack(grid, np.random.default_rng(16).standard_normal((len(taus), 48)))
-    table = clamped_multipliers(grid, taus, k_tol)
-    assert table.shape == (len(taus), 48)
-    built = heat_evolve(stack, taus, CutoffPolicy(k_tol))
-    given = heat_evolve(stack, taus, CutoffPolicy(k_tol), table)
-    assert built.values.tobytes() == given.values.tobytes()
-    for row, tau, mult, got in zip(stack.values, taus[:, 0], table, given.values):
-        assert mult.tobytes() == clamped_multipliers(grid, float(tau), k_tol).tobytes()
-        with np.errstate(all="ignore"):
-            alone = heat_evolve(Field(grid, row), tau, CutoffPolicy(k_tol)).values
-        assert got.tobytes() == alone.tobytes()
+    taus = np.array([[0.01], [-0.002], [0.0], [-0.01], [0.003], [-2.0]])  # the last overflows without a clamp
+    for grid in (GridSpec.line(1.5, 8), GridSpec.line(1.0, 48)):
+        values = rng.standard_normal((len(taus), grid.cells[0]))
+        table = clamped_multipliers(grid, taus, k_tol)
+        out = cosine_basis(grid).heat(values, table)
+        assert table.shape == out.shape == values.shape
+        for row, tau, mult, got in zip(values, taus[:, 0], table, out):
+            assert mult.tobytes() == clamped_multipliers(grid, float(tau), k_tol).tobytes()
+            assert got.tobytes() == heat_evolve(Field(grid, row), tau, CutoffPolicy(k_tol)).values.tobytes()
 
 
 def explicit_heat(f, tau, k_tol):
@@ -615,6 +593,35 @@ def test_grid_refuses_a_length_whose_scales_are_not_finite(lengths):
 
 # ---------------------------------------------------------------------------
 # energy diagnostic
+
+
+@pytest.mark.parametrize("grid", [GridSpec.line(1.0, 100), GridSpec.line(1.0, 128), GridSpec.box(1.0, 16, 3)],
+                         ids=["fft-100", "half-128", "factor-16^3"])
+def test_energy_of_a_non_finite_or_huge_cell_is_not_finite_and_warns_nothing(grid):
+    # a run records the energy of any state its guard lets through, which
+    # under an infinite guard may hold inf; a warning here is an error
+    values = np.random.default_rng(26).uniform(-1.0, 1.0, grid.shape)
+    for bad in (np.inf, 1e300, np.nan):
+        f = Field(grid, values.copy())
+        f.values.flat[grid.cell_count // 3] = bad
+        got = energy(f, MODEL)
+        assert not math.isfinite(got), (bad, got)
+        if bad == 1e300:
+            assert got == math.inf
+        if np.isnan(bad):
+            assert math.isnan(got)
+
+
+@pytest.mark.parametrize("grid", [GridSpec.line(1.0, 64), GridSpec.box(1.0, 8, 3)], ids=["64", "8^3"])
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_substeps_refuse_a_tau_that_is_not_finite(grid, tau):
+    f = Field(grid, np.random.default_rng(27).uniform(-1.0, 1.0, grid.shape))
+    for _ in range(2):  # a refusal is never cached
+        with pytest.raises(ValueError, match=f"heat substep needs a finite tau, got {tau}"):
+            heat_evolve(f, tau, CutoffPolicy(1e4))
+        with pytest.raises(ValueError, match=f"reaction substep needs a finite tau, got {tau}"):
+            free_energy_evolve(f, tau, MODEL)
+    assert np.isfinite(free_energy_evolve(heat_evolve(f, -1e-4), 1e-4, MODEL).values).all()
 
 
 def test_energy_examples():

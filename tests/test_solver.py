@@ -31,7 +31,7 @@ from acsplit import (
     traveling_wave_field,
 )
 from acsplit import solver
-from acsplit.operators import DivergenceError, clamp_binds
+from acsplit.operators import DivergenceError, clamp_binds, cosine_basis
 from acsplit.spectral import eigenvalue_table
 from acsplit.solver import (
     MAX_STEPS,
@@ -475,8 +475,7 @@ def _assert_ensemble_matches_serial_runs(f0, configs):
 _ROW_BITS_SCRIPT = """
 import numpy as np
 from acsplit import CutoffPolicy, Field, GridSpec, ModelParams, named_scheme
-from acsplit.grid import FieldStack
-from acsplit.operators import _half_size, heat_evolve
+from acsplit.operators import _half_size, clamped_multipliers, cosine_basis, heat_evolve
 from acsplit.solver import RunConfig, run, run_ensemble
 
 rng = np.random.default_rng(7)
@@ -487,7 +486,7 @@ for n in range(16, 129, 16):
     for rows in (2, 3, 9, 24, 383, 765):
         taus = rng.choice([3e-3, 0.0, -1e-4, -1e-3], size=(rows, 1))  # the clamp binds on some
         values = rng.standard_normal((rows, n))
-        stack = heat_evolve(FieldStack(grid, values), taus, policy).values
+        stack = cosine_basis(grid).heat(values, clamped_multipliers(grid, taus, policy.k_tol))
         for row, tau, got in zip(values, taus[:, 0], stack):
             assert got.tobytes() == heat_evolve(Field(grid, row), tau, policy).values.tobytes(), (n, rows)
 
@@ -583,10 +582,10 @@ def test_stack_builds_its_multipliers_once_per_position_and_heat_substep(monkeyp
     configs = [RunConfig(s, dt, WAVE.t_final, MODEL, CutoffPolicy(1e4), record_energy=False) for s in schemes]
     assert configs[0].plan.n_steps == 10 and configs[0].plan.shortened
     builds = _count_calls(monkeypatch, _kernels, "heat_multiplier_apply")
-    heats = _count_calls(monkeypatch, solver, "heat_evolve")
+    heats = _count_calls(monkeypatch, type(cosine_basis(f0.grid)), "heat")
     assert all(traj.completed for traj in run_ensemble(f0, configs))
     assert builds[0] == 2 * 3 + (5 + 5 + 6)
-    assert heats[0] == 10 * 3 + (5 + 8 * 5 + 6)  # one heat_evolve per stacked heat substep
+    assert heats[0] == 10 * 3 + (5 + 8 * 5 + 6)  # one basis heat per stacked heat substep
     _assert_ensemble_matches_serial_runs(f0, configs)
 
 
